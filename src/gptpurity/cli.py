@@ -58,7 +58,10 @@ def _parse_vector(text: str) -> np.ndarray:
 
 def _parse_complex_array(text: str) -> np.ndarray:
     data = _read_json(text[1:]) if text.startswith("@") else json.loads(text)
-    return pairs_to_complex(data)
+    try:
+        return pairs_to_complex(data)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"cannot parse complex array: {exc}") from exc
 
 
 def _parse_pure_state(text: str, dims: str) -> quantum.PureBipartiteState:

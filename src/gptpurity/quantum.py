@@ -17,26 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import entr
 
 from .core import StructuralError
 from .mixedness import birkhoff_rare_synthesis, majorizes
 
 HERM_TOL = 1e-10
 RANK_TOL = 1e-12
+#: slack on a density matrix's trace, and on "normalized" (trace one)
+TRACE_TOL = 1e-10
+#: ensemble members lighter than this carry no cost and no gradient
+EOF_WEIGHT_FLOOR = 1e-14
+#: largest s = sqrt(1 - 4|det|^2/q^2) fed to artanh in the EoF gradient,
+#: which diverges at product members (s = 1)
+EOF_ARTANH_CLIP = 1.0 - 1e-15
 
 
 def _entropy_bits(p: np.ndarray) -> float:
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
     nz = p[p > 1e-15]
     return float(-np.sum(nz * np.log2(nz)))
-
-
-def _h2(x):
-    x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-    out = np.zeros_like(x)
-    m = (x > 0) & (x < 1)
-    out[m] = -x[m] * np.log2(x[m]) - (1.0 - x[m]) * np.log2(1.0 - x[m])
-    return out
 
 
 def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +85,7 @@ class DensityMatrix:
         if vals.min() < -1e-10:
             raise StructuralError(f"matrix has negative eigenvalue {vals.min():.3e}")
         tr = float(np.trace(m).real)
-        if not -1e-10 <= tr <= 1.0 + 1e-10:
+        if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise StructuralError(f"trace {tr:.6f} outside [0, 1]")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -300,7 +300,7 @@ def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
 
 def purify(rho: DensityMatrix) -> PureBipartiteState:
     """Standard purification sum_i sqrt(p_i) |e_i>|i> on a twin-dimension system."""
-    if abs(rho.trace - 1.0) > 1e-10:
+    if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("purify requires a normalized density matrix")
     vals, vecs = _eig_desc(rho.matrix)
     m = vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -314,7 +314,7 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     factor carried as coordinates, so the coefficient matrix is the
     symmetric matrix E sqrt(diag p) E^T.
     """
-    if abs(rho.trace - 1.0) > 1e-10:
+    if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("symmetric_purify requires a normalized density matrix")
     vals, vecs = _eig_desc(rho.matrix)
     m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
@@ -505,63 +505,79 @@ def entanglement_entropy(psi: PureBipartiteState) -> float:
     return _entropy_bits(schmidt_squared(psi))
 
 
-def _member_cost(q: np.ndarray, det2: np.ndarray) -> np.ndarray:
-    # weight times marginal entropy of each subnormalized two-qubit member,
-    # with the marginal eigenvalues in closed form from |det| and the norm
-    out = np.zeros_like(q)
-    good = q > 1e-14
-    disc = np.sqrt(np.clip(1.0 - 4.0 * det2[good] / q[good] ** 2, 0.0, 1.0))
-    out[good] = q[good] * _h2((1.0 - disc) / 2.0)
-    return out
+def _roof_cost(phi: np.ndarray) -> tuple[float, np.ndarray]:
+    """Ensemble cost of the subnormalized members (rows) and its gradient.
+
+    A member phi = (a, b, c, d) of weight q = |phi|^2 and D = |ad - bc|^2
+    costs q h2((1 - s)/2) with s = sqrt(1 - 4D/q^2), the weight times the
+    entropy of its marginal.  The gradient is the Wirtinger derivative
+    dC/d(conj phi) = C_q phi + C_D det (conj d, -conj c, -conj b, conj a), with
+    C_q = h2 - 2 (D/q^2) g(s), C_D = g(s)/q and g(s) = 2 artanh(s)/(s ln 2).
+    """
+    q = (phi.real ** 2 + phi.imag ** 2).sum(axis=1)
+    det = phi[:, 0] * phi[:, 3] - phi[:, 1] * phi[:, 2]
+    good = q > EOF_WEIGHT_FLOOR
+    q_safe = np.where(good, q, 1.0)
+    ratio = (det.real ** 2 + det.imag ** 2) / q_safe ** 2
+    s = np.sqrt(np.clip(1.0 - 4.0 * ratio, 0.0, 1.0))
+    h = (entr((1.0 - s) / 2.0) + entr((1.0 + s) / 2.0)) / np.log(2.0)
+    # g(s) diverges at product members (s = 1) and tends to 2/ln 2 at s = 0;
+    # s is either 0 or at least 1e-8 in floating point, so the division is safe
+    sc = np.minimum(s, EOF_ARTANH_CLIP)
+    g = np.divide(np.arctanh(sc), sc, out=np.ones_like(sc), where=sc > 0) * (2.0 / np.log(2.0))
+    c_q = np.where(good, h - 2.0 * ratio * g, 0.0)
+    c_d = np.where(good, g / q_safe, 0.0)
+    swapped = phi[:, ::-1].conj() * np.array([1.0, -1.0, -1.0, 1.0])
+    grad = c_q[:, None] * phi + (c_d * det)[:, None] * swapped
+    return float(np.sum(np.where(good, q * h, 0.0))), grad
 
 
-def _ensemble_cost(phi: np.ndarray) -> float:
-    q = (np.abs(phi) ** 2).sum(axis=1)
-    m = phi.reshape(-1, 2, 2)
-    det2 = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) ** 2
-    return float(np.sum(_member_cost(q, det2)))
-
-
-def _pair_costs(phi_i, phi_j, cs, ss, ea):
-    # cost of rows (i, j) after the 2x2 mixing [[c, s e^{ia}], [-s e^{-ia}, c]],
-    # evaluated on whole grids at once via the pair invariants
-    di = phi_i[0] * phi_i[3] - phi_i[1] * phi_i[2]
-    dj = phi_j[0] * phi_j[3] - phi_j[1] * phi_j[2]
-    mix = (phi_i[0] * phi_j[3] + phi_j[0] * phi_i[3]
-           - phi_i[1] * phi_j[2] - phi_j[1] * phi_i[2])
-    qi = float(np.vdot(phi_i, phi_i).real)
-    qj = float(np.vdot(phi_j, phi_j).real)
-    h = np.vdot(phi_i, phi_j)
-    det1 = cs ** 2 * di + ss ** 2 * ea ** 2 * dj + cs * ss * ea * mix
-    q1 = cs ** 2 * qi + ss ** 2 * qj + 2 * cs * ss * (ea * h).real
-    det2 = ss ** 2 * np.conj(ea) ** 2 * di + cs ** 2 * dj - cs * ss * np.conj(ea) * mix
-    q2 = ss ** 2 * qi + cs ** 2 * qj - 2 * cs * ss * (ea * h).real
-    return (_member_cost(q1.ravel(), np.abs(det1.ravel()) ** 2)
-            + _member_cost(q2.ravel(), np.abs(det2.ravel()) ** 2))
-
-
-def _orthonormalize(z: np.ndarray) -> np.ndarray:
+def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QR of z with the diagonal of R made real positive."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
     d = np.where(np.abs(d) > 1e-14, d / np.abs(d), 1.0)
-    return q * d
+    return q * d, r * d.conj()[:, None]
+
+
+def _roof_objective(params: np.ndarray, roots: np.ndarray
+                    ) -> tuple[float, np.ndarray]:
+    """Ensemble cost of Q(Z) @ roots and its gradient in the real parameters of Z.
+
+    Z (m x r) is packed as its real then imaginary parts; Q(Z) is the
+    isometry of its positive-diagonal QR.  The gradient is pulled back
+    through QR: with G_Q = G_phi roots^H and B = Q^H G_Q,
+    G_Z = [(I - Q Q^H) G_Q + Q (tril(B - B^H, -1) + i diag(Im B))] R^{-H}.
+    """
+    r = roots.shape[0]
+    half = params.size // 2
+    z = (params[:half] + 1j * params[half:]).reshape(-1, r)
+    q_mat, r_mat = _orthonormalize(z)
+    cost, g_phi = _roof_cost(q_mat @ roots)
+    g_q = g_phi @ roots.conj().T
+    b = q_mat.conj().T @ g_q
+    inner = np.tril(b - b.conj().T, -1) + 1j * np.diag(b.diagonal().imag)
+    y = g_q - q_mat @ (b - inner)
+    g_z = np.linalg.solve(r_mat, y.conj().T).conj().T
+    return cost, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
 
 
 def entanglement_of_formation(rho: DensityMatrix, members: int = 6,
-                              starts: int = 3, seed: int = 11,
-                              sweeps: int = 60) -> float:
+                              starts: int = 3, seed: int = 11) -> float:
     """Convex-roof entanglement of formation for a two-qubit state, in ebits.
 
     Minimizes the ensemble-average marginal entropy over decompositions of
-    rho, parameterized by isometries applied to the eigen-ensemble.  The
-    search runs Jacobi-style sweeps of pairwise two-member mixings (grid
-    searched, using closed-form pair invariants), then polishes each start
-    with L-BFGS over the isometry parameters.  Multi-start with a fixed
-    seed schedule keeps the result deterministic.
+    rho into ``max(members, rank)`` pure members, parameterized by
+    isometries applied to the eigen-ensemble: multi-start L-BFGS with the
+    closed-form convex-roof gradient over QR-parametrised isometries (the
+    variational method of Audenaert, Verstraete & De Moor, PRA 64, 052304
+    (2001)).  The first start is the eigen-ensemble itself, the others
+    rotate it by random unitaries drawn from ``seed``, so the result is
+    deterministic.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
-    if abs(rho.trace - 1.0) > 1e-10:
+    if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("state must be normalized")
     vals, vecs = _eig_desc(rho.matrix)
     keep = vals > RANK_TOL
@@ -569,46 +585,17 @@ def entanglement_of_formation(rho: DensityMatrix, members: int = 6,
     r = int(lam.size)
     roots = (v * np.sqrt(lam)).T            # (r, 4) subnormalized eigen-members
     if r == 1:
-        return _ensemble_cost(roots)
+        return _roof_cost(roots)[0]
     m = max(members, r)
     rng = np.random.default_rng(seed)
-    thetas = np.linspace(0.0, np.pi / 2, 19)
-    alphas = np.linspace(0.0, 2 * np.pi, 19, endpoint=False)
-    th, al = np.meshgrid(thetas, alphas, indexing="ij")
-    cs, ss, ea = np.cos(th), np.sin(th), np.exp(1j * al)
 
     best = np.inf
     for s in range(starts):
-        phi = np.zeros((m, 4), dtype=complex)
-        phi[:r] = roots
-        if s > 0:
-            w = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
-            phi = w @ phi
-        for _ in range(sweeps):
-            improved = False
-            for i in range(m):
-                for j in range(i + 1, m):
-                    base = _ensemble_cost(phi[[i, j]])
-                    grid = _pair_costs(phi[i], phi[j], cs, ss, ea)
-                    k = int(np.argmin(grid))
-                    if grid[k] < base - 1e-10:
-                        t0, a0 = th.ravel()[k], al.ravel()[k]
-                        c0, s0, e0 = np.cos(t0), np.sin(t0), np.exp(1j * a0)
-                        phi[i], phi[j] = (c0 * phi[i] + s0 * e0 * phi[j],
-                                          -s0 * np.conj(e0) * phi[i] + c0 * phi[j])
-                        improved = True
-            if not improved:
-                break
-        best = min(best, _ensemble_cost(phi))
-        # polish: smooth local descent over the recovered isometry
-        v_iso = phi @ np.linalg.pinv(roots)
-
-        def objective(params):
-            z = (params[:m * r] + 1j * params[m * r:]).reshape(m, r)
-            return _ensemble_cost(_orthonormalize(z) @ roots)
-
-        p0 = np.concatenate([v_iso.real.ravel(), v_iso.imag.ravel()])
-        res = minimize(objective, p0, method="L-BFGS-B",
+        w = (np.eye(m) if s == 0 else
+             np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0])
+        z0 = w[:, :r]
+        p0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
+        res = minimize(_roof_objective, p0, args=(roots,), jac=True, method="L-BFGS-B",
                        options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-11})
         best = min(best, float(res.fun))
     return float(best)
@@ -636,7 +623,7 @@ def catalytic_erasure_possible(rho: DensityMatrix) -> ErasureCertificate:
     state would; the certificate reports Tr(rho^2) and the strict-inequality
     margin 1 - Tr(rho^2).
     """
-    if abs(rho.trace - 1.0) > 1e-10:
+    if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("state must be normalized")
     purity = rho.purity()
     margin = max(0.0, 1.0 - purity)

@@ -19,7 +19,7 @@ def complex_to_pairs(arr) -> list:
 
 def pairs_to_complex(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 

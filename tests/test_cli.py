@@ -148,6 +148,13 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert str(path) in err
 
 
+def test_real_valued_density_exits_2(capsys):
+    code = cli.main(["eof", "--rho", "[[0.5,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0.5]]"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error:") and "[re, im]" in err
+
+
 def test_inputs_not_mutated(tmp_path, capsys):
     path = tmp_path / "sys.json"
     text = json.dumps(system_to_dict(make_square_bit()))

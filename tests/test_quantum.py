@@ -324,6 +324,67 @@ def test_eof_matches_wootters_on_full_rank():
         assert abs(entanglement_of_formation(rho) - wootters_eof(rho.matrix)) < 1e-3
 
 
+def _central_gradient(fun, x, h=1e-6):
+    out = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        out[i] = (fun(x + e) - fun(x - e)) / (2 * h)
+    return out
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_eof_objective_gradient_matches_central_differences(rank):
+    rng = np.random.default_rng(40 + rank)
+    roots = (rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))) / 3
+    params = rng.normal(size=2 * 6 * rank)
+    _, grad = quantum._roof_objective(params, roots)
+    numeric = _central_gradient(lambda p: quantum._roof_objective(p, roots)[0], params)
+    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+
+
+def test_eof_objective_gradient_at_singular_members():
+    rng = np.random.default_rng(45)
+    other = (rng.normal(size=4) + 1j * rng.normal(size=4)) / 3
+    # at the identity isometry the members are the roots themselves, and the
+    # rows beyond the rank are empty (below the member-weight floor)
+    identity = np.concatenate([np.eye(6, 2).ravel(), np.zeros(12)])
+    entangled = np.array([np.array([1, 0, 0, 1]) / 2, other])      # s = 0 member
+    _, grad = quantum._roof_objective(identity, entangled)
+    assert np.all(np.isfinite(grad))
+    numeric = _central_gradient(lambda p: quantum._roof_objective(p, entangled)[0], identity)
+    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+    product = np.array([np.array([0.6, 0, 0, 0]), other])           # D = 0 member
+    cost, grad = quantum._roof_objective(identity, product)
+    assert np.isfinite(cost) and np.all(np.isfinite(grad))
+
+
+def werner(p: float) -> DensityMatrix:
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    return DensityMatrix(p * np.outer(singlet, singlet) + (1 - p) * np.eye(4) / 4)
+
+
+@pytest.mark.parametrize("p", [0.2, 1 / 3, 0.34, 0.5, 0.9])
+def test_eof_werner_states(p):
+    rho = werner(p)
+    assert abs(entanglement_of_formation(rho) - wootters_eof(rho.matrix)) < 1e-6
+
+
+def test_eof_separable_mixtures_are_zero():
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        members = [np.kron(random_pure_state((2, 1), rng).vec, random_pure_state((2, 1), rng).vec)
+                   for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        rho = DensityMatrix(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, members)))
+        assert abs(entanglement_of_formation(rho) - wootters_eof(rho.matrix)) < 1e-6
+
+
+def test_eof_same_seed_is_bit_identical():
+    rho = random_density_matrix(4, np.random.default_rng(19), rank=3)
+    assert entanglement_of_formation(rho, seed=5) == entanglement_of_formation(rho, seed=5)
+
+
 def test_eof_rejects_other_dims():
     with pytest.raises(StructuralError):
         entanglement_of_formation(DensityMatrix.maximally_mixed(3))
