@@ -41,19 +41,27 @@ def _read_json(path: str):
 
 def _load_system(spec: str) -> core.TheorySystem:
     if spec.startswith("classical:"):
-        return core.make_classical(int(spec.split(":", 1)[1]))
+        try:
+            size = int(spec.split(":", 1)[1])
+        except ValueError as exc:
+            raise UsageError(f"classical system size must be an integer: {exc}") from exc
+        return core.make_classical(size)
     if spec == "square-bit":
         return core.make_square_bit()
     return core.system_from_dict(_read_json(spec))
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    if text.startswith("@"):
-        return np.asarray(_read_json(text[1:]), dtype=float)
     try:
-        return np.array([float(tok) for tok in text.split(",")])
-    except ValueError as exc:
+        if text.startswith("@"):
+            vec = np.asarray(_read_json(text[1:]), dtype=float)
+        else:
+            vec = np.array([float(tok) for tok in text.split(",")])
+    except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise UsageError(f"vector {text!r} has a non-finite entry")
+    return vec
 
 
 def _parse_complex_array(text: str) -> np.ndarray:
@@ -70,7 +78,10 @@ def _parse_pure_state(text: str, dims: str) -> quantum.PureBipartiteState:
     except ValueError as exc:
         raise UsageError(f"dims must look like 2x2, got {dims!r}") from exc
     vec = _parse_complex_array(text).reshape(-1)
-    return quantum.PureBipartiteState((da, db), vec / np.linalg.norm(vec))
+    norm = np.linalg.norm(vec)
+    if not 0.0 < norm < np.inf:
+        raise UsageError(f"pure state must be a finite nonzero vector (norm {norm})")
+    return quantum.PureBipartiteState((da, db), vec / norm)
 
 
 def _parse_density(text: str) -> quantum.DensityMatrix:
@@ -152,21 +163,31 @@ def _cmd_make_square_bit(args):
     return 0, core.system_to_dict(core.make_square_bit())
 
 
-def _gpt_state(args, attr="rho") -> core.GptState:
+def _gpt_state(system: core.TheorySystem, text: str, flag: str) -> core.GptState:
+    """Parse a state of ``system``; one outside its state space is refused."""
+    state = system.state(_parse_vector(text))
+    try:
+        inside = mixedness.validate_state(state).feasible
+    except mixedness.IllConditionedError as exc:
+        raise UsageError(f"{flag} cannot be placed in the state space: {exc}") from exc
+    if not inside:
+        raise UsageError(f"{flag} lies outside the state space of {system.name}")
+    return state
+
+
+def _gpt_pair(args) -> tuple[core.GptState, core.GptState]:
     system = _load_system(args.system)
-    return system.state(_parse_vector(getattr(args, attr)))
+    return _gpt_state(system, args.rho, "--rho"), _gpt_state(system, args.sigma, "--sigma")
 
 
 def _cmd_more_mixed(args):
-    rho = _gpt_state(args, "rho")
-    sigma = core.GptState(rho.system, _parse_vector(args.sigma))
+    rho, sigma = _gpt_pair(args)
     cert = mixedness.more_mixed(rho, sigma)
     return (0 if cert.feasible else 1), cert.to_dict()
 
 
 def _cmd_equally_mixed(args):
-    rho = _gpt_state(args, "rho")
-    sigma = core.GptState(rho.system, _parse_vector(args.sigma))
+    rho, sigma = _gpt_pair(args)
     flag, witness = mixedness.equally_mixed(rho, sigma)
     payload = {"equally_mixed": flag,
                "witness": None if witness is None else witness.tolist()}
@@ -179,7 +200,7 @@ def _cmd_invariant_state(args):
 
 
 def _cmd_orbit_hull(args):
-    rho = _gpt_state(args, "rho")
+    rho = _gpt_state(_load_system(args.system), args.rho, "--rho")
     hull = mixedness.orbit_hull(rho)
     return 0, {"vertices": [v.tolist() for v in hull], "count": len(hull)}
 
@@ -214,7 +235,7 @@ def _cmd_monotone(args):
                 rows.append({"x": float(x), "y": float(y),
                              "value": fn(system.state([x, y, 1.0]))})
         return 0, rows
-    rho = system.state(_parse_vector(args.rho))
+    rho = _gpt_state(system, args.rho, "--rho")
     return 0, {"name": args.name, "value": fn(rho)}
 
 

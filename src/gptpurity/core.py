@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -85,6 +86,25 @@ class TheorySystem:
             raise StructuralError("pure_states must be non-empty")
         if not self.group:
             raise StructuralError("group must be non-empty")
+
+    @cached_property
+    def group_array(self) -> np.ndarray:
+        """The group as one read-only ``(|G|, dim, dim)`` array, in group order."""
+        stack = np.stack(self.group)
+        stack.flags.writeable = False
+        return stack
+
+    @cached_property
+    def group_gram(self) -> np.ndarray:
+        """The group-averaged Gram form M = mean_g g^T g, a ``dim x dim`` matrix.
+
+        For a group, h^T M h = M for every element h, so every element is
+        orthogonal for the inner product <x, y>_M = x^T M y.
+        """
+        rows = self.group_array.reshape(-1, self.dim)
+        gram = rows.T @ rows / len(self.group)
+        gram.flags.writeable = False
+        return gram
 
     def state(self, vec) -> "GptState":
         return GptState(self, vec)
@@ -248,7 +268,7 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
 
     # closure under composition and inverses, by table lookup; keyed on
     # rounded bytes first, with a tolerance scan as fallback
-    stacked = np.stack(sys.group)
+    stacked = sys.group_array
     key_of = {np.round(u, 6).tobytes(): k for k, u in enumerate(sys.group)}
 
     def lookup(mat: np.ndarray) -> int | None:

@@ -4,7 +4,10 @@ A state sigma is *more mixed* than rho when sigma is a convex combination of
 group images of rho, i.e. when some random-reversible channel degrades rho
 to sigma.  Deciding the relation is a small linear feasibility problem over
 the orbit, solved by the in-repo simplex; every feasible verdict comes with
-an explicit weight witness.
+an explicit weight witness.  Orbits are computed in one batched product
+with the system's stacked group; the orbit hull and the invariant state
+need no LP on a genuine group, since the group action itself supplies
+their certificates.
 
 The classical case reduces to majorization, and the witness can be built
 constructively: a doubly stochastic matrix from a T-transform chain, then a
@@ -25,6 +28,11 @@ from .core import (ATOL, CapacityError, GptState, StructuralError, TheorySystem,
 
 #: maximum reconstruction error accepted for a feasible certificate
 RESIDUAL_TOL = 1e-8
+#: inputs whose largest entry exceeds this are refused as ill-conditioned
+MAX_SCALE = 1e12
+#: normalised margin above which a separating functional certifies a hull
+#: vertex; ten times the phase-1 threshold, so the LP would answer infeasible
+VERTEX_MARGIN = 10 * simplex.FEASIBILITY_TOL
 
 
 class IllConditionedError(ValueError):
@@ -111,9 +119,7 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
         raise StructuralError("generators and target must share a dimension")
 
     g = np.column_stack(gens)
-    scale = max(np.abs(g).max(), np.abs(tgt).max(), 1.0)
-    if scale > 1e12:
-        raise IllConditionedError(f"input scale {scale:.2e} beyond 1e12")
+    scale = _scale(g, tgt)
 
     a = np.vstack([g, np.ones(len(gens))]) / scale
     b = np.concatenate([tgt, [1.0]]) / scale
@@ -141,6 +147,19 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
     return FeasibilityCertificate("feasible", weights, residual)
 
 
+def _scale(*arrays: np.ndarray) -> float:
+    """Largest entry magnitude (at least 1), refused beyond MAX_SCALE."""
+    scale = max(max(np.abs(a).max() for a in arrays), 1.0)
+    if scale > MAX_SCALE:
+        raise IllConditionedError(f"input scale {scale:.2e} beyond {MAX_SCALE:.0e}")
+    return scale
+
+
+def _orbit(rho: GptState) -> np.ndarray:
+    """The group images of rho as rows, in group order."""
+    return rho.system.group_array @ rho.vec
+
+
 def _require_normalized(rho: GptState, name: str) -> None:
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
@@ -156,8 +175,7 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
         raise StructuralError("states must belong to the same system")
     _require_normalized(rho, "rho")
     _require_normalized(sigma, "sigma")
-    orbit = [u @ rho.vec for u in rho.system.group]
-    return feasible_convex_combination(orbit, sigma.vec)
+    return feasible_convex_combination(_orbit(rho), sigma.vec)
 
 
 def rare_channel_from_certificate(system: TheorySystem,
@@ -183,59 +201,96 @@ def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | No
         raise StructuralError("states must belong to the same system")
     if not (more_mixed(rho, sigma).feasible and more_mixed(sigma, rho).feasible):
         return False, None
-    for u in rho.system.group:
-        if np.max(np.abs(u @ rho.vec - sigma.vec)) <= ATOL:
-            return True, u
-    return True, None
+    hits = np.flatnonzero(np.max(np.abs(_orbit(rho) - sigma.vec), axis=1) <= ATOL)
+    return True, (rho.system.group[hits[0]] if hits.size else None)
 
 
 def invariant_state(sys: TheorySystem) -> GptState:
     """The maximally mixed state: the group average of any pure state.
 
-    Verifies invariance under every group element, independence from the
-    seed vertex, and maximality (every vertex is more controllable than the
-    average), so the returned state is the maximum of the mixedness order.
+    chi = (1/|G|) sum_g g v is the image of a pure state v under the uniform
+    RaRe channel (equal weight on every group element).  The function
+    checks that every pure state has the same average (within ATOL) and
+    that every group element fixes it.  The uniform channel is then the
+    witness that chi is more mixed than every vertex, hence than every
+    state, so chi is the maximum of the mixedness order.
     """
-    averages = [np.mean([u @ v for u in sys.group], axis=0) for v in sys.pure_states]
+    stack = sys.group_array
+    averages = np.asarray(sys.pure_states) @ stack.mean(axis=0).T
     chi = averages[0]
-    for j, avg in enumerate(averages[1:], start=1):
-        if np.max(np.abs(avg - chi)) > ATOL:
-            raise StructuralError(
-                f"group average depends on the seed pure state (vertex {j}); "
-                "the invariant state is not unique")
-    for k, u in enumerate(sys.group):
-        if np.max(np.abs(u @ chi - chi)) > ATOL:
-            raise StructuralError(f"group[{k}] does not fix the group average")
-    state = GptState(sys, chi)
-    for j, v in enumerate(sys.pure_states):
-        if not more_mixed(GptState(sys, v), state).feasible:
-            raise StructuralError(
-                f"invariant state is not reachable from vertex {j}; "
-                "it is maximal but not the maximum")
-    return state
+    seeds = np.flatnonzero(np.max(np.abs(averages - chi), axis=1) > ATOL)
+    if seeds.size:
+        raise StructuralError(
+            f"group average depends on the seed pure state (vertex {seeds[0]}); "
+            "the invariant state is not unique")
+    movers = np.flatnonzero(np.max(np.abs(stack @ chi - chi), axis=1) > ATOL)
+    if movers.size:
+        raise StructuralError(f"group[{movers[0]}] does not fix the group average")
+    return GptState(sys, chi)
+
+
+def _first_hits(points: np.ndarray, atol: float) -> list[int]:
+    """Indices of the rows kept by the first-hit rule, in row order.
+
+    A row is kept when it is farther than ``atol`` (max-norm) from every
+    row kept before it.  Exact repeats are dropped up front, as the rule
+    drops them anyway: whatever kept or dropped a row's first occurrence
+    drops the repeat.
+    """
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    kept: list[int] = []
+    for i in np.sort(order[first]):
+        if np.all(np.max(np.abs(points[kept] - points[i]), axis=1) > atol):
+            kept.append(int(i))
+    return kept
+
+
+def _certified_vertices(points: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Mask of the points that strictly maximise their own functional M s.
+
+    Point s_i is certified when (M s_i).s_i exceeds (M s_i).s_j for every
+    other point j by more than VERTEX_MARGIN, after the normalisation of
+    feasible_convex_combination (entries over the input scale, functional
+    over its max-norm).  That margin bounds the phase-1 optimum of "s_i in
+    the hull of the others" from below, so the point is a vertex and the LP
+    would say so too.  On a group orbit the margin is (1/2)|s_i - s_j|_M^2.
+    """
+    scale = _scale(points)
+    func = points @ gram
+    values = func @ points.T                 # values[i, j] = (M s_i).s_j
+    own = np.diag(values).copy()
+    np.fill_diagonal(values, -np.inf)
+    rival = values.max(axis=1)
+    norm = np.maximum(np.abs(func).max(axis=1), np.abs(rival))
+    return own - rival > VERTEX_MARGIN * scale * norm
 
 
 def orbit_hull(rho: GptState, atol: float = ATOL) -> list[np.ndarray]:
     """Vertices of the convex hull of the group orbit of rho.
 
     The hull is exactly the set of states more mixed than rho, so the
-    returned list generates that set.  Duplicates (within tolerance) are
-    removed, then non-extreme orbit points are discarded via the
-    feasibility solver.
+    returned list generates that set.  Orbit points are deduplicated in
+    group order, keeping the first hit within ``atol``.  Each distinct
+    point s is then certified as a vertex by the functional x -> (M s).x,
+    with M the group-averaged Gram form: the group acts orthogonally for
+    M, so s beats every other orbit point s' by (1/2)|s - s'|_M^2.  A point
+    whose margin is too small for that certificate (a near-duplicate, or
+    an orbit under a matrix set that is not a group) falls back to the
+    feasibility solver against the other points, as a Farkas certificate
+    or a convex combination.
     """
-    distinct: list[np.ndarray] = []
-    for u in rho.system.group:
-        w = u @ rho.vec
-        if all(np.max(np.abs(w - v)) > atol for v in distinct):
-            distinct.append(w)
-    if len(distinct) == 1:
-        return distinct
-    vertices = []
-    for i, v in enumerate(distinct):
-        others = distinct[:i] + distinct[i + 1:]
-        if not feasible_convex_combination(others, v).feasible:
-            vertices.append(v)
-    return vertices
+    orbit = _orbit(rho)
+    points = orbit[_first_hits(orbit, atol)]
+    if len(points) == 1:
+        return [points[0]]
+    vertex = _certified_vertices(points, rho.system.group_gram)
+    for i in np.flatnonzero(~vertex):
+        others = np.delete(points, i, axis=0)
+        vertex[i] = not feasible_convex_combination(others, points[i]).feasible
+    return list(points[vertex])
 
 
 def majorizes(p, q, atol: float = 1e-10) -> bool:

@@ -313,21 +313,6 @@ def op_norm_report(rho: GptState) -> MonotoneReport:
     return MonotoneReport("op-norm-distance", 0.5 * (hi - lo), witness)
 
 
-_gram_cache: dict[TheorySystem, np.ndarray] = {}
-
-
-def _group_gram(system: TheorySystem) -> np.ndarray:
-    """Quadratic form averaging g^T g over the group.
-
-    In the basis where this form is the identity, every group element is
-    orthogonal, so the associated 2-norm is invariant.
-    """
-    if system not in _gram_cache:
-        q = np.mean([u.T @ u for u in system.group], axis=0)
-        _gram_cache[system] = q
-    return _gram_cache[system]
-
-
 def purity_2norm(rho) -> float:
     """Squared invariant 2-norm of the state.
 
@@ -336,7 +321,7 @@ def purity_2norm(rho) -> float:
     """
     if isinstance(rho, DensityMatrix):
         return rho.purity()
-    q = _group_gram(rho.system)
+    q = rho.system.group_gram
     if np.linalg.cond(q) > 1e10:
         raise UnsupportedSystemError(
             "group-averaged quadratic form is degenerate; 2-norm purity unsupported")

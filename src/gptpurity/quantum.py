@@ -49,22 +49,19 @@ def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            vecs[:, k] = col / phase
-    # order degenerate blocks by rounded components
+    # unit eigenvectors always have a component above 1e-9
+    lead = vecs[np.argmax(np.abs(vecs) > 1e-9, axis=0), np.arange(vals.size)]
+    vecs = vecs / (lead / np.abs(lead))
+    # order degenerate blocks by rounded components, compared column by
+    # column as the interleaved (real, imag) sequence
     start = 0
     while start < vals.size:
         stop = start + 1
         while stop < vals.size and abs(vals[stop] - vals[start]) < 1e-10:
             stop += 1
         if stop - start > 1:
-            keys = [tuple(np.round(vecs[:, k], 8).view(float)) for k in range(start, stop)]
-            perm = sorted(range(stop - start), key=lambda i: keys[i])
-            vecs[:, start:stop] = vecs[:, [start + i for i in perm]]
+            keys = np.ascontiguousarray(np.round(vecs[:, start:stop], 8).T).view(float)
+            vecs[:, start:stop] = vecs[:, start + np.lexsort(keys.T[::-1])]
         start = stop
     return vals, vecs
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-10
+#: largest phase-1 optimum (sum of artificials) still reported as feasible
+FEASIBILITY_TOL = 1e-9
 MAX_ITER = 20000
 
 
@@ -95,7 +97,7 @@ def phase1(a: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     objective = float(np.sum(x[n:]))
     # simplex multipliers: the artificial block of the tableau is B^-1
     y = (cost[basis] @ tableau[:, n:n + m]) * sign
-    return objective <= 1e-9, x[:n], y
+    return objective <= FEASIBILITY_TOL, x[:n], y
 
 
 def solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,

@@ -155,6 +155,49 @@ def test_real_valued_density_exits_2(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "[re, im]" in err
 
 
+def _one_line_error(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    return captured.err
+
+
+def test_zero_norm_pure_state_exits_2(capsys):
+    zero = json.dumps([[0, 0]] * 4)
+    target = json.dumps([[1, 0], [0, 0], [0, 0], [0, 0]])
+    err = _one_line_error(capsys, "nielsen", "--state", zero, "--target", target)
+    assert "nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("majorizes", "--p", "0.5,0.5", "--q", "0.5,nan"),
+    ("majorizes", "--p", "0.5,0.5", "--q", "inf,0.5"),
+    ("more-mixed", "--system", "classical:abc", "--rho", "1", "--sigma", "1"),
+    ("orbit-hull", "--system", "square-bit", "--rho", "1e13,0,1"),
+], ids=["nan", "inf", "classical-abc", "huge-state"])
+def test_malformed_vectors_and_systems_exit_2(capsys, argv):
+    _one_line_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--rho", ("orbit-hull", "--system", "square-bit", "--rho", "5,5,1")),
+    ("--rho", ("more-mixed", "--system", "square-bit", "--rho", "5,5,1", "--sigma", "0,0,1")),
+    ("--sigma", ("more-mixed", "--system", "square-bit", "--rho", "0,0,1", "--sigma", "5,5,1")),
+    ("--sigma", ("equally-mixed", "--system", "square-bit", "--rho", "0.5,0.2,1",
+                 "--sigma", "0,3,1")),
+    ("--rho", ("monotone", "--system", "square-bit", "--name", "2-norm-purity",
+               "--rho", "5,5,1")),
+    ("--rho", ("monotone", "--system", "classical:3", "--name", "x2-purity",
+               "--rho", "1.5,-0.5,0")),
+], ids=["orbit-hull", "more-mixed-rho", "more-mixed-sigma", "equally-mixed-sigma",
+        "monotone-square", "monotone-classical"])
+def test_state_outside_state_space_exits_2(capsys, flag, argv):
+    err = _one_line_error(capsys, *argv)
+    assert f"{flag} lies outside the state space" in err
+
+
 def test_inputs_not_mutated(tmp_path, capsys):
     path = tmp_path / "sys.json"
     text = json.dumps(system_to_dict(make_square_bit()))

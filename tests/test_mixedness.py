@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gptpurity import core, mixedness
+from gptpurity import core, mixedness, simplex
 
 from oracles import hull_membership_scipy
+from test_user_system import _pentagon_dict
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,20 @@ def trit():
 @pytest.fixture(scope="module")
 def square_bit():
     return core.make_square_bit()
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the simplex phase-1 solves made while the test runs."""
+    calls = []
+    phase1 = simplex.phase1
+
+    def counted(a, b):
+        calls.append(a.shape[1])
+        return phase1(a, b)
+
+    monkeypatch.setattr(simplex, "phase1", counted)
+    return calls
 
 
 # -- feasible_convex_combination --------------------------------------------
@@ -152,6 +167,81 @@ def test_orbit_hull_generates_reachable_set(square_bit):
         reachable = mixedness.more_mixed(rho, sigma).feasible
         in_hull = hull_membership_scipy(hull, sigma.vec)
         assert reachable == in_hull
+
+
+def _hull_by_definition(rho, atol=core.ATOL):
+    """Orbit hull by its definition, with HiGHS: the distinct orbit points in
+    group order (first hit within atol kept), minus every point that lies in
+    the hull of the others."""
+    distinct = []
+    for u in rho.system.group:
+        w = u @ rho.vec
+        if all(np.max(np.abs(w - v)) > atol for v in distinct):
+            distinct.append(w)
+    if len(distinct) == 1:
+        return distinct
+    return [v for i, v in enumerate(distinct)
+            if not hull_membership_scipy(distinct[:i] + distinct[i + 1:], v)]
+
+
+def _hull_cases():
+    rng = np.random.default_rng(21)
+    cases = []
+    for n in (3, 4, 5):                      # generic 6-, 24- and 120-point orbits
+        sys = core.make_classical(n)
+        cases += [(f"classical-{n}", sys.state(rng.dirichlet(np.ones(n)))) for _ in range(2)]
+    six = core.make_classical(6)             # pairwise-equal entries: 90-point orbit
+    vals = rng.dirichlet(np.ones(3))
+    cases.append(("classical-6", six.state(rng.permutation(np.repeat(vals / 2, 2)))))
+    cases.append(("classical-4-ties", core.make_classical(4).state([0.4, 0.4, 0.1, 0.1])))
+    for sys in (core.make_square_bit(), core.system_from_dict(_pentagon_dict())):
+        for _ in range(3):
+            mix = rng.dirichlet(np.ones(len(sys.pure_states)))
+            cases.append((sys.name, sys.state(mix @ np.asarray(sys.pure_states))))
+    return cases
+
+
+@pytest.mark.parametrize("name, rho", _hull_cases())
+def test_orbit_hull_matches_lp_definition_without_lp(name, rho, lp_calls):
+    hull = mixedness.orbit_hull(rho)
+    assert lp_calls == []                    # every vertex certified by its margin
+    expected = _hull_by_definition(rho)
+    assert len(hull) == len(expected)
+    # same points in the same order
+    np.testing.assert_allclose(np.array(hull), np.array(expected), rtol=0, atol=1e-12)
+
+
+def test_orbit_hull_non_group_falls_back_to_lp(square_bit, lp_calls):
+    # four rotations and a contraction do not form a group: the contracted
+    # image lies inside the square spanned by the rotated ones
+    shrink = np.diag([0.1, 0.1, 1.0])
+    fake = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
+                             pure_states=square_bit.pure_states,
+                             extremal_effects=square_bit.extremal_effects,
+                             group=square_bit.group[:4] + (shrink,))
+    rho = fake.state([0.5, 0.2, 1.0])
+    hull = mixedness.orbit_hull(rho)
+    assert lp_calls == [4]                   # one LP, against the four other points
+    assert len(hull) == 4
+    assert all(np.max(np.abs(v - shrink @ rho.vec)) > 1e-3 for v in hull)
+    np.testing.assert_allclose(np.array(hull), np.array(_hull_by_definition(rho)),
+                               rtol=0, atol=1e-12)
+
+
+def _invariant_cases():
+    return [core.make_classical(n) for n in (2, 3, 4, 5)] + [
+        core.make_square_bit(), core.system_from_dict(_pentagon_dict())]
+
+
+@pytest.mark.parametrize("sys", _invariant_cases(), ids=lambda s: s.name)
+def test_invariant_state_rebuilt_by_uniform_channel(sys, lp_calls):
+    chi = mixedness.invariant_state(sys)
+    assert lp_calls == []
+    n = len(sys.group)
+    uniform = mixedness.RaReChannel(sys, tuple((1.0 / n, k) for k in range(n)))
+    for v in sys.pure_states:
+        np.testing.assert_allclose(uniform.apply(sys.state(v)).vec, chi.vec,
+                                   rtol=0, atol=core.ATOL)
 
 
 # -- majorizes ---------------------------------------------------------------

@@ -380,6 +380,49 @@ def test_eof_separable_mixtures_are_zero():
         assert abs(entanglement_of_formation(rho) - wootters_eof(rho.matrix)) < 1e-6
 
 
+def _eig_desc_loop(mat):
+    """The column-by-column form of quantum._eig_desc, kept as its reference."""
+    vals, vecs = np.linalg.eigh(mat)
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-9)
+        if idx.size:
+            phase = col[idx[0]] / abs(col[idx[0]])
+            vecs[:, k] = col / phase
+    start = 0
+    while start < vals.size:
+        stop = start + 1
+        while stop < vals.size and abs(vals[stop] - vals[start]) < 1e-10:
+            stop += 1
+        if stop - start > 1:
+            keys = [tuple(np.round(vecs[:, k], 8).view(float)) for k in range(start, stop)]
+            perm = sorted(range(stop - start), key=lambda i: keys[i])
+            vecs[:, start:stop] = vecs[:, [start + i for i in perm]]
+        start = stop
+    return vals, vecs
+
+
+def _eig_desc_cases():
+    rng = np.random.default_rng(23)
+    cases = [random_density_matrix(4, rng, rank=r).matrix
+             for r in (1, 1, 2, 2, 3, 3) for _ in range(4)]
+    cases += [random_density_matrix(3, rng, rank=r).matrix for r in (1, 2)]
+    cases += [np.eye(4, dtype=complex) / 4, np.eye(4), np.eye(3, dtype=complex)]
+    cases += [werner(p).matrix for p in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
+    return cases
+
+
+def test_eig_desc_matches_column_loop_bit_for_bit():
+    for mat in _eig_desc_cases():
+        vals, vecs = quantum._eig_desc(mat)
+        ref_vals, ref_vecs = _eig_desc_loop(mat)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.dtype == ref_vecs.dtype
+        assert vecs.tobytes() == ref_vecs.tobytes()
+
+
 def test_eof_same_seed_is_bit_identical():
     rho = random_density_matrix(4, np.random.default_rng(19), rank=3)
     assert entanglement_of_formation(rho, seed=5) == entanglement_of_formation(rho, seed=5)
