@@ -17,9 +17,8 @@ from .mixedness import (FeasibilityCertificate, IllConditionedError, RaReChannel
                         feasible_convex_combination, invariant_state, majorizes,
                         more_mixed, orbit_hull, rare_channel_from_certificate,
                         validate_channel, validate_instrument, validate_state)
-from .monotones import (ConvexScalarFn, EnumerationBoundExceeded, MonotoneReport,
-                        UnsupportedSystemError, builtin_monotones,
-                        enumerate_pure_measurements, f_purity, measurement_entropy,
+from .monotones import (ConvexScalarFn, MonotoneReport, UnsupportedSystemError,
+                        builtin_monotones, f_purity, measurement_entropy,
                         op_norm_distance, op_norm_report, purity_2norm,
                         schur_convexity_check)
 from .quantum import (DensityMatrix, ErasureCertificate, KrausChannel,

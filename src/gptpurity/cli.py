@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -18,7 +17,8 @@ from . import boxworld, core, harness, mixedness, monotones, quantum
 from .core import CapacityError, StructuralError
 from .serialize import complex_to_pairs, dump_json, pairs_to_complex
 
-DEFAULT_TOL = float(os.environ.get("GPTPURITY_TOL", "1e-9"))
+#: largest entry of (C x D)(rho) - SWAP rho SWAP that locex-quantum accepts
+SWAP_RESIDUAL_TOL = 1e-9
 
 
 class UsageError(ValueError):
@@ -375,7 +375,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(name.replace("_", "-") if name.startswith("--") else name, **spec)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         COMMANDS[verb] = fn
         return p
 
@@ -401,7 +400,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pair_args = dict(state_args, **{"--target": {"required": True}})
     add("nielsen", _cmd_nielsen, **pair_args)
     add("lu-equiv", _cmd_lu_equiv, **pair_args)
-    add("locex-quantum", _cmd_locex_quantum, **state_args)
+    add("locex-quantum", _cmd_locex_quantum, **state_args,
+        **{"--tol": {"type": float, "default": SWAP_RESIDUAL_TOL}})
     add("rare-quantum", _cmd_rare_quantum,
         **{"--rho": {"required": True}, "--source": {"required": True}})
     add("one-way", _cmd_one_way, **pair_args)

@@ -35,7 +35,7 @@ class CapacityError(ValueError):
 
 
 def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = np.array(x, dtype=float).reshape(-1)
     if n is not None and v.shape[0] != n:
         raise StructuralError(f"{name} has length {v.shape[0]}, expected {n}")
     v.flags.writeable = False
@@ -43,7 +43,7 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def _as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(x, dtype=float)
+    m = np.array(x, dtype=float)
     if m.ndim != 2:
         raise StructuralError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if shape is not None and m.shape != shape:
@@ -105,6 +105,38 @@ class TheorySystem:
         gram = rows.T @ rows / len(self.group)
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def pure_measurements(self) -> tuple["Measurement", ...]:
+        """The vertices of the measurement polytope, as measurements.
+
+        A measurement built from the pure effects a_1..a_K (the extremal
+        effects other than the zero and unit effects) is a weight vector
+        c >= 0 with sum_i c_i a_i = u.  Its vertices are the basic solutions:
+        a support S of at most ``dim`` linearly independent effects (full
+        numerical rank of the Gram matrix A_S^T A_S) with A_S c = u and every
+        weight above ``ATOL``.  A support with a weight at or below ``ATOL``
+        is skipped, since a smaller support gives the same measurement.
+        """
+        effects = [a for a in self.extremal_effects
+                   if np.max(np.abs(a)) > ATOL and np.max(np.abs(a - self.unit_effect)) > ATOL]
+        found = []
+        for size in range(1, min(self.dim, len(effects)) + 1):
+            for support in itertools.combinations(effects, size):
+                cols = np.column_stack(support)
+                gram = cols.T @ cols
+                if np.linalg.matrix_rank(gram, hermitian=True) < size:
+                    continue
+                # the normal equations keep dyadic data exact: the simplex and
+                # the square bit's facet pairs get weights of exactly 1
+                weights = np.linalg.solve(gram, cols.T @ self.unit_effect)
+                if weights.min() <= ATOL:
+                    continue
+                if np.max(np.abs(cols @ weights - self.unit_effect)) > ATOL:
+                    continue
+                found.append(Measurement(tuple(Effect(self, w * a)
+                                               for w, a in zip(weights, support))))
+        return tuple(found)
 
     def state(self, vec) -> "GptState":
         return GptState(self, vec)

@@ -1,25 +1,25 @@
 """Purity monotones: f-purities, measurement entropy, norm-based measures.
 
 An f-purity is the supremum of sum_x f(p_x) over pure measurements, where
-p_x are the outcome probabilities.  For generic polytope systems the
-supremum is approximated by enumerating measurements assembled from scaled
-extremal effects (rational weights, denominators up to 4); the classical
-and quantum cases are exact because the optimizing measurement is known
-there (fine-grained, respectively projective in the eigenbasis).
+p_x are the outcome probabilities.  For convex f with f(0) = 0 the sum is
+convex in the weights of a measurement built from the pure effects, so the
+supremum is attained at a vertex of that measurement polytope (Rockafellar,
+Convex Analysis, Cor. 32.3.2).  ``TheorySystem.pure_measurements`` lists
+those vertices, which makes the maximum below exact.  Quantum states use
+the eigenbasis measurement, which is optimal there.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import simplex
-from .core import (Effect, GptState, Measurement, StructuralError, TheorySystem,
-                   is_classical_structure)
+from .core import GptState, Measurement, StructuralError, TheorySystem
 from .mixedness import RaReChannel, invariant_state
 from .quantum import DensityMatrix, _eig_desc, _entropy_bits
 
@@ -28,22 +28,12 @@ class UnsupportedSystemError(ValueError):
     """The system lacks the structure the monotone needs."""
 
 
-class EnumerationBoundExceeded(RuntimeError):
-    """Measurement enumeration hit its budget; carries the best lower bound."""
-
-    def __init__(self, report: "MonotoneReport"):
-        super().__init__("measurement enumeration bound exceeded; "
-                         f"best value found {report.value}")
-        self.report = report
-        self.lower_bound = True
-
-
 @dataclass(frozen=True)
 class ConvexScalarFn:
     """A convex function on [0, 1] used to build an f-purity.
 
     By convention the evaluator is finite at 0 (x log x is extended by 0);
-    enumeration shortcuts additionally require f(0) = 0.
+    f-purities additionally require f(0) = 0.
     """
 
     tag: str
@@ -84,134 +74,36 @@ class MonotoneReport:
     name: str
     value: float
     witness: object
-    lower_bound: bool = False
 
     def to_dict(self) -> dict:
         witness = self.witness
         if isinstance(witness, Measurement):
             witness = {"type": "measurement",
                        "effects": [a.covec.tolist() for a in witness.effects]}
-        return {"name": self.name, "value": float(self.value), "witness": witness,
-                "lower_bound": self.lower_bound}
-
-
-# ---------------------------------------------------------------------------
-# pure-measurement enumeration
-# ---------------------------------------------------------------------------
-
-#: rational weights with denominator at most 4
-WEIGHT_GRID = tuple(sorted({Fraction(p, q) for q in (1, 2, 3, 4)
-                            for p in range(1, q + 1)}))
-
-
-def pure_effects(system: TheorySystem, atol: float = 1e-9) -> list[np.ndarray]:
-    """The supplied extremal effects, minus the zero and unit effects."""
-    out = []
-    for a in system.extremal_effects:
-        if np.max(np.abs(a)) <= atol:
-            continue
-        if np.max(np.abs(a - system.unit_effect)) <= atol:
-            continue
-        out.append(a)
-    return out
-
-
-def enumerate_pure_measurements(system: TheorySystem,
-                                weights: Sequence[Fraction] = WEIGHT_GRID,
-                                max_outcomes: int = 8,
-                                limit: int = 50000,
-                                atol: float = 1e-9
-                                ) -> tuple[list[Measurement], bool]:
-    """All measurements assembled from scaled pure effects, up to the budget.
-
-    Depth-first search over multisets of (effect, weight) pairs whose
-    weighted sum is exactly the unit effect.  Returns the measurement list
-    and a completeness flag (False when the node budget was exhausted).
-    """
-    effects = pure_effects(system, atol)
-    if not effects:
-        return [], True
-    vertices = np.column_stack(system.pure_states)      # dim x V
-    options = [(i, float(w)) for i in range(len(effects)) for w in weights]
-    values = np.array([a @ vertices for a in effects])  # effect values on vertices
-
-    found: list[list[tuple[int, float]]] = []
-    nodes = 0
-    complete = True
-
-    def dfs(start: int, res_cov: np.ndarray, res_vals: np.ndarray,
-            chosen: list[tuple[int, float]]) -> None:
-        nonlocal nodes, complete
-        if not complete:
-            return
-        if np.max(np.abs(res_cov)) <= atol:
-            found.append(list(chosen))
-            return
-        if len(chosen) >= max_outcomes:
-            return
-        for k in range(start, len(options)):
-            i, w = options[k]
-            new_vals = res_vals - w * values[i]
-            if new_vals.min() < -atol:
-                continue
-            nodes += 1
-            if nodes > limit:
-                complete = False
-                return
-            chosen.append((i, w))
-            dfs(k, res_cov - w * effects[i], new_vals, chosen)
-            chosen.pop()
-
-    unit_vals = system.unit_effect @ vertices
-    dfs(0, system.unit_effect.copy(), unit_vals.copy(), [])
-
-    measurements = []
-    for combo in found:
-        effs = tuple(Effect(system, w * effects[i]) for i, w in combo)
-        measurements.append(Measurement(effs))
-    return measurements, complete
-
-
-def fine_grained_measurement(system: TheorySystem) -> Measurement:
-    return Measurement(tuple(Effect(system, a) for a in system.pure_states))
+        return {"name": self.name, "value": float(self.value), "witness": witness}
 
 
 # ---------------------------------------------------------------------------
 # monotones
 # ---------------------------------------------------------------------------
 
-def f_purity(rho: GptState, f: ConvexScalarFn,
-             measurements: Sequence[Measurement] | None = None,
-             limit: int = 50000) -> MonotoneReport:
-    """Maximize sum_x f(p_x) over pure measurements.
+def f_purity(rho: GptState, f: ConvexScalarFn) -> MonotoneReport:
+    """Maximize sum_x f(p_x) over pure measurements, exactly.
 
-    Classical systems short-circuit to the fine-grained measurement (the
-    optimum for convex f with f(0) = 0); other systems search the supplied
-    or enumerated measurement list.  If the enumeration budget trips, an
-    EnumerationBoundExceeded carrying the best lower bound is raised.
+    The maximum runs over the vertices of the measurement polytope
+    (``system.pure_measurements``), which is exact when f is convex with
+    f(0) = 0; any other f raises ``ValueError``.
     """
+    if not f.convex or f(0.0) != 0.0:
+        raise ValueError(f"the {f.tag}-purity needs a convex f with f(0) = 0")
     if not rho.is_normalized():
         raise StructuralError("f_purity requires a normalized state")
-    system = rho.system
-    name = f"{f.tag}-purity"
-    if measurements is None and is_classical_structure(system) and abs(f(0.0)) < 1e-12:
-        meas = fine_grained_measurement(system)
-        probs = meas.outcome_probs(rho)
-        return MonotoneReport(name, float(sum(f(p) for p in probs)), meas)
-    complete = True
-    if measurements is None:
-        measurements, complete = enumerate_pure_measurements(system, limit=limit)
-    best_val, best_meas = -np.inf, None
-    for meas in measurements:
-        val = float(sum(f(p) for p in meas.outcome_probs(rho)))
-        if val > best_val:
-            best_val, best_meas = val, meas
-    report = MonotoneReport(name, best_val, best_meas, lower_bound=not complete)
-    if not complete:
-        raise EnumerationBoundExceeded(report)
-    if best_meas is None:
+    measurements = rho.system.pure_measurements
+    if not measurements:
         raise UnsupportedSystemError("no pure measurements available for this system")
-    return report
+    values = [float(sum(f(p) for p in meas.outcome_probs(rho))) for meas in measurements]
+    best = int(np.argmax(values))
+    return MonotoneReport(f"{f.tag}-purity", values[best], measurements[best])
 
 
 def measurement_entropy(rho) -> MonotoneReport:
@@ -219,8 +111,8 @@ def measurement_entropy(rho) -> MonotoneReport:
 
     Quantum states use the eigenvalue spectrum with the eigenbasis
     projective measurement as witness; GPT states minimize over the
-    enumerated measurements (classical systems reduce to the fine-grained
-    distribution).
+    vertices of the measurement polytope (classical systems reduce to the
+    fine-grained distribution).
     """
     if isinstance(rho, DensityMatrix):
         if abs(rho.trace - 1.0) > 1e-10:
@@ -230,17 +122,18 @@ def measurement_entropy(rho) -> MonotoneReport:
                    "basis": [vecs[:, k].tolist() for k in range(vecs.shape[1])]}
         return MonotoneReport("measurement-entropy", _entropy_bits(vals), witness)
     report = f_purity(rho, ConvexScalarFn.xlogx())
-    return MonotoneReport("measurement-entropy", -report.value, report.witness,
-                          lower_bound=report.lower_bound)
+    return MonotoneReport("measurement-entropy", -report.value, report.witness)
 
 
-_effect_lp_cache: dict[TheorySystem, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-_invariant_cache: dict[TheorySystem, GptState] = {}
+# keyed weakly, so an entry goes with its system; the values hold no
+# reference to the system, which would keep the key alive
+_effect_lp_cache: weakref.WeakKeyDictionary[TheorySystem, tuple] = weakref.WeakKeyDictionary()
+_invariant_cache: weakref.WeakKeyDictionary[TheorySystem, np.ndarray] = weakref.WeakKeyDictionary()
 
 
-def _cached_invariant(system: TheorySystem) -> GptState:
+def _invariant_vec(system: TheorySystem) -> np.ndarray:
     if system not in _invariant_cache:
-        _invariant_cache[system] = invariant_state(system)
+        _invariant_cache[system] = invariant_state(system).vec
     return _invariant_cache[system]
 
 
@@ -295,8 +188,7 @@ def op_norm_distance(rho: GptState) -> float:
     """
     if not rho.is_normalized():
         raise StructuralError("op_norm_distance requires a normalized state")
-    chi = _cached_invariant(rho.system)
-    delta = rho.vec - chi.vec
+    delta = rho.vec - _invariant_vec(rho.system)
     hi, _ = _optimize_effect(rho.system, delta, maximize=True)
     lo, _ = _optimize_effect(rho.system, delta, maximize=False)
     return 0.5 * (hi - lo)
@@ -304,8 +196,7 @@ def op_norm_distance(rho: GptState) -> float:
 
 def op_norm_report(rho: GptState) -> MonotoneReport:
     """op_norm_distance together with the optimizing effect pair."""
-    chi = _cached_invariant(rho.system)
-    delta = rho.vec - chi.vec
+    delta = rho.vec - _invariant_vec(rho.system)
     hi, top = _optimize_effect(rho.system, delta, maximize=True)
     lo, bottom = _optimize_effect(rho.system, delta, maximize=False)
     witness = {"type": "effect-pair", "sup_effect": top.tolist(),
@@ -384,23 +275,12 @@ def schur_convexity_check(monotone: Callable[[GptState], float],
     return report
 
 
-def builtin_monotones(system: TheorySystem,
-                      measurements: Sequence[Measurement] | None = None
-                      ) -> dict[str, Callable[[GptState], float]]:
-    """The four built-in purity monotones as plain callables.
-
-    A shared measurement list may be supplied so the enumeration runs once
-    per system instead of once per evaluation.
-    """
-    if measurements is None and not is_classical_structure(system):
-        measurements, complete = enumerate_pure_measurements(system)
-        if not complete:
-            raise EnumerationBoundExceeded(
-                MonotoneReport("builtin-monotones", float("nan"), None, True))
+def builtin_monotones(system: TheorySystem) -> dict[str, Callable[[GptState], float]]:
+    """The four built-in purity monotones of ``system``'s states, as plain callables."""
     f2, flog = ConvexScalarFn.square(), ConvexScalarFn.xlogx()
     return {
-        "x2-purity": lambda s: f_purity(s, f2, measurements).value,
-        "xlogx-purity": lambda s: f_purity(s, flog, measurements).value,
+        "x2-purity": lambda s: f_purity(s, f2).value,
+        "xlogx-purity": lambda s: f_purity(s, flog).value,
         "op-norm-distance": op_norm_distance,
         "2-norm-purity": purity_2norm,
     }

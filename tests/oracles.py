@@ -1,8 +1,9 @@
 """Independent reference implementations used only to check the package.
 
 Nothing here is imported by the package itself: the Wootters closed form,
-brute-force effect-polytope enumeration, and scipy's LP solver provide the
-second route for the dual-route tests.
+brute-force effect-polytope enumeration, and scipy's LP solver (hull
+membership, and measurement-polytope vertices on random objectives) provide
+the second route for the dual-route tests.
 """
 
 import itertools
@@ -72,6 +73,35 @@ def op_norm_bruteforce(system, delta: np.ndarray) -> float:
     """sup minus inf of effect values on delta, by vertex enumeration."""
     values = [float(a @ delta) for a in effect_polytope_vertices(system)]
     return max(values) - min(values)
+
+
+def measurement_polytope_vertices(system, seed: int, objectives: int = 400
+                                  ) -> list[list[np.ndarray]]:
+    """Vertices of the measurement polytope {c >= 0 : sum_i c_i a_i = u}.
+
+    ``a_i`` runs over the extremal effects other than the zero and unit
+    effects.  Each vertex is the HiGHS optimum of a seeded random linear
+    objective; it is returned as its scaled effects c_i a_i, and repeats
+    are dropped.  A vertex with a small normal cone may be missed.
+    """
+    u = system.unit_effect
+    effects = [a for a in system.extremal_effects
+               if np.max(np.abs(a)) > 1e-9 and np.max(np.abs(a - u)) > 1e-9]
+    a_eq = np.column_stack(effects)
+    rng = np.random.default_rng(seed)
+    found: dict[tuple, list[np.ndarray]] = {}
+    for _ in range(objectives):
+        res = linprog(rng.normal(size=len(effects)), A_eq=a_eq, b_eq=u,
+                      bounds=[(0, None)] * len(effects), method="highs")
+        assert res.status == 0, res.message
+        vertex = [w * a for w, a in zip(res.x, effects) if w > 1e-9]
+        found.setdefault(measurement_key(vertex), vertex)
+    return list(found.values())
+
+
+def measurement_key(effects) -> tuple:
+    """An order-free key of a list of effects, equal up to rounding at 1e-8."""
+    return tuple(sorted(tuple(np.round(np.asarray(a, dtype=float), 8)) for a in effects))
 
 
 def shannon_bits(p) -> float:

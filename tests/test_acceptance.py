@@ -9,7 +9,7 @@ import pytest
 
 from gptpurity import core, mixedness, monotones, quantum
 from gptpurity.harness import TrialConfig, run_classical_agreement_suite, run_duality_suite
-from gptpurity.monotones import builtin_monotones, enumerate_pure_measurements
+from gptpurity.monotones import builtin_monotones
 from gptpurity.quantum import (DensityMatrix, catalytic_erasure_possible,
                                entanglement_of_formation, marginals, purify,
                                random_density_matrix, random_pure_state,
@@ -77,11 +77,7 @@ def test_criterion_5_monotones():
     rng = np.random.default_rng(1234)
     total_degradations = 0
     for sys in systems:
-        meas = None
-        if not core.is_classical_structure(sys):
-            meas, complete = enumerate_pure_measurements(sys)
-            assert complete
-        table = builtin_monotones(sys, meas)
+        table = builtin_monotones(sys)
         # invariance on every vertex under every group element
         for name, fn in table.items():
             for v in sys.pure_states:

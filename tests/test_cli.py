@@ -101,6 +101,18 @@ def test_quantum_verbs(capsys):
     assert abs(payload["entanglement_of_formation"] - 1.0) < 1e-6
 
 
+def test_tol_only_on_locex_quantum(capsys):
+    state = json.dumps([[0.6, 0], [0.3, 0.1], [0.2, 0], [0.7, 0.05]])
+    code, payload = run(capsys, "locex-quantum", "--state", state)
+    assert code == 0 and payload["swap_residual"] <= 1e-9
+    code, _ = run(capsys, "locex-quantum", "--state", state, "--tol=-1")
+    assert code == 1
+    with pytest.raises(SystemExit) as info:
+        cli.main(["more-mixed", "--system", "classical:2", "--rho", "0.7,0.3",
+                  "--sigma", "0.5,0.5", "--tol", "1e-3"])
+    assert info.value.code == 2
+
+
 def test_box_verbs(capsys):
     code, payload = run(capsys, "make-pr")
     assert code == 0

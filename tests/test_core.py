@@ -144,3 +144,18 @@ def test_loader_rejects_invalid_theory(tmp_path, square_bit):
 def test_is_classical_structure():
     assert core.is_classical_structure(core.make_classical(3))
     assert not core.is_classical_structure(core.make_square_bit())
+
+
+def test_constructors_copy_caller_arrays(square_bit):
+    u, unit, m = np.eye(3), np.array([0.0, 0.0, 1.0]), np.eye(3)
+    system = core.TheorySystem(dim=3, unit_effect=unit, pure_states=square_bit.pure_states,
+                               extremal_effects=square_bit.extremal_effects, group=(u,))
+    channel = core.GptChannel(system, system, m)
+    u[0, 0] = 2.0          # the caller's arrays stay writeable ...
+    unit[2] = 5.0
+    m[1, 1] = 3.0
+    assert system.group[0][0, 0] == 1.0    # ... and the objects keep their own copy
+    assert system.unit_effect[2] == 1.0
+    assert channel.matrix[1, 1] == 1.0
+    with pytest.raises(ValueError):
+        system.group[0][0, 0] = 2.0

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ from gptpurity import core, mixedness, monotones
 from gptpurity.monotones import ConvexScalarFn
 from gptpurity.quantum import DensityMatrix
 
-from oracles import op_norm_bruteforce, random_rank1_povm_entropy, shannon_bits
+from oracles import (measurement_key, measurement_polytope_vertices, op_norm_bruteforce,
+                     random_rank1_povm_entropy, shannon_bits)
+from test_user_system import _pentagon_dict
 
 
 @pytest.fixture(scope="module")
@@ -25,13 +29,6 @@ def square_bit():
     return core.make_square_bit()
 
 
-@pytest.fixture(scope="module")
-def square_measurements(square_bit):
-    meas, complete = monotones.enumerate_pure_measurements(square_bit)
-    assert complete
-    return meas
-
-
 def _random_state(sys, rng):
     mix = rng.dirichlet(np.ones(len(sys.pure_states)))
     return sys.state(sum(w * v for w, v in zip(mix, sys.pure_states)))
@@ -47,35 +44,73 @@ def test_trit_square_purity_fine_grained(trit):
     assert abs(sum(p * p for p in probs) - report.value) < 1e-10
 
 
-def test_fine_grained_dominates_enumeration(trit):
-    # the classical shortcut must agree with brute enumeration
+def test_classical_pure_measurement_is_fine_grained():
+    # the simplex has one vertex measurement, the basis effects in order, so
+    # the f-purities are sum_i f(p_i) bit for bit
+    rng = np.random.default_rng(37)
+    for n in range(2, 7):
+        system = core.make_classical(n)
+        (meas,) = system.pure_measurements
+        assert [a.covec.tolist() for a in meas.effects] == np.eye(n).tolist()
+        p = rng.dirichlet(np.ones(n))
+        for f in (ConvexScalarFn.square(), ConvexScalarFn.xlogx()):
+            report = monotones.f_purity(system.state(p), f)
+            assert report.value == float(sum(f(x) for x in p))
+            assert report.witness is meas
+
+
+_SYSTEMS = {"square-bit": core.make_square_bit,
+            "pentagon": lambda: core.system_from_dict(_pentagon_dict()),
+            "classical-3": lambda: core.make_classical(3)}
+
+
+@pytest.mark.parametrize("name, count", [("square-bit", 2), ("pentagon", 25),
+                                         ("classical-3", 1)])
+def test_pure_measurements_are_the_oracle_vertices(name, count):
+    system = _SYSTEMS[name]()
+    measurements = system.pure_measurements
+    assert len(measurements) == count
+    vertices = np.column_stack(system.pure_states)
+    for meas in measurements:
+        covecs = np.array([a.covec for a in meas.effects])
+        assert np.max(np.abs(covecs.sum(axis=0) - system.unit_effect)) <= core.ATOL
+        values = covecs @ vertices
+        assert values.min() >= -core.ATOL and values.max() <= 1.0 + core.ATOL
+    keys = {measurement_key([a.covec for a in meas.effects]) for meas in measurements}
+    oracle = measurement_polytope_vertices(system, seed=41)
+    assert len(oracle) == count
+    assert {measurement_key(vertex) for vertex in oracle} <= keys
+    # the maximum over the returned vertices is the supremum: no vertex the
+    # oracle finds scores higher on any state
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        rho = _random_state(system, rng)
+        for f in (ConvexScalarFn.square(), ConvexScalarFn.xlogx()):
+            value = monotones.f_purity(rho, f).value
+            for vertex in oracle:
+                assert value >= sum(f(a @ rho.vec) for a in vertex) - 1e-12
+
+
+def test_f_purity_refuses_inexact_f(trit):
     rho = trit.state([0.5, 0.3, 0.2])
-    meas, complete = monotones.enumerate_pure_measurements(trit, max_outcomes=6,
-                                                           limit=200000)
-    assert complete
-    brute = max(sum(p * p for p in m.outcome_probs(rho)) for m in meas)
-    assert abs(brute - 0.38) < 1e-9
+    wavy = ConvexScalarFn.custom(lambda x: math.sin(10 * x))
+    shifted = ConvexScalarFn.custom(lambda x: x * x + 1.0)
+    assert not wavy.convex and shifted.convex
+    for f in (wavy, shifted):
+        with pytest.raises(ValueError, match="convex f with f\\(0\\) = 0"):
+            monotones.f_purity(rho, f)
 
 
-def test_square_center_xlogx(square_bit, square_measurements):
+def test_square_center_xlogx(square_bit):
     center = square_bit.state([0.0, 0.0, 1.0])
-    report = monotones.f_purity(center, ConvexScalarFn.xlogx(), square_measurements)
+    report = monotones.f_purity(center, ConvexScalarFn.xlogx())
     assert abs(report.value - (-1.0)) < 1e-9
 
 
-def test_pure_state_square_purity_is_one(square_bit, square_measurements):
+def test_pure_state_square_purity_is_one(square_bit):
     vertex = square_bit.state([1.0, 1.0, 1.0])
-    report = monotones.f_purity(vertex, ConvexScalarFn.square(), square_measurements)
+    report = monotones.f_purity(vertex, ConvexScalarFn.square())
     assert abs(report.value - 1.0) < 1e-9
-
-
-def test_enumeration_budget_raises_partial_result(square_bit):
-    with pytest.raises(monotones.EnumerationBoundExceeded) as info:
-        monotones.f_purity(square_bit.state([0.0, 0.0, 1.0]),
-                           ConvexScalarFn.square(), limit=50)
-    assert info.value.lower_bound
-    assert info.value.report.lower_bound
-    assert info.value.report.value > -np.inf
 
 
 # -- measurement entropy ------------------------------------------------------
@@ -141,6 +176,16 @@ def test_op_norm_report_witness(bit):
     assert abs(0.5 * (sup_val - inf_val) - report.value) < 1e-10
 
 
+def test_monotone_caches_die_with_their_system():
+    system = core.make_classical(3)
+    monotones.op_norm_distance(system.state([0.5, 0.3, 0.2]))
+    assert system in monotones._effect_lp_cache and system in monotones._invariant_cache
+    ref = weakref.ref(system)
+    del system
+    gc.collect()
+    assert ref() is None
+
+
 # -- 2-norm purity -------------------------------------------------------------
 
 def test_2norm_values(bit):
@@ -149,12 +194,12 @@ def test_2norm_values(bit):
     assert abs(monotones.purity_2norm(bit.state([0.7, 0.3])) - 0.58) < 1e-12
 
 
-def test_2norm_square_bit_gap(square_bit, square_measurements):
+def test_2norm_square_bit_gap(square_bit):
     # the 2-norm purity and the x^2-purity need not agree beyond the
     # classical case; record the gap at the center instead of asserting it away
     center = square_bit.state([0.0, 0.0, 1.0])
     two_norm = monotones.purity_2norm(center)
-    x2 = monotones.f_purity(center, ConvexScalarFn.square(), square_measurements).value
+    x2 = monotones.f_purity(center, ConvexScalarFn.square()).value
     assert two_norm >= x2 - 1e-12   # both are monotones; the gap is real
     assert abs(two_norm - 1.0) < 1e-12
     assert abs(x2 - 0.5) < 1e-9
@@ -162,9 +207,9 @@ def test_2norm_square_bit_gap(square_bit, square_measurements):
 
 # -- monotone properties -------------------------------------------------------
 
-def test_builtin_monotones_invariance(square_bit, trit, square_measurements):
-    for sys, meas in ((square_bit, square_measurements), (trit, None)):
-        table = monotones.builtin_monotones(sys, meas)
+def test_builtin_monotones_invariance(square_bit, trit):
+    for sys in (square_bit, trit):
+        table = monotones.builtin_monotones(sys)
         for name, fn in table.items():
             for v in sys.pure_states:
                 base = fn(sys.state(v))
@@ -173,10 +218,10 @@ def test_builtin_monotones_invariance(square_bit, trit, square_measurements):
                     assert abs(moved - base) <= 1e-9, (name, sys.name)
 
 
-def test_builtin_monotones_convexity(square_bit, trit, square_measurements):
+def test_builtin_monotones_convexity(square_bit, trit):
     rng = np.random.default_rng(23)
-    for sys, meas in ((square_bit, square_measurements), (trit, None)):
-        table = monotones.builtin_monotones(sys, meas)
+    for sys in (square_bit, trit):
+        table = monotones.builtin_monotones(sys)
         for name, fn in table.items():
             for _ in range(15):
                 states = [_random_state(sys, rng) for _ in range(3)]
@@ -186,9 +231,9 @@ def test_builtin_monotones_convexity(square_bit, trit, square_measurements):
                 assert fn(mixed) <= bound + 1e-9, name
 
 
-def test_builtin_monotones_decrease_under_more_mixed(square_bit, square_measurements):
+def test_builtin_monotones_decrease_under_more_mixed(square_bit):
     rng = np.random.default_rng(29)
-    table = monotones.builtin_monotones(square_bit, square_measurements)
+    table = monotones.builtin_monotones(square_bit)
     for _ in range(20):
         rho = _random_state(square_bit, rng)
         sigma = _random_state(square_bit, rng)

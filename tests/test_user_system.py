@@ -5,10 +5,13 @@ orbit hulls, and the monotone machinery on a system that ships with
 neither backend shortcut.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from gptpurity import core, mixedness, monotones
+from gptpurity import cli, core, mixedness, monotones
 
 
 def _pentagon_dict() -> dict:
@@ -61,15 +64,8 @@ def test_pentagon_orbit_hull_is_decagon(pentagon):
     assert len(hull) == 10
 
 
-@pytest.fixture(scope="module")
-def pentagon_measurements(pentagon):
-    meas, complete = monotones.enumerate_pure_measurements(pentagon, limit=500000)
-    assert complete and meas
-    return meas
-
-
-def test_pentagon_monotones_behave(pentagon, pentagon_measurements):
-    table = monotones.builtin_monotones(pentagon, pentagon_measurements)
+def test_pentagon_monotones_behave(pentagon):
+    table = monotones.builtin_monotones(pentagon)
     for name, fn in table.items():
         base = fn(pentagon.state(pentagon.pure_states[0]))
         for u in pentagon.group:
@@ -80,14 +76,23 @@ def test_pentagon_monotones_behave(pentagon, pentagon_measurements):
         assert check.ok, name
 
 
-def test_pentagon_entropy_of_center(pentagon, pentagon_measurements):
+def test_pentagon_entropy_of_center(pentagon):
     # every edge/vertex effect pair gives outcome probabilities strictly
     # inside (0, 1) at the center, so the minimum entropy is positive
     center = pentagon.state([0.0, 0.0, 1.0])
-    report = monotones.f_purity(center, monotones.ConvexScalarFn.xlogx(),
-                                pentagon_measurements)
+    report = monotones.f_purity(center, monotones.ConvexScalarFn.xlogx())
     entropy = -report.value
     assert entropy > 0.5
     probs = report.witness.outcome_probs(center)
     from oracles import shannon_bits
     assert abs(shannon_bits(probs) - entropy) < 1e-10
+
+
+def test_pentagon_monotone_cli(tmp_path, capsys):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(_pentagon_dict()))
+    code = cli.main(["monotone", "--system", str(path), "--name", "xlogx-purity",
+                     "--rho", "0.1,0.2,1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["name"] == "xlogx-purity" and math.isfinite(payload["value"])
