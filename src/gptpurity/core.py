@@ -52,6 +52,20 @@ def _as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") ->
     return m
 
 
+def _as_matrices(xs, n: int, name: str) -> np.ndarray:
+    """Read-only ``(len(xs), n, n)`` copy of a sequence of n x n matrices, in one array."""
+    xs = list(xs)
+    try:
+        stack = np.array(xs, dtype=float)
+    except ValueError:
+        stack = np.empty(0)
+    if stack.shape != (len(xs), n, n):
+        for i, x in enumerate(xs):       # name the entry at fault
+            _as_matrix(x, (n, n), f"{name}[{i}]")
+    stack.flags.writeable = False
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class TheorySystem:
     """A finite GPT system: state space, effects and reversible group.
@@ -79,9 +93,7 @@ class TheorySystem:
         object.__setattr__(
             self, "extremal_effects",
             tuple(_as_vector(a, self.dim, f"extremal_effects[{i}]") for i, a in enumerate(self.extremal_effects)))
-        object.__setattr__(
-            self, "group",
-            tuple(_as_matrix(u, (self.dim, self.dim), f"group[{i}]") for i, u in enumerate(self.group)))
+        object.__setattr__(self, "group", tuple(_as_matrices(self.group, self.dim, "group")))
         if not self.pure_states:
             raise StructuralError("pure_states must be non-empty")
         if not self.group:
@@ -200,7 +212,7 @@ class Measurement:
             if a.system is not sys0:
                 raise StructuralError("all effects of a measurement must share a system")
             total = total + a.covec
-        if not np.allclose(total, sys0.unit_effect, atol=1e-10):
+        if not np.allclose(total, sys0.unit_effect, rtol=0.0, atol=ATOL):
             raise StructuralError("measurement effects do not sum to the unit effect")
 
     @property
@@ -263,11 +275,48 @@ def _match_vertex(sys: TheorySystem, vec: np.ndarray, atol: float) -> int | None
     return None
 
 
-def _group_lookup(sys: TheorySystem, mat: np.ndarray, atol: float) -> int | None:
-    for k, u in enumerate(sys.group):
-        if np.max(np.abs(mat - u)) <= atol:
-            return k
-    return None
+def _spanning_rows(verts: np.ndarray) -> list[int]:
+    """Indices of a maximal linearly independent set of rows, chosen greedily in order."""
+    base: list[int] = []
+    for j in range(len(verts)):
+        if np.linalg.matrix_rank(verts[base + [j]]) > len(base):
+            base.append(j)
+    return base
+
+
+def _is_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the ``queries`` found in the sorted array ``keys``."""
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return keys[pos] == queries
+
+
+def _closure_report(perm: np.ndarray, members: np.ndarray, base: list[int]) -> list[str]:
+    """Closure and inverse violations among the group elements ``members``.
+
+    ``perm[g]`` is the vertex permutation of group[g].  A permutation is keyed
+    by its images of the independent vertices ``base`` in base |V|; these fix
+    the matrix, so equal keys mean equal elements.
+    """
+    n_vertices = perm.shape[1]
+    if n_vertices ** len(base) >= 2 ** 63:
+        raise CapacityError(f"{n_vertices} vertices in dimension {len(base)} are too many "
+                            "to key the vertex permutations")
+    radix = n_vertices ** np.arange(len(base))
+    perms = perm[members]
+    keys, first = np.unique(perms[:, base] @ radix, return_index=True)
+    distinct = perms[first][:, base]
+    has_inverse = _is_member(keys, np.argsort(perms, axis=1)[:, base] @ radix)
+    report = []
+    for k, (i, row) in enumerate(zip(members, perms)):
+        # left multiplication is injective, so the distinct permutations are
+        # closed under it exactly when it maps their keys onto themselves
+        if not np.array_equal(np.sort(row[distinct] @ radix), keys):
+            closed = _is_member(keys, row[perms[:, base]] @ radix)
+            report += [f"group is not closed: group[{i}] @ group[{j}] not in list"
+                       for j in members[~closed]]
+        if not has_inverse[k]:
+            report.append(f"group[{i}] has no inverse in the list")
+    return report
 
 
 def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
@@ -276,56 +325,52 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
     An empty report means the system is valid within tolerance.  Structural
     problems (mismatched dimensions) raise ``StructuralError`` instead of
     being reported, since no further check is meaningful.
+
+    Every group element must permute the vertex list: perm[g, j] is the
+    first pure state within ``atol`` (max-norm) of group[g] @ pure_states[j].
+    When the pure states span R^dim (checked, and reported otherwise), a
+    matrix is fixed by its images of ``dim`` independent vertices, so closure
+    and inverses are checked exactly on the permutations of the elements
+    that permute the vertices: group[i] @ group[j] acts as perm[i][perm[j]]
+    and the inverse of group[i] as argsort(perm[i]).
     """
     report: list[str] = []
-    n_vertices = len(sys.pure_states)
+    verts = np.asarray(sys.pure_states)
+    group = sys.group_array
 
-    for i, u in enumerate(sys.group):
-        if abs(np.linalg.det(u)) < 1e-12:
+    images = np.matmul(group, verts.T).transpose(0, 2, 1)     # images[g, j] = g @ v_j
+    close = np.stack([np.max(np.abs(images - w), axis=2) <= atol for w in verts], axis=2)
+    matched = close.any(axis=2).all(axis=1)
+    perm = close.argmax(axis=2)
+    bijective = np.all(np.sort(perm, axis=1) == np.arange(len(verts)), axis=1)
+    singular = np.abs(np.linalg.det(group)) < 1e-12
+    unit_residual = np.max(np.abs(sys.unit_effect @ group - sys.unit_effect), axis=1)
+    for i in range(len(group)):
+        if singular[i]:
             report.append(f"group[{i}] is singular (det ~ 0)")
             continue
-        # every group element must permute the vertex list
-        hit = [_match_vertex(sys, u @ v, atol) for v in sys.pure_states]
-        if None in hit:
-            j = hit.index(None)
-            residual = min(np.max(np.abs(u @ sys.pure_states[j] - w)) for w in sys.pure_states)
+        if not matched[i]:
+            j = int(np.argmin(close[i].any(axis=1)))
+            residual = np.max(np.abs(images[i, j] - verts), axis=1).min()
             report.append(f"group[{i}] maps pure_states[{j}] outside the vertex list "
                           f"(residual {residual:.3e})")
-        elif len(set(hit)) != n_vertices:
+        elif not bijective[i]:
             report.append(f"group[{i}] does not act injectively on the vertex list")
-        # unit-effect invariance
-        residual = np.max(np.abs(sys.unit_effect @ u - sys.unit_effect))
-        if residual > atol:
-            report.append(f"group[{i}] does not preserve the unit effect (residual {residual:.3e})")
+        if unit_residual[i] > atol:
+            report.append(f"group[{i}] does not preserve the unit effect "
+                          f"(residual {unit_residual[i]:.3e})")
 
-    # closure under composition and inverses, by table lookup; keyed on
-    # rounded bytes first, with a tolerance scan as fallback
-    stacked = sys.group_array
-    key_of = {np.round(u, 6).tobytes(): k for k, u in enumerate(sys.group)}
+    base = _spanning_rows(verts)
+    if len(base) < sys.dim:
+        report.append("pure_states do not span the state space")
+    else:
+        report += _closure_report(perm, np.flatnonzero(~singular & matched & bijective), base)
 
-    def lookup(mat: np.ndarray) -> int | None:
-        hit = key_of.get(np.round(mat, 6).tobytes())
-        if hit is not None:
-            return hit
-        return _group_lookup(sys, mat, atol)
-
-    for i, u in enumerate(sys.group):
-        products = np.matmul(u, stacked)
-        for j in range(len(sys.group)):
-            if lookup(products[j]) is None:
-                report.append(f"group is not closed: group[{i}] @ group[{j}] not in list")
-        try:
-            inv = np.linalg.inv(u)
-        except np.linalg.LinAlgError:
-            continue
-        if lookup(inv) is None:
-            report.append(f"group[{i}] has no inverse in the list")
-
-    for i, a in enumerate(sys.extremal_effects):
-        values = np.array([a @ v for v in sys.pure_states])
-        if values.min() < -atol or values.max() > 1.0 + atol:
-            report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
-                          f"(range [{values.min():.3e}, {values.max():.3e}])")
+    values = np.reshape(sys.extremal_effects, (-1, sys.dim)) @ verts.T
+    low, high = values.min(axis=1), values.max(axis=1)
+    for i in np.flatnonzero((low < -atol) | (high > 1.0 + atol)):
+        report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
+                      f"(range [{low[i]:.3e}, {high[i]:.3e}])")
     return report
 
 
@@ -344,13 +389,14 @@ def make_classical(n: int) -> TheorySystem:
         raise StructuralError("n must be >= 1")
     if n > 6:
         raise CapacityError(f"classical systems are limited to n <= 6 (n! group), got n={n}")
-    basis = [np.eye(n)[i] for i in range(n)]
-    group = [permutation_matrix(p) for p in itertools.permutations(range(n))]
+    eye = np.eye(n)
+    # group[k] is permutation_matrix of the k-th permutation in lexicographic order
+    group = eye[list(itertools.permutations(range(n)))]
     return TheorySystem(
         dim=n,
         unit_effect=np.ones(n),
-        pure_states=tuple(basis),
-        extremal_effects=tuple(basis),
+        pure_states=tuple(eye),
+        extremal_effects=tuple(eye),
         group=tuple(group),
         name=f"classical-{n}",
     )

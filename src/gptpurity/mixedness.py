@@ -11,16 +11,17 @@ their certificates.
 
 The classical case reduces to majorization, and the witness can be built
 constructively: a doubly stochastic matrix from a T-transform chain, then a
-Birkhoff decomposition into permutation matrices.
+Birkhoff decomposition into permutation matrices, each found as a
+bottleneck perfect matching.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from . import simplex
 from .core import (ATOL, CapacityError, GptState, StructuralError, TheorySystem,
@@ -348,35 +349,71 @@ def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray,
     raise RuntimeError("T-transform chain failed to converge in n-1 steps")
 
 
+def _bottleneck_permutation(residual: np.ndarray, atol: float) -> tuple[float, np.ndarray]:
+    """A permutation maximising min_i residual[i, perm[i]] over entries above atol.
+
+    The optimum t is one of the entries, at most the smallest row or column
+    maximum (the cap), and a permutation with bottleneck at least t exists
+    iff {residual >= t} holds a perfect matching (the assignment of 0/1
+    costs [residual < t] has total 0).  Bisection over the sorted entries
+    up to the cap, probing the cap first as it is usually the optimum,
+    finds the largest such t; the permutation returned is
+    linear_sum_assignment's optimal assignment at that t.
+    """
+    cap = np.minimum(residual.max(axis=0), residual.max(axis=1)).min()
+    values = np.sort(residual[(residual > atol) & (residual <= cap)])
+
+    def matching(t: float) -> np.ndarray | None:
+        below = residual < t
+        rows, cols = linear_sum_assignment(below)
+        return None if below[rows, cols].any() else cols
+
+    # values[good] admits a perfect matching and values[bad] does not
+    good, bad, best = -1, len(values), None
+    probe = bad - 1
+    while bad - good > 1:
+        cols = matching(values[probe])
+        if cols is None:
+            bad = probe
+        else:
+            good, best = probe, cols
+        probe = (good + bad) // 2
+    if best is None:
+        raise RuntimeError("no permutation fits the residual support; "
+                           "matrix is not doubly stochastic")
+    return float(values[good]), best
+
+
 def _birkhoff_decompose(d: np.ndarray, atol: float = 1e-12) -> list[tuple[float, tuple[int, ...]]]:
     """Decompose a doubly stochastic matrix into permutations.
 
-    At every step, among the permutations supported on the positive entries
-    of the residual, remove the one with the largest bottleneck weight
-    (lexicographically smallest on ties) -- deterministic output, at most
-    (n-1)^2 + 1 terms.
+    At every step, remove the permutation with the largest bottleneck weight
+    on the residual (entries at or below ``atol`` count as zero), found by
+    bottleneck matching in _bottleneck_permutation.  Among permutations with
+    that bottleneck the one taken is scipy's linear_sum_assignment solution
+    for the 0/1 costs [residual < bottleneck], so the output is a function
+    of the input.  Each step zeroes at least one entry of the residual.
     """
     n = d.shape[0]
+    rows = np.arange(n)
     residual = d.copy()
     terms: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(n * n):
         if residual.max() <= atol:
             break
-        best_perm: tuple[int, ...] | None = None
-        best_w = -1.0
-        for perm in itertools.permutations(range(n)):
-            w = min(residual[i, perm[i]] for i in range(n))
-            if w > atol and w > best_w + atol:
-                best_w, best_perm = w, perm
-        if best_perm is None:
-            raise RuntimeError("no permutation fits the residual support; "
-                               "matrix is not doubly stochastic")
-        terms.append((best_w, best_perm))
-        for i in range(n):
-            residual[i, best_perm[i]] -= best_w
+        weight, perm = _bottleneck_permutation(residual, atol)
+        terms.append((weight, tuple(perm.tolist())))
+        residual[rows, perm] -= weight
         residual[residual < 0] = 0.0
     total = sum(w for w, _ in terms)
     return [(w / total, perm) for w, perm in terms]
+
+
+def _lexicographic_rank(perm: tuple[int, ...]) -> int:
+    """Position of perm in itertools.permutations(range(n)) order (Lehmer code)."""
+    n = len(perm)
+    return sum(sum(later < first for later in perm[i + 1:]) * math.factorial(n - 1 - i)
+               for i, first in enumerate(perm))
 
 
 def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReChannel:
@@ -384,8 +421,9 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
 
     Requires that p majorizes q.  Builds a doubly stochastic matrix via a
     T-transform chain on the sorted vectors, decomposes it by Birkhoff's
-    algorithm, and returns weights over the permutation matrices of
-    make_classical(n) (or of the supplied classical system).
+    algorithm with bottleneck matchings, and returns weights over the
+    permutation matrices of make_classical(n) (or of the supplied classical
+    system, whose group must be in the same order).
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -414,8 +452,7 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
         total = sum(w for w, _ in kept)
         terms = [(w / total, perm) for w, perm in kept]
 
-    group_index = {perm: k for k, perm in enumerate(itertools.permutations(range(n)))}
-    entries = tuple(sorted((w, group_index[perm]) for w, perm in terms))
+    entries = tuple(sorted((w, _lexicographic_rank(perm)) for w, perm in terms))
     channel = RaReChannel(sys, entries)
     residual = np.max(np.abs(channel.matrix() @ p - q))
     if residual > 1e-9:

@@ -159,3 +159,138 @@ def test_constructors_copy_caller_arrays(square_bit):
     assert channel.matrix[1, 1] == 1.0
     with pytest.raises(ValueError):
         system.group[0][0, 0] = 2.0
+
+
+def test_measurement_sum_has_no_relative_slack():
+    # the old default rtol=1e-5 accepted these and gave probabilities [1.000009, 0]
+    c2 = core.make_classical(2)
+    loose = (core.Effect(c2, [1.000009, 0.0]), core.Effect(c2, [0.0, 1.000009]))
+    with pytest.raises(core.StructuralError):
+        core.Measurement(loose)
+    within = (core.Effect(c2, [1.0 + 0.5 * core.ATOL, 0.0]), core.Effect(c2, [0.0, 1.0]))
+    core.Measurement(within)
+
+
+# -- validate_system against the float-lookup implementation it replaced ------
+
+def _reference_group_lookup(sys, mat, atol):
+    for k, u in enumerate(sys.group):
+        if np.max(np.abs(mat - u)) <= atol:
+            return k
+    return None
+
+
+def _reference_validate_system(sys, atol=core.ATOL):
+    """The previous validate_system: closure by rounded-bytes and tolerance lookups."""
+    report = []
+    n_vertices = len(sys.pure_states)
+    for i, u in enumerate(sys.group):
+        if abs(np.linalg.det(u)) < 1e-12:
+            report.append(f"group[{i}] is singular (det ~ 0)")
+            continue
+        hit = [core._match_vertex(sys, u @ v, atol) for v in sys.pure_states]
+        if None in hit:
+            j = hit.index(None)
+            residual = min(np.max(np.abs(u @ sys.pure_states[j] - w)) for w in sys.pure_states)
+            report.append(f"group[{i}] maps pure_states[{j}] outside the vertex list "
+                          f"(residual {residual:.3e})")
+        elif len(set(hit)) != n_vertices:
+            report.append(f"group[{i}] does not act injectively on the vertex list")
+        residual = np.max(np.abs(sys.unit_effect @ u - sys.unit_effect))
+        if residual > atol:
+            report.append(f"group[{i}] does not preserve the unit effect (residual {residual:.3e})")
+    stacked = sys.group_array
+    key_of = {np.round(u, 6).tobytes(): k for k, u in enumerate(sys.group)}
+
+    def lookup(mat):
+        hit = key_of.get(np.round(mat, 6).tobytes())
+        return hit if hit is not None else _reference_group_lookup(sys, mat, atol)
+
+    for i, u in enumerate(sys.group):
+        products = np.matmul(u, stacked)
+        for j in range(len(sys.group)):
+            if lookup(products[j]) is None:
+                report.append(f"group is not closed: group[{i}] @ group[{j}] not in list")
+        try:
+            inv = np.linalg.inv(u)
+        except np.linalg.LinAlgError:
+            continue
+        if lookup(inv) is None:
+            report.append(f"group[{i}] has no inverse in the list")
+    for i, a in enumerate(sys.extremal_effects):
+        values = np.array([a @ v for v in sys.pure_states])
+        if values.min() < -atol or values.max() > 1.0 + atol:
+            report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
+                          f"(range [{values.min():.3e}, {values.max():.3e}])")
+    return report
+
+
+def _with(sys, **fields):
+    data = {"dim": sys.dim, "unit_effect": sys.unit_effect, "pure_states": sys.pure_states,
+            "extremal_effects": sys.extremal_effects, "group": sys.group, **fields}
+    return core.TheorySystem(**data)
+
+
+def _seeded_systems(seed):
+    from test_user_system import _pentagon_dict
+
+    rng = np.random.default_rng(seed)
+    trit, square = core.make_classical(3), core.make_square_bit()
+    pentagon = core.system_from_dict(_pentagon_dict())
+    transpositions = [k for k, u in enumerate(trit.group) if np.trace(u) == 1.0]
+    dropped = int(rng.choice(transpositions))
+    c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
+    tenth = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    at = int(rng.integers(0, len(pentagon.group) + 1))
+    twice = int(rng.integers(0, len(square.group)))
+    scaled = list(square.group)
+    scaled[int(rng.integers(0, len(scaled)))] = 2.0 * np.eye(3)
+    effects = list(square.extremal_effects)
+    facet = int(rng.integers(0, 4))          # the last two are the zero and unit effects
+    effects[facet] = 3.0 * effects[facet]
+    return {
+        "classical-4": core.make_classical(4),
+        "square": square,
+        "pentagon": pentagon,
+        "s3-minus-transposition":
+            _with(trit, group=trit.group[:dropped] + trit.group[dropped + 1:]),
+        "pentagon-tenth-turn":
+            _with(pentagon, group=pentagon.group[:at] + (tenth,) + pentagon.group[at:]),
+        "duplicated-element": _with(square, group=square.group + (square.group[twice],)),
+        "scaled-element": _with(square, group=tuple(scaled)),
+        "effect-out-of-range": _with(square, extremal_effects=tuple(effects)),
+    }
+
+
+def _lines(report, *markers):
+    return [line for line in report if any(m in line for m in markers)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_validate_system_matches_reference(seed):
+    for name, sys in _seeded_systems(seed).items():
+        new, old = core.validate_system(sys), _reference_validate_system(sys)
+        assert (new == []) == (old == []), name
+        for marker in ("vertex list", "unit effect", "extremal_effects"):
+            assert _lines(new, marker) == _lines(old, marker), (name, marker)
+        if name == "s3-minus-transposition":     # every element permutes the vertices
+            closure = ("not closed", "no inverse")
+            assert _lines(new, *closure) == _lines(old, *closure)
+
+
+def test_validate_system_refuses_non_spanning_vertices():
+    # a segment inside a 3-dimensional space: permutations do not fix matrices
+    segment = core.TheorySystem(
+        dim=3, unit_effect=[0.0, 0.0, 1.0],
+        pure_states=([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
+        extremal_effects=([0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]),
+        group=(np.eye(3), np.diag([-1.0, 1.0, 1.0])))
+    assert core.validate_system(segment) == ["pure_states do not span the state space"]
+
+
+def test_validate_system_refuses_unkeyable_permutations():
+    eye = np.eye(16)       # 16 vertices keyed in base 16 need 64 bits
+    simplex16 = core.TheorySystem(dim=16, unit_effect=np.ones(16), pure_states=tuple(eye),
+                                  extremal_effects=tuple(eye), group=(eye,))
+    with pytest.raises(core.CapacityError):
+        core.validate_system(simplex16)

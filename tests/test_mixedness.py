@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,50 @@ def test_birkhoff_random_instances_support_and_residual():
         channel = mixedness.birkhoff_rare_synthesis(p, q)
         np.testing.assert_allclose(channel.matrix() @ np.asarray(p), q, atol=1e-9)
         assert len(channel.entries) <= (n - 1) ** 2 + 1
+
+
+def test_lexicographic_rank_is_the_classical_group_order():
+    for n in range(1, 7):
+        perms = list(itertools.permutations(range(n)))
+        assert [mixedness._lexicographic_rank(perm) for perm in perms] == list(range(len(perms)))
+
+
+def _brute_force_bottleneck(residual, atol=1e-12):
+    n = residual.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    best = residual[np.arange(n), perms].min(axis=1).max()
+    return best if best > atol else None
+
+
+def test_birkhoff_takes_the_largest_bottleneck(monkeypatch):
+    steps = []
+    bottleneck = mixedness._bottleneck_permutation
+
+    def recorded(residual, atol):
+        weight, perm = bottleneck(residual, atol)
+        steps.append((residual.copy(), weight, perm))
+        return weight, perm
+
+    monkeypatch.setattr(mixedness, "_bottleneck_permutation", recorded)
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 2 * n)))]
+        d = sum(w * np.eye(n)[perm] for w, perm in zip(rng.dirichlet(np.ones(len(perms))), perms))
+        p = rng.dirichlet(np.ones(n))
+        q = d @ p
+        steps.clear()
+        terms = mixedness._birkhoff_decompose(d)
+        assert len(terms) == len(steps) <= (n - 1) ** 2 + 1
+        rebuilt = sum(w * np.eye(n)[list(perm)] for w, perm in terms)
+        np.testing.assert_allclose(rebuilt, d, atol=1e-9)
+        channel = mixedness.birkhoff_rare_synthesis(p, q)
+        assert len(channel.entries) <= (n - 1) ** 2 + 1
+        np.testing.assert_allclose(channel.matrix() @ p, q, atol=1e-9)
+        assert mixedness.birkhoff_rare_synthesis(p, q).entries == channel.entries
+        for residual, weight, perm in steps:      # d's steps, then the synthesis's
+            assert weight == _brute_force_bottleneck(residual)
+            assert min(residual[i, perm[i]] for i in range(n)) == weight
 
 
 # -- preorder properties ------------------------------------------------------
