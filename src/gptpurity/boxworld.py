@@ -1,21 +1,18 @@
 """Bipartite no-signalling boxes in exact rational arithmetic.
 
 Boxes are conditional probability tables p(ab|xy) with Fraction entries;
-normalization, no-signalling, extremality, and the relabeling searches are
+normalization, no-signalling, extremality, and the relabeling search are
 all exact identities, so equality is never tolerance-based here.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, StructuralError
-
-#: search bounds for the relabeling search
-MAX_SETTINGS = 3
-MAX_OUTCOMES = 5
+from .core import StructuralError
 
 
 class BoxInvariantError(ValueError):
@@ -26,10 +23,22 @@ def _frac(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise StructuralError(f"box entry {value!r} is not a rational") from None
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise StructuralError(f"box entries must be exact rationals, got {type(value).__name__}")
+    raise StructuralError(f"box entries must be exact rationals (int, Fraction, or a string "
+                          f"such as '1/3'), got {type(value).__name__}")
+
+
+def _has_shape(raw, shape: tuple) -> bool:
+    """True when ``raw`` is nested lists of exactly these lengths."""
+    if not shape:
+        return True
+    return (isinstance(raw, (list, tuple)) and len(raw) == shape[0]
+            and all(_has_shape(item, shape[1:]) for item in raw))
 
 
 @dataclass(frozen=True)
@@ -45,13 +54,10 @@ class BoxState:
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         return self.table[a][b][x][y]
 
-    def sector(self, x: int, y: int) -> tuple:
-        """The d_a x d_b matrix of outcome probabilities at settings (x, y)."""
-        return tuple(tuple(self.table[a][b][x][y] for b in range(self.d_b))
-                     for a in range(self.d_a))
-
     @staticmethod
     def from_function(n_x: int, n_y: int, d_a: int, d_b: int, fn) -> "BoxState":
+        if min(n_x, n_y, d_a, d_b) < 1:
+            raise StructuralError("a box needs at least one setting and one outcome per party")
         table = tuple(tuple(tuple(tuple(_frac(fn(a, b, x, y)) for y in range(n_y))
                                   for x in range(n_x))
                             for b in range(d_b))
@@ -60,31 +66,25 @@ class BoxState:
 
     def validate(self) -> list[str]:
         """Exact normalization and no-signalling check; empty list when valid."""
-        report = []
-        for a in range(self.d_a):
-            for b in range(self.d_b):
-                for x in range(self.n_x):
-                    for y in range(self.n_y):
-                        if self.table[a][b][x][y] < 0:
-                            report.append(f"negative entry p({a}{b}|{x}{y})")
-        for x in range(self.n_x):
-            for y in range(self.n_y):
-                total = sum(self.table[a][b][x][y]
-                            for a in range(self.d_a) for b in range(self.d_b))
-                if total != 1:
-                    report.append(f"sector ({x},{y}) sums to {total}, not 1")
-        for a in range(self.d_a):
-            for x in range(self.n_x):
-                margs = [sum(self.table[a][b][x][y] for b in range(self.d_b))
-                         for y in range(self.n_y)]
-                if any(m != margs[0] for m in margs):
-                    report.append(f"A-marginal p({a}|{x}) depends on y")
-        for b in range(self.d_b):
-            for y in range(self.n_y):
-                margs = [sum(self.table[a][b][x][y] for a in range(self.d_a))
-                         for x in range(self.n_x)]
-                if any(m != margs[0] for m in margs):
-                    report.append(f"B-marginal p({b}|{y}) depends on x")
+        # the entries as integers over one common denominator, so sums stay integer
+        den = math.lcm(*(v.denominator
+                         for ab in self.table for bx in ab for row in bx for v in row))
+        t = [[[[v.numerator * (den // v.denominator) for v in row] for row in bx] for bx in ab]
+             for ab in self.table]
+        a_s, b_s, x_s, y_s = range(self.d_a), range(self.d_b), range(self.n_x), range(self.n_y)
+        # den * p(a|xy) indexed [a][x][y], and den * p(b|xy) indexed [b][x][y]
+        marg_a = [[[sum(v) for v in zip(*(t[a][b][x] for b in b_s))] for x in x_s] for a in a_s]
+        marg_b = [[[sum(v) for v in zip(*(t[a][b][x] for a in a_s))] for x in x_s] for b in b_s]
+        report = [f"negative entry p({a}{b}|{x}{y})"
+                  for a, b, x, y in itertools.product(a_s, b_s, x_s, y_s) if t[a][b][x][y] < 0]
+        for x, y in itertools.product(x_s, y_s):
+            total = sum(marg_a[a][x][y] for a in a_s)
+            if total != den:
+                report.append(f"sector ({x},{y}) sums to {Fraction(total, den)}, not 1")
+        report += [f"A-marginal p({a}|{x}) depends on y"
+                   for a, x in itertools.product(a_s, x_s) if len(set(marg_a[a][x])) > 1]
+        report += [f"B-marginal p({b}|{y}) depends on x"
+                   for b, y in itertools.product(b_s, y_s) if len({m[y] for m in marg_b[b]}) > 1]
         return report
 
     def require_valid(self) -> None:
@@ -104,11 +104,18 @@ class BoxState:
 
     @staticmethod
     def from_dict(data: dict, validate: bool = True) -> "BoxState":
-        n_x, n_y = (int(v) for v in data["settings"])
-        d_a, d_b = (int(v) for v in data["outcomes"])
+        if not isinstance(data, dict) or not {"settings", "outcomes", "table"} <= data.keys():
+            raise StructuralError("a box is an object with keys settings, outcomes and table")
+        counts = (data["settings"], data["outcomes"])
+        if not all(_has_shape(pair, (2,)) and all(type(v) is int for v in pair)
+                   for pair in counts):
+            raise StructuralError("settings and outcomes must each be a pair of integers")
+        (n_x, n_y), (d_a, d_b) = counts
         raw = data["table"]
-        box = BoxState.from_function(
-            n_x, n_y, d_a, d_b, lambda a, b, x, y: Fraction(raw[a][b][x][y]))
+        if not _has_shape(raw, (d_a, d_b, n_x, n_y)):
+            raise StructuralError(f"table must be nested lists of shape "
+                                  f"{d_a} x {d_b} x {n_x} x {n_y}, indexed [a][b][x][y]")
+        box = BoxState.from_function(n_x, n_y, d_a, d_b, lambda a, b, x, y: raw[a][b][x][y])
         if validate:
             box.require_valid()
         return box
@@ -179,37 +186,46 @@ def pr_box_k(k: int, d_a: int, d_b: int) -> BoxState:
 # relabelings and party swap
 # ---------------------------------------------------------------------------
 
-def apply_relabeling(box: BoxState, r: LocalRelabeling) -> BoxState:
-    """Relabel one side's settings and outcomes; no-signalling is preserved."""
-    if r.side == "A":
-        if len(r.setting_perm) != box.n_x or any(len(p) != box.d_a for p in r.outcome_perms):
-            raise StructuralError("relabeling shape does not match the box")
-    else:
-        if len(r.setting_perm) != box.n_y or any(len(p) != box.d_b for p in r.outcome_perms):
-            raise StructuralError("relabeling shape does not match the box")
+def _relabel(box: BoxState, r: LocalRelabeling) -> BoxState:
+    """``apply_relabeling`` without the validity check."""
+    n, d = (box.n_x, box.d_a) if r.side == "A" else (box.n_y, box.d_b)
+    if len(r.setting_perm) != n or any(len(p) != d for p in r.outcome_perms):
+        raise StructuralError("relabeling shape does not match the box")
+    # the old (setting, outcome) label of each new one
+    old = {(new, perm[o]): (s, o)
+           for s, (new, perm) in enumerate(zip(r.setting_perm, r.outcome_perms)) for o in range(d)}
 
-    entries = {}
-    for a in range(box.d_a):
-        for b in range(box.d_b):
-            for x in range(box.n_x):
-                for y in range(box.n_y):
-                    if r.side == "A":
-                        key = (r.outcome_perms[x][a], b, r.setting_perm[x], y)
-                    else:
-                        key = (a, r.outcome_perms[y][b], x, r.setting_perm[y])
-                    entries[key] = box.table[a][b][x][y]
-    out = BoxState.from_function(box.n_x, box.n_y, box.d_a, box.d_b,
-                                 lambda a, b, x, y: entries[(a, b, x, y)])
-    out.require_valid()
+    def fn(a, b, x, y):
+        if r.side == "A":
+            x0, a0 = old[x, a]
+            return box.table[a0][b][x0][y]
+        y0, b0 = old[y, b]
+        return box.table[a][b0][x][y0]
+
+    return BoxState.from_function(box.n_x, box.n_y, box.d_a, box.d_b, fn)
+
+
+def _swap(box: BoxState) -> BoxState:
+    """``swap_parties`` without the validity check."""
+    return BoxState.from_function(box.n_y, box.n_x, box.d_b, box.d_a,
+                                  lambda a, b, x, y: box.table[b][a][y][x])
+
+
+def apply_relabeling(box: BoxState, r: LocalRelabeling) -> BoxState:
+    """Relabel one side's settings and outcomes; no-signalling is preserved.
+
+    A relabeling permutes the entries, so the box is valid exactly when its
+    image is; the input is the one checked.
+    """
+    out = _relabel(box, r)
+    box.require_valid()
     return out
 
 
 def swap_parties(box: BoxState) -> BoxState:
     """Exchange the roles of the parties: x <-> y together with a <-> b."""
-    out = BoxState.from_function(box.n_y, box.n_x, box.d_b, box.d_a,
-                                 lambda a, b, x, y: box.table[b][a][y][x])
-    out.require_valid()
-    return out
+    box.require_valid()
+    return _swap(box)
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +233,19 @@ def swap_parties(box: BoxState) -> BoxState:
 # ---------------------------------------------------------------------------
 
 def _int_rank(rows: list[list[int]]) -> int:
-    """Exact rank of an integer matrix (fraction-free Gaussian elimination)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_cols = len(m[0])
+    """Exact rank of an integer matrix (integer row reduction, rows kept primitive)."""
     rank = 0
-    row = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows if r[col]), None)
         if pivot is None:
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for i in range(row + 1, len(m)):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) // prev
-            m[i][col] = 0
-        prev = m[row][col]
         rank += 1
-        row += 1
-        if row == len(m):
-            break
+        rows = [r for r in rows if r is not pivot]
+        for k, r in enumerate(rows):
+            if r[col]:
+                r = [pivot[col] * v - r[col] * w for v, w in zip(r, pivot)]
+                g = math.gcd(*r)
+                rows[k] = [v // g for v in r] if g > 1 else r
     return rank
 
 
@@ -250,180 +257,118 @@ def is_extreme(box: BoxState) -> bool:
     uniquely, i.e. their normals span the full table space.
     """
     box.require_valid()
-    index = {}
-    free = []
-    for a in range(box.d_a):
-        for b in range(box.d_b):
-            for x in range(box.n_x):
-                for y in range(box.n_y):
-                    if box.table[a][b][x][y] != 0:
-                        index[(a, b, x, y)] = len(free)
-                        free.append((a, b, x, y))
-    n_free = len(free)
-    if n_free == 0:
-        return True
+    return _is_vertex(box)
 
-    rows: list[list[int]] = []
 
-    def add_row(coeffs: dict) -> None:
-        row = [0] * n_free
-        nonzero = False
-        for key, c in coeffs.items():
-            if key in index:
-                row[index[key]] = c
-                nonzero = True
-        if nonzero:
-            rows.append(row)
-
-    for x in range(box.n_x):
-        for y in range(box.n_y):
-            add_row({(a, b, x, y): 1 for a in range(box.d_a) for b in range(box.d_b)})
-    for a in range(box.d_a):
-        for x in range(box.n_x):
-            for y in range(box.n_y - 1):
-                coeffs = {(a, b, x, y): 1 for b in range(box.d_b)}
-                for b in range(box.d_b):
-                    coeffs[(a, b, x, y + 1)] = coeffs.get((a, b, x, y + 1), 0) - 1
-                add_row(coeffs)
-    for b in range(box.d_b):
-        for y in range(box.n_y):
-            for x in range(box.n_x - 1):
-                coeffs = {(a, b, x, y): 1 for a in range(box.d_a)}
-                for a in range(box.d_a):
-                    coeffs[(a, b, x + 1, y)] = coeffs.get((a, b, x + 1, y), 0) - 1
-                add_row(coeffs)
-
-    return _int_rank(rows) == n_free
+def _is_vertex(box: BoxState) -> bool:
+    """``is_extreme`` without the validity check: the normalization and
+    no-signalling normals, restricted to the nonzero entries, have full rank."""
+    a_s, b_s, x_s, y_s = range(box.d_a), range(box.d_b), range(box.n_x), range(box.n_y)
+    free = [c for c in itertools.product(a_s, b_s, x_s, y_s) if box.table[c[0]][c[1]][c[2]][c[3]]]
+    rows = [[int(c[2:] == (x, y)) for c in free] for x in x_s for y in y_s]
+    # p(a|x, y) = p(a|x, y + 1) and p(b|x, y) = p(b|x + 1, y)
+    rows += [[(c[0] == a and c[2] == x) * ((c[3] == y) - (c[3] == y + 1)) for c in free]
+             for a in a_s for x in x_s for y in range(box.n_y - 1)]
+    rows += [[(c[1] == b and c[3] == y) * ((c[2] == x) - (c[2] == x + 1)) for c in free]
+             for b in b_s for y in y_s for x in range(box.n_x - 1)]
+    return _int_rank(rows) == len(free)
 
 
 # ---------------------------------------------------------------------------
 # local exchangeability
 # ---------------------------------------------------------------------------
 
-def _row_multiset_bijections(src, tgt):
-    """Row bijections sigma with sorted(tgt[sigma(a)]) = sorted(src[a])."""
-    n = len(src)
-    src_keys = [tuple(sorted(row)) for row in src]
-    tgt_keys = [tuple(sorted(row)) for row in tgt]
-    candidates = [[a2 for a2 in range(n) if tgt_keys[a2] == src_keys[a]] for a in range(n)]
-
-    def backtrack(a, used, acc):
-        if a == n:
-            yield tuple(acc)
-            return
-        for a2 in candidates[a]:
-            if a2 not in used:
-                used.add(a2)
-                acc.append(a2)
-                yield from backtrack(a + 1, used, acc)
-                acc.pop()
-                used.remove(a2)
-
-    yield from backtrack(0, set(), [])
-
-
-def _col_matchings(src, tgt, row_perm):
-    """Column bijections tau with tgt[row_perm[a]][tau(b)] = src[a][b]."""
-    n_rows, n_cols = len(src), len(src[0])
-    src_cols = [tuple(src[a][b] for a in range(n_rows)) for b in range(n_cols)]
-    tgt_cols = [tuple(tgt[row_perm[a]][b] for a in range(n_rows)) for b in range(n_cols)]
-    candidates = [[b2 for b2 in range(n_cols) if tgt_cols[b2] == src_cols[b]]
-                  for b in range(n_cols)]
-
-    def backtrack(b, used, acc):
-        if b == n_cols:
-            yield tuple(acc)
-            return
-        for b2 in candidates[b]:
-            if b2 not in used:
-                used.add(b2)
-                acc.append(b2)
-                yield from backtrack(b + 1, used, acc)
-                acc.pop()
-                used.remove(b2)
-
-    yield from backtrack(0, set(), [])
-
-
-def _row_matchings(src, tgt, col_perm):
-    """Row bijections sigma with tgt[sigma(a)][col_perm[b]] = src[a][b]."""
-    n_rows = len(src)
-    src_rows = [tuple(src[a]) for a in range(n_rows)]
-    tgt_rows = [tuple(tgt[a2][col_perm[b]] for b in range(len(src[0])))
-                for a2 in range(n_rows)]
-    candidates = [[a2 for a2 in range(n_rows) if tgt_rows[a2] == src_rows[a]]
-                  for a in range(n_rows)]
-
-    def backtrack(a, used, acc):
-        if a == n_rows:
-            yield tuple(acc)
-            return
-        for a2 in candidates[a]:
-            if a2 not in used:
-                used.add(a2)
-                acc.append(a2)
-                yield from backtrack(a + 1, used, acc)
-                acc.pop()
-                used.remove(a2)
-
-    yield from backtrack(0, set(), [])
-
-
 def check_local_exchangeability(box: BoxState, require_extreme: bool = True
                                 ) -> tuple[LocalRelabeling, LocalRelabeling] | None:
     """Search for local relabelings realizing the party swap on this box.
 
     Returns a pair (r_A, r_B) with (r_A x r_B)(box) = swap_parties(box)
-    exactly, or None when no such pair exists.  The search is identity-first
-    and exact; setting permutations are enumerated, outcome permutations are
-    derived sector by sector from the first column/row of settings.
+    exactly, or None when no such pair exists.  Read as a matrix with rows
+    (x, a) and columns (y, b), a pair maps rows and columns, keeping
+    setting blocks together.  One backtracking search places the rows onto
+    those of the swapped box in order, identity first, trying identical
+    target rows once.  A column's key is its entries on the rows placed so
+    far; each row's sector contents paired with those keys must match, block
+    by block, among the rows not yet placed.  Bob's relabeling then matches
+    columns of equal key.  The pair is checked by applying it exactly.
     """
     box.require_valid()
-    if box.n_x > MAX_SETTINGS or box.n_y > MAX_SETTINGS \
-            or box.d_a > MAX_OUTCOMES or box.d_b > MAX_OUTCOMES:
-        raise CapacityError("relabeling search is bounded to settings <= 3, outcomes <= 5")
-    if require_extreme and not is_extreme(box):
+    if require_extreme and not _is_vertex(box):
         raise StructuralError("box is not an extreme point; pass require_extreme=False to waive")
+    if (box.n_x, box.d_a) != (box.n_y, box.d_b):
+        return None
+    target = _swap(box)
+    n, d = box.n_x, box.d_a
+    codes: dict = {}
 
-    target = swap_parties(box)
-    if (box.n_x, box.n_y, box.d_a, box.d_b) != (target.n_x, target.n_y, target.d_a, target.d_b):
+    def matrix(bx: BoxState) -> list[list[int]]:
+        return [[codes.setdefault(bx.table[a][b][x][y].as_integer_ratio(), len(codes))
+                 for y in range(n) for b in range(d)]
+                for x in range(n) for a in range(d)]
+
+    def blocks(seq) -> list:
+        return [sorted(seq[s * d:(s + 1) * d]) for s in range(n)]
+
+    def signature(row, keys) -> tuple:
+        """The row's sector contents, each entry paired with its column's key."""
+        return tuple(sorted(map(tuple, blocks(list(zip(keys, row))))))
+
+    def by_block(sigs: dict) -> dict:
+        return {s: sorted(sig for r, sig in sigs.items() if r // d == s)
+                for s in sorted({r // d for r in sigs})}
+
+    rows, t_rows = matrix(box), matrix(target)
+    prefixes: dict = {}
+    image: list[int] = []   # image[i]: the row of the swapped box that row i goes to
+
+    def extend(keys, row) -> list[int]:
+        return [prefixes.setdefault(pair, len(prefixes)) for pair in zip(keys, row)]
+
+    def search(keys, t_keys):
+        i = len(image)
+        if i == n * d:
+            return (keys, t_keys) if sorted(blocks(keys)) == sorted(blocks(t_keys)) else None
+        x, a = divmod(i, d)
+        sigs = {r: signature(rows[r], keys) for r in range(i, n * d)}
+        t_sigs = {t: signature(t_rows[t], t_keys) for t in range(n * d) if t not in image}
+        groups, t_groups = by_block(sigs), by_block(t_sigs)
+        if a:
+            settings = [image[-1] // d]
+            if groups.pop(x) != t_groups.pop(settings[0]):
+                return None
+        else:
+            settings = [s for s in t_groups if t_groups[s] == groups[x]]
+        if sorted(groups.values()) != sorted(t_groups.values()):
+            return None
+        new_keys = extend(keys, rows[i])
+        for s in settings:
+            for t in range(s * d, (s + 1) * d):
+                if (t_sigs.get(t) != sigs[i]
+                        or any(u in t_sigs and t_rows[u] == t_rows[t] for u in range(s * d, t))):
+                    continue
+                image.append(t)
+                found = search(new_keys, extend(t_keys, t_rows[t]))
+                if found:
+                    return found
+                image.pop()
         return None
 
-    sectors = {(x, y): box.sector(x, y) for x in range(box.n_x) for y in range(box.n_y)}
-
-    for pi_x in itertools.permutations(range(box.n_x)):
-        for pi_y in itertools.permutations(range(box.n_y)):
-            tgt = {(x, y): target.sector(pi_x[x], pi_y[y])
-                   for x in range(box.n_x) for y in range(box.n_y)}
-            for sigma0 in _row_multiset_bijections(sectors[(0, 0)], tgt[(0, 0)]):
-                tau_options = []
-                for y in range(box.n_y):
-                    opts = list(_col_matchings(sectors[(0, y)], tgt[(0, y)], sigma0))
-                    if not opts:
-                        tau_options = None
-                        break
-                    tau_options.append(opts)
-                if tau_options is None:
-                    continue
-                for taus in itertools.product(*tau_options):
-                    sigma_options = [[sigma0]]
-                    for x in range(1, box.n_x):
-                        opts = list(_row_matchings(sectors[(x, 0)], tgt[(x, 0)], taus[0]))
-                        if not opts:
-                            sigma_options = None
-                            break
-                        sigma_options.append(opts)
-                    if sigma_options is None:
-                        continue
-                    for sigmas in itertools.product(*sigma_options):
-                        ok = all(
-                            tgt[(x, y)][sigmas[x][a]][taus[y][b]] == sectors[(x, y)][a][b]
-                            for x in range(box.n_x) for y in range(box.n_y)
-                            for a in range(box.d_a) for b in range(box.d_b))
-                        if ok:
-                            r_a = LocalRelabeling("A", pi_x, tuple(sigmas))
-                            r_b = LocalRelabeling("B", pi_y, tuple(taus))
-                            check = apply_relabeling(apply_relabeling(box, r_a), r_b)
-                            if check == target:
-                                return r_a, r_b
-    return None
+    found = search([-1] * (n * d), [-1] * (n * d))
+    if found is None:
+        return None
+    cols, t_cols = (blocks(keys) for keys in found)
+    setting_b, outcomes_b = [], []
+    for y in range(n):
+        s = next(s for s in range(n) if s not in setting_b and t_cols[s] == cols[y])
+        perm: list[int] = []
+        for key in found[0][y * d:(y + 1) * d]:
+            perm.append(next(c for c in range(d) if c not in perm and found[1][s * d + c] == key))
+        setting_b.append(s)
+        outcomes_b.append(tuple(perm))
+    r_a = LocalRelabeling("A", tuple(image[x * d] // d for x in range(n)),
+                          tuple(tuple(t % d for t in image[x * d:(x + 1) * d])
+                                for x in range(n)))
+    r_b = LocalRelabeling("B", tuple(setting_b), tuple(outcomes_b))
+    if _relabel(_relabel(box, r_a), r_b) != target:
+        raise RuntimeError("relabeling search returned a pair that misses the party swap")
+    return r_a, r_b

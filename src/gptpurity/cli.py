@@ -92,13 +92,15 @@ def _parse_box(text: str) -> boxworld.BoxState:
     if text == "pr":
         return boxworld.standard_pr_box()
     if text.startswith("prk:"):
-        parts = text.split(":")
-        if len(parts) == 3:
-            k, d = int(parts[1]), int(parts[2])
-            return boxworld.pr_box_k(k, d, d)
-        if len(parts) == 4:
-            return boxworld.pr_box_k(int(parts[1]), int(parts[2]), int(parts[3]))
-        raise UsageError("box spec must be prk:K[:D_A[:D_B]]")
+        try:
+            numbers = [int(part) for part in text.split(":")[1:]]
+        except ValueError:
+            numbers = []
+        if len(numbers) == 2:
+            return boxworld.pr_box_k(numbers[0], numbers[1], numbers[1])
+        if len(numbers) == 3:
+            return boxworld.pr_box_k(*numbers)
+        raise UsageError("box spec must be prk:K:D or prk:K:D_A:D_B with integers")
     return boxworld.BoxState.from_dict(_read_json(text), validate=False)
 
 
@@ -221,7 +223,7 @@ def _cmd_birkhoff(args):
 
 def _cmd_monotone(args):
     system = _load_system(args.system)
-    table = monotones.builtin_monotones(system)
+    table = monotones.builtin_monotones()
     if args.name not in table:
         raise UsageError(f"unknown monotone {args.name!r}; choose from {sorted(table)}")
     fn = table[args.name]

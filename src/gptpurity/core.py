@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -291,7 +290,7 @@ def _is_member(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _closure_report(perm: np.ndarray, members: np.ndarray, base: list[int]) -> list[str]:
-    """Closure and inverse violations among the group elements ``members``.
+    """Repeats, closure and inverse violations among the group elements ``members``.
 
     ``perm[g]`` is the vertex permutation of group[g].  A permutation is keyed
     by its images of the independent vertices ``base`` in base |V|; these fix
@@ -303,11 +302,15 @@ def _closure_report(perm: np.ndarray, members: np.ndarray, base: list[int]) -> l
                             "to key the vertex permutations")
     radix = n_vertices ** np.arange(len(base))
     perms = perm[members]
-    keys, first = np.unique(perms[:, base] @ radix, return_index=True)
+    element_keys = perms[:, base] @ radix
+    keys, first = np.unique(element_keys, return_index=True)
+    first_copy = first[np.searchsorted(keys, element_keys)]
     distinct = perms[first][:, base]
     has_inverse = _is_member(keys, np.argsort(perms, axis=1)[:, base] @ radix)
     report = []
     for k, (i, row) in enumerate(zip(members, perms)):
+        if first_copy[k] != k:
+            report.append(f"group[{i}] repeats group[{members[first_copy[k]]}]")
         # left multiplication is injective, so the distinct permutations are
         # closed under it exactly when it maps their keys onto themselves
         if not np.array_equal(np.sort(row[distinct] @ radix), keys):
@@ -329,8 +332,8 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
     Every group element must permute the vertex list: perm[g, j] is the
     first pure state within ``atol`` (max-norm) of group[g] @ pure_states[j].
     When the pure states span R^dim (checked, and reported otherwise), a
-    matrix is fixed by its images of ``dim`` independent vertices, so closure
-    and inverses are checked exactly on the permutations of the elements
+    matrix is fixed by its images of ``dim`` independent vertices, so repeats,
+    closure and inverses are checked exactly on the permutations of the elements
     that permute the vertices: group[i] @ group[j] acts as perm[i][perm[j]]
     and the inverse of group[i] as argsort(perm[i]).
     """
@@ -434,18 +437,6 @@ def make_square_bit() -> TheorySystem:
         group=tuple(group),
         name="square-bit",
     )
-
-
-def is_classical_structure(sys: TheorySystem, atol: float = ATOL) -> bool:
-    """True when the system is the standard classical simplex with full S_n."""
-    n = sys.dim
-    if len(sys.pure_states) != n or len(sys.group) != math.factorial(n):
-        return False
-    if not np.allclose(sys.unit_effect, np.ones(n), atol=atol):
-        return False
-    eye = np.eye(n)
-    hit = [_match_vertex(sys, eye[i], atol) for i in range(n)]
-    return None not in hit and len(set(hit)) == n
 
 
 def apply_channel(ch: GptChannel, rho: GptState) -> GptState:

@@ -275,8 +275,8 @@ def schur_convexity_check(monotone: Callable[[GptState], float],
     return report
 
 
-def builtin_monotones(system: TheorySystem) -> dict[str, Callable[[GptState], float]]:
-    """The four built-in purity monotones of ``system``'s states, as plain callables."""
+def builtin_monotones() -> dict[str, Callable[[GptState], float]]:
+    """The four built-in purity monotones, as plain callables on a state of any system."""
     f2, flog = ConvexScalarFn.square(), ConvexScalarFn.xlogx()
     return {
         "x2-purity": lambda s: f_purity(s, f2).value,

@@ -1,12 +1,14 @@
 """Independent reference implementations used only to check the package.
 
 Nothing here is imported by the package itself: the Wootters closed form,
-brute-force effect-polytope enumeration, and scipy's LP solver (hull
-membership, and measurement-polytope vertices on random objectives) provide
-the second route for the dual-route tests.
+brute-force effect-polytope enumeration, scipy's LP solver (hull
+membership, and measurement-polytope vertices on random objectives), and an
+exact enumeration of no-signalling boxes over supports provide the second
+route for the dual-route tests.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -130,3 +132,82 @@ def random_rank1_povm_entropy(rho: np.ndarray, rng: np.random.Generator,
             probs.extend(p_i * split[i])
         best = min(best, shannon_bits(np.array(probs)))
     return best
+
+
+def _eliminate(basis, vec, comb):
+    """Clear the pivots of ``basis`` from ``vec`` in integer arithmetic.
+
+    ``comb`` follows ``vec`` as an integer combination of the original
+    vectors; each basis entry is (pivot, vector, combination).
+    """
+    for pivot, w, w_comb in basis:
+        if vec[pivot]:
+            s, t = w[pivot], vec[pivot]
+            vec = [s * v - t * u for v, u in zip(vec, w)]
+            comb = {k: s * comb.get(k, 0) - t * w_comb.get(k, 0)
+                    for k in comb.keys() | w_comb.keys()}
+    return vec, comb
+
+
+def _extend_basis(basis, vec, comb):
+    """``basis`` with ``vec`` added, or None when ``vec`` depends on it."""
+    vec, comb = _eliminate(basis, vec, comb)
+    pivot = next((i for i, v in enumerate(vec) if v), None)
+    return None if pivot is None else basis + [(pivot, vec, comb)]
+
+
+def no_signalling_vertices(n: int, d: int) -> set:
+    """Vertices of the no-signalling polytope with n settings and d outcomes
+    per party, exactly, by brute force over supports.
+
+    The polytope is {p >= 0 : A p = b}: normalization per sector and
+    equality of marginals.  A point of it is a vertex iff the columns of A
+    on its support are linearly independent; it is then the unique solution
+    on that support.  Supports grow one entry at a time, in sector order,
+    with an exact echelon form of their columns.  A support is dropped
+    when its columns become dependent (so do those of every larger one),
+    when it would exceed rank(A) entries, or when it leaves a sector empty:
+    every vertex avoids all three.  Each vertex is returned as the sorted
+    tuple of its nonzero ((a, b, x, y), p) pairs.
+    """
+    cells = [(a, b, x, y) for x in range(n) for y in range(n)
+             for a in range(d) for b in range(d)]
+    constraints = [({(a, b, x, y): 1 for a in range(d) for b in range(d)}, 1)
+                   for x in range(n) for y in range(n)]
+    for a, x, y in itertools.product(range(d), range(n), range(n - 1)):
+        row = {(a, b, x, y): 1 for b in range(d)}
+        row.update({(a, b, x, y + 1): -1 for b in range(d)})
+        constraints.append((row, 0))
+    for b, y, x in itertools.product(range(d), range(n), range(n - 1)):
+        row = {(a, b, x, y): 1 for a in range(d)}
+        row.update({(a, b, x + 1, y): -1 for a in range(d)})
+        constraints.append((row, 0))
+    columns = [[row.get(cell, 0) for row, _ in constraints] for cell in cells]
+    rhs = [value for _, value in constraints]
+    basis: list = []
+    for col in columns:
+        basis = _extend_basis(basis, col, {}) or basis
+    rank, sector = len(basis), d * d
+    vertices = set()
+
+    def grow(k, basis, support, residual):
+        # residual: b with the pivots of basis cleared, as a combination of b and columns
+        if k and k % sector == 0 and not any(j >= k - sector for j in support):
+            return
+        if k == len(cells):
+            vec, comb = residual
+            if any(vec):
+                return
+            # scale * b + sum_j c_j A_j = 0, so p_j = -c_j / scale
+            point = {cells[j]: Fraction(-comb.get(j, 0), comb["rhs"]) for j in support}
+            if all(v > 0 for v in point.values()):
+                vertices.add(tuple(sorted(point.items())))
+            return
+        if len(support) < rank:
+            grown = _extend_basis(basis, columns[k], {k: 1})
+            if grown is not None:
+                grow(k + 1, grown, support + [k], _eliminate(grown[-1:], *residual))
+        grow(k + 1, basis, support, residual)
+
+    grow(0, [], [], (rhs, {"rhs": 1}))
+    return vertices

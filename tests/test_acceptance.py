@@ -77,7 +77,7 @@ def test_criterion_5_monotones():
     rng = np.random.default_rng(1234)
     total_degradations = 0
     for sys in systems:
-        table = builtin_monotones(sys)
+        table = builtin_monotones()
         # invariance on every vertex under every group element
         for name, fn in table.items():
             for v in sys.pure_states:

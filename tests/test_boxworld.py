@@ -1,12 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptpurity import boxworld
 from gptpurity.boxworld import (BoxInvariantError, BoxState, LocalRelabeling,
                                 apply_relabeling, check_local_exchangeability,
                                 is_extreme, pr_box_k, standard_pr_box, swap_parties)
-from gptpurity.core import CapacityError, StructuralError
+from gptpurity.core import StructuralError
+from oracles import no_signalling_vertices
 
 HALF = Fraction(1, 2)
 
@@ -139,11 +143,26 @@ def test_locex_requires_extremality_unless_waived():
     assert witness is not None  # the uniform box is trivially swap-invariant
 
 
-def test_locex_capacity_error():
-    big = BoxState.from_function(2, 2, 6, 6,
-                                 lambda a, b, x, y: Fraction(1, 36))
-    with pytest.raises(CapacityError):
-        check_local_exchangeability(big, require_extreme=False)
+def _prk(n: int, k: int) -> BoxState:
+    """b - a = xy mod k on n settings per party and k outcomes."""
+    return BoxState.from_function(
+        n, n, k, k, lambda a, b, x, y: Fraction(int((b - a) % k == x * y % k), k))
+
+
+def _assert_exchange_witness(box, witness):
+    assert witness is not None
+    r_a, r_b = witness
+    assert apply_relabeling(apply_relabeling(box, r_a), r_b) == swap_parties(box)
+
+
+def test_locex_has_no_shape_bound():
+    uniform6 = BoxState.from_function(2, 2, 6, 6, lambda a, b, x, y: Fraction(1, 36))
+    _assert_exchange_witness(uniform6, check_local_exchangeability(uniform6,
+                                                                   require_extreme=False))
+    moved = apply_relabeling(pr_box_k(7, 7, 7),
+                             LocalRelabeling("B", (1, 0), ((3, 1, 4, 0, 6, 5, 2), tuple(range(7)))))
+    _assert_exchange_witness(moved, check_local_exchangeability(moved))
+    _assert_exchange_witness(_prk(4, 3), check_local_exchangeability(_prk(4, 3)))
 
 
 def test_box_json_roundtrip():
@@ -157,3 +176,140 @@ def test_from_dict_validates():
     with pytest.raises(BoxInvariantError):
         BoxState.from_dict(data)
     assert BoxState.from_dict(data, validate=False) == signalling_box()
+
+
+@pytest.mark.parametrize("data, message", [
+    ([1, 2], "keys"),
+    ({"settings": [2, 2], "table": []}, "keys"),
+    ({"settings": [2, 2], "outcomes": [2], "table": []}, "pair of integers"),
+    ({"settings": [2, 2], "outcomes": [2, 2], "table": [[1, 2]]}, "shape"),
+    ({"settings": [0, 2], "outcomes": [2, 2], "table": [[[], []], [[], []]]}, "at least one"),
+])
+def test_from_dict_rejects_malformed_structure(data, message):
+    with pytest.raises(StructuralError, match=message):
+        BoxState.from_dict(data)
+
+
+@pytest.mark.parametrize("entry", ["a", "1/0", 0.25, True, None])
+def test_from_dict_takes_only_exact_rational_entries(entry):
+    data = standard_pr_box().to_dict()
+    data["table"][0][0][0][0] = entry
+    with pytest.raises(StructuralError):
+        BoxState.from_dict(data, validate=False)
+
+
+# ---------------------------------------------------------------------------
+# every extreme box of the 2-setting scenarios, d = 2 and 3
+# ---------------------------------------------------------------------------
+
+def _local_moves(d: int) -> list[LocalRelabeling]:
+    """Generators of the local relabelings on 2 settings and d outcomes:
+    swap the settings, or cycle or swap outcomes at setting 0, on either side."""
+    ident = tuple(range(d))
+    moves = [((1, 0), (ident, ident)),
+             ((0, 1), (ident[1:] + (0,), ident)),
+             ((0, 1), ((1, 0) + ident[2:], ident))]
+    return [LocalRelabeling(side, s, o) for side in "AB" for s, o in moves]
+
+
+def _orbit(box: BoxState) -> list[BoxState]:
+    def key(b):     # hashing integer pairs is much cheaper than hashing Fractions
+        return tuple(v.as_integer_ratio() for ab in b.table for bx in ab for row in bx for v in row)
+
+    moves = _local_moves(box.d_a)
+    seen, frontier = {key(box): box}, [box]
+    while frontier:
+        images = {key(image): image for image in (apply_relabeling(b, r)
+                                                  for b in frontier for r in moves)}
+        frontier = [image for k, image in images.items() if k not in seen]
+        seen.update(images)
+    return list(seen.values())
+
+
+def _extreme_boxes(d: int) -> list[list[BoxState]]:
+    """Barrett et al., PRA 71, 022101 (2005): every extreme box with 2
+    settings and d outcomes is a local relabeling of a deterministic box or
+    of a PR-k box, 2 <= k <= d."""
+    deterministic = BoxState.from_function(
+        2, 2, d, d, lambda a, b, x, y: Fraction(int(a == 0 and b == 0)))
+    return [_orbit(deterministic)] + [_orbit(pr_box_k(k, d, d)) for k in range(2, d + 1)]
+
+
+def _support(box: BoxState) -> tuple:
+    return tuple(sorted(((a, b, x, y), box.prob(a, b, x, y))
+                        for a in range(box.d_a) for b in range(box.d_b)
+                        for x in range(box.n_x) for y in range(box.n_y)
+                        if box.prob(a, b, x, y) != 0))
+
+
+def test_extreme_boxes_d2_match_support_enumeration():
+    orbits = _extreme_boxes(2)
+    assert [len(o) for o in orbits] == [16, 8]
+    assert {_support(box) for o in orbits for box in o} == no_signalling_vertices(2, 2)
+
+
+@pytest.mark.parametrize("d, sizes", [(2, [16, 8]), (3, [81, 648, 432])])
+def test_every_extreme_box_is_locally_exchangeable(d, sizes):
+    # the Lo-Popescu argument needs every pure bipartite state exchangeable
+    orbits = _extreme_boxes(d)
+    assert [len(o) for o in orbits] == sizes
+    for box in itertools.chain(*orbits):
+        _assert_exchange_witness(box, check_local_exchangeability(box))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+def _lopsided(k: int) -> BoxState:
+    """Extreme and not exchangeable: a PR-k correlation on settings 0 and 1,
+    Alice's setting 2 always outputs 0, and Bob's setting 2 repeats his 0."""
+    def fn(a, b, x, y):
+        if x == 2:
+            return Fraction(int(a == 0), k)
+        return Fraction(int((b - a) % k == x * (0 if y == 2 else y) % k), k)
+    return BoxState.from_function(3, 3, k, k, fn)
+
+
+_VALID_BOXES = [standard_pr_box(), pr_box_k(3, 4, 3), _prk(3, 2), _lopsided(3),
+                BoxState.from_function(2, 3, 2, 3, lambda a, b, x, y: Fraction(int(a == x and b == 2))),
+                BoxState.from_function(2, 2, 3, 3, lambda a, b, x, y: Fraction(1, 9)),
+                BoxState.from_function(2, 2, 2, 2, lambda a, b, x, y:
+                                       (standard_pr_box().prob(a, b, x, y) + Fraction(int(a == b == 0))) / 2)]
+
+
+@st.composite
+def _relabelings(draw, box: BoxState) -> tuple:
+    def side(name, n, d):
+        return LocalRelabeling(name, tuple(draw(st.permutations(range(n)))),
+                               tuple(tuple(draw(st.permutations(range(d)))) for _ in range(n)))
+    return side("A", box.n_x, box.d_a), side("B", box.n_y, box.d_b)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_relabeling_keeps_no_signalling_and_extremality(data):
+    box = data.draw(st.sampled_from(_VALID_BOXES))
+    r_a, r_b = data.draw(_relabelings(box))
+    moved = apply_relabeling(apply_relabeling(box, r_a), r_b)
+    assert moved.validate() == []
+    assert is_extreme(moved) == is_extreme(box)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.data())
+def test_relabeled_pr_boxes_are_exchangeable(data):
+    box = data.draw(st.sampled_from([_prk(n, k) for n in (2, 3) for k in range(2, 6)]))
+    r_a, r_b = data.draw(_relabelings(box))
+    moved = apply_relabeling(apply_relabeling(box, r_a), r_b)
+    _assert_exchange_witness(moved, check_local_exchangeability(moved))
+
+
+def test_locex_validates_the_box_once(monkeypatch):
+    calls = []
+    validate = BoxState.validate
+    monkeypatch.setattr(BoxState, "validate", lambda box: calls.append(box) or validate(box))
+    for box in (standard_pr_box(), pr_box_k(3, 3, 3), _lopsided(3)):
+        calls.clear()
+        check_local_exchangeability(box)
+        assert len(calls) == 1

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptpurity import cli
 from gptpurity.boxworld import BoxState, pr_box_k
@@ -133,6 +140,85 @@ def test_box_roundtrip_via_files(capsys, tmp_path):
     code, payload = run(capsys, "check-extreme", "--box", str(path))
     assert code == 0
     assert BoxState.from_dict(json.loads(path.read_text())) == box
+
+
+_BOX_VERBS = ("check-ns", "check-extreme", "check-locex")
+
+
+def _pr_table_with(entry):
+    table = pr_box_k(2, 2, 2).to_dict()["table"]
+    table[0][0][0][0] = entry
+    return table
+
+
+_MALFORMED_BOXES = {
+    "missing-outcomes": {"settings": [2, 2], "table": _pr_table_with("1/2")},
+    "wrong-shape": {"settings": [2, 2], "outcomes": [2, 2], "table": [[1, 2]]},
+    "not-an-object": [1, 2],
+    "non-numeric-entry": {"settings": [2, 2], "outcomes": [2, 2], "table": _pr_table_with("a")},
+    "float-entry": {"settings": [2, 2], "outcomes": [2, 2], "table": _pr_table_with(0.5)},
+    "no-settings": {"settings": [0, 2], "outcomes": [2, 2], "table": [[[], []], [[], []]]},
+}
+
+
+@pytest.mark.parametrize("verb", _BOX_VERBS)
+@pytest.mark.parametrize("name", sorted(_MALFORMED_BOXES))
+def test_box_verbs_refuse_malformed_json(capsys, tmp_path, verb, name):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(_MALFORMED_BOXES[name]))
+    assert cli.main([verb, "--box", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("verb", _BOX_VERBS)
+def test_box_verbs_refuse_malformed_spec(capsys, verb):
+    code, _ = run(capsys, verb, "--box", "prk:x:3")
+    assert code == 2
+
+
+def _not_rational(text: str) -> bool:
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return False
+
+
+_json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=8)
+_garbage_entry = (st.none() | st.booleans() | st.floats() | st.lists(st.integers(), max_size=2)
+                  | st.text(max_size=4).filter(_not_rational))
+
+
+@st.composite
+def _garbage_boxes(draw):
+    """JSON that is not a box: no object, a missing key, a wrong field, or a non-rational entry."""
+    valid = pr_box_k(2, 3, 3).to_dict()
+    kind = draw(st.sampled_from(["value", "missing", "field", "entry"]))
+    if kind == "value":
+        return draw(_json.filter(lambda value: not isinstance(value, dict)))
+    if kind == "missing":
+        del valid[draw(st.sampled_from(sorted(valid)))]
+    elif kind == "field":
+        key = draw(st.sampled_from(sorted(valid)))
+        valid[key] = draw(_json.filter(lambda value: value != valid[key]))
+    else:
+        a, b, x, y = (draw(st.integers(0, n - 1)) for n in (3, 3, 2, 2))
+        valid["table"][a][b][x][y] = draw(_garbage_entry)
+    return valid
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_garbage_boxes(), st.sampled_from(_BOX_VERBS))
+def test_box_verbs_map_garbage_to_exit_2(data, verb):
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / "box.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([verb, "--box", str(path)]) == 2
 
 
 def test_suite_verbs_and_exit(capsys):

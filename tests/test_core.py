@@ -141,11 +141,6 @@ def test_loader_rejects_invalid_theory(tmp_path, square_bit):
         core.load_system(str(path))
 
 
-def test_is_classical_structure():
-    assert core.is_classical_structure(core.make_classical(3))
-    assert not core.is_classical_structure(core.make_square_bit())
-
-
 def test_constructors_copy_caller_arrays(square_bit):
     u, unit, m = np.eye(3), np.array([0.0, 0.0, 1.0]), np.eye(3)
     system = core.TheorySystem(dim=3, unit_effect=unit, pure_states=square_bit.pure_states,
@@ -270,12 +265,20 @@ def _lines(report, *markers):
 def test_validate_system_matches_reference(seed):
     for name, sys in _seeded_systems(seed).items():
         new, old = core.validate_system(sys), _reference_validate_system(sys)
-        assert (new == []) == (old == []), name
+        # the reference accepted a repeated element; only the new validator reports it
+        repeats = _lines(new, "repeats")
+        assert (repeats != []) == (name == "duplicated-element"), name
+        assert ([line for line in new if line not in repeats] == []) == (old == []), name
         for marker in ("vertex list", "unit effect", "extremal_effects"):
             assert _lines(new, marker) == _lines(old, marker), (name, marker)
         if name == "s3-minus-transposition":     # every element permutes the vertices
             closure = ("not closed", "no inverse")
             assert _lines(new, *closure) == _lines(old, *closure)
+
+
+def test_validate_system_reports_repeated_element(square_bit):
+    repeated = _with(square_bit, group=square_bit.group + (square_bit.group[1],))
+    assert core.validate_system(repeated) == ["group[8] repeats group[1]"]
 
 
 def test_validate_system_refuses_non_spanning_vertices():

@@ -209,7 +209,7 @@ def test_2norm_square_bit_gap(square_bit):
 
 def test_builtin_monotones_invariance(square_bit, trit):
     for sys in (square_bit, trit):
-        table = monotones.builtin_monotones(sys)
+        table = monotones.builtin_monotones()
         for name, fn in table.items():
             for v in sys.pure_states:
                 base = fn(sys.state(v))
@@ -221,7 +221,7 @@ def test_builtin_monotones_invariance(square_bit, trit):
 def test_builtin_monotones_convexity(square_bit, trit):
     rng = np.random.default_rng(23)
     for sys in (square_bit, trit):
-        table = monotones.builtin_monotones(sys)
+        table = monotones.builtin_monotones()
         for name, fn in table.items():
             for _ in range(15):
                 states = [_random_state(sys, rng) for _ in range(3)]
@@ -233,7 +233,7 @@ def test_builtin_monotones_convexity(square_bit, trit):
 
 def test_builtin_monotones_decrease_under_more_mixed(square_bit):
     rng = np.random.default_rng(29)
-    table = monotones.builtin_monotones(square_bit)
+    table = monotones.builtin_monotones()
     for _ in range(20):
         rho = _random_state(square_bit, rng)
         sigma = _random_state(square_bit, rng)

@@ -65,7 +65,7 @@ def test_pentagon_orbit_hull_is_decagon(pentagon):
 
 
 def test_pentagon_monotones_behave(pentagon):
-    table = monotones.builtin_monotones(pentagon)
+    table = monotones.builtin_monotones()
     for name, fn in table.items():
         base = fn(pentagon.state(pentagon.pure_states[0]))
         for u in pentagon.group:
