@@ -1,7 +1,9 @@
 """Command-line surface: one verb per public operation.
 
 Exit codes: 0 for success (or a passing check), 1 when a check fails or a
-suite finds counterexamples, 2 for usage errors and malformed inputs.
+suite finds counterexamples, 2 for usage errors and malformed inputs.  Any
+other exception, such as a solver fault, is an internal error and
+propagates with its traceback instead of reading as a failed check.
 Floats are printed with 12 significant digits; box entries as "num/den".
 """
 
@@ -450,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (mixedness.IllConditionedError, monotones.UnsupportedSystemError,
-            boxworld.BoxInvariantError, RuntimeError) as exc:
+            boxworld.BoxInvariantError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -53,7 +54,8 @@ def _as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") ->
 
 def _as_matrices(xs, n: int, name: str) -> np.ndarray:
     """Read-only ``(len(xs), n, n)`` copy of a sequence of n x n matrices, in one array."""
-    xs = list(xs)
+    if not isinstance(xs, np.ndarray):
+        xs = list(xs)
     try:
         stack = np.array(xs, dtype=float)
     except ValueError:
@@ -92,18 +94,18 @@ class TheorySystem:
         object.__setattr__(
             self, "extremal_effects",
             tuple(_as_vector(a, self.dim, f"extremal_effects[{i}]") for i, a in enumerate(self.extremal_effects)))
-        object.__setattr__(self, "group", tuple(_as_matrices(self.group, self.dim, "group")))
+        stack = _as_matrices(self.group, self.dim, "group")
+        object.__setattr__(self, "group", tuple(stack))
+        object.__setattr__(self, "_group_array", stack)
         if not self.pure_states:
             raise StructuralError("pure_states must be non-empty")
         if not self.group:
             raise StructuralError("group must be non-empty")
 
-    @cached_property
+    @property
     def group_array(self) -> np.ndarray:
         """The group as one read-only ``(|G|, dim, dim)`` array, in group order."""
-        stack = np.stack(self.group)
-        stack.flags.writeable = False
-        return stack
+        return self._group_array
 
     @cached_property
     def group_gram(self) -> np.ndarray:
@@ -394,13 +396,15 @@ def make_classical(n: int) -> TheorySystem:
         raise CapacityError(f"classical systems are limited to n <= 6 (n! group), got n={n}")
     eye = np.eye(n)
     # group[k] is permutation_matrix of the k-th permutation in lexicographic order
-    group = eye[list(itertools.permutations(range(n)))]
+    perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
+                        dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
+    group = eye[perms]
     return TheorySystem(
         dim=n,
         unit_effect=np.ones(n),
         pure_states=tuple(eye),
         extremal_effects=tuple(eye),
-        group=tuple(group),
+        group=group,
         name=f"classical-{n}",
     )
 

@@ -106,20 +106,24 @@ class FeasibilityCertificate:
 def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
     """Is ``target`` a convex combination of the ``generators``?
 
-    Phase-1 LP on the equality system sum_i w_i g_i = target, sum_i w_i = 1,
-    w >= 0.  A feasible certificate always carries weights whose max-norm
-    reconstruction error is below RESIDUAL_TOL; a verdict that cannot be
-    backed by such a witness raises instead of being reported.
+    ``generators`` is a ``(k, dim)`` array (or anything that converts to
+    one), one generator per row.  Phase-1 LP on the equality system
+    sum_i w_i g_i = target, sum_i w_i = 1, w >= 0.  A feasible certificate
+    always carries weights whose max-norm reconstruction error is below
+    RESIDUAL_TOL; a verdict that cannot be backed by such a witness raises
+    instead of being reported.
     """
-    gens = [np.asarray(g, dtype=float).reshape(-1) for g in generators]
-    if not gens:
-        raise StructuralError("generator list must be non-empty")
-    dim = gens[0].shape[0]
+    try:
+        gens = np.asarray(generators, dtype=float)
+    except ValueError as exc:
+        raise StructuralError("generators and target must share a dimension") from exc
     tgt = np.asarray(target, dtype=float).reshape(-1)
-    if tgt.shape[0] != dim or any(g.shape[0] != dim for g in gens):
+    if gens.ndim != 2 or gens.shape[0] == 0:
+        raise StructuralError("generators must be a non-empty (k, dim) array")
+    if gens.shape[1] != tgt.shape[0]:
         raise StructuralError("generators and target must share a dimension")
 
-    g = np.column_stack(gens)
+    g = np.ascontiguousarray(gens.T)      # generators as columns
     scale = _scale(g, tgt)
 
     a = np.vstack([g, np.ones(len(gens))]) / scale
@@ -236,17 +240,28 @@ def _first_hits(points: np.ndarray, atol: float) -> list[int]:
     A row is kept when it is farther than ``atol`` (max-norm) from every
     row kept before it.  Exact repeats are dropped up front, as the rule
     drops them anyway: whatever kept or dropped a row's first occurrence
-    drops the repeat.
+    drops the repeat.  Among the distinct rows, ``near[i, j]`` says that
+    rows i and j lie within ``atol`` of each other; it is built one
+    coordinate at a time, so no (k, k, dim) array is formed.  A row with no
+    earlier near row is kept outright.  The others are resolved in row
+    order: such a row is kept iff none of its earlier near rows was kept
+    (a dropped row's neighbour can still be kept).
     """
     order = np.lexsort(points.T[::-1])
     ranked = points[order]
     first = np.ones(len(points), dtype=bool)
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    kept: list[int] = []
-    for i in np.sort(order[first]):
-        if np.all(np.max(np.abs(points[kept] - points[i]), axis=1) > atol):
-            kept.append(int(i))
-    return kept
+    distinct = np.sort(order[first])
+    rows = points[distinct]
+    near = np.ones((len(rows), len(rows)), dtype=bool)
+    for coord in rows.T:
+        gap = np.subtract.outer(coord, coord)
+        near &= np.abs(gap, out=gap) <= atol
+    near = np.tril(near, -1)                 # earlier rows only
+    kept = ~near.any(axis=1)
+    for i in np.flatnonzero(~kept):
+        kept[i] = not np.any(near[i, :i] & kept[:i])
+    return distinct[kept].tolist()
 
 
 def _certified_vertices(points: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -463,7 +478,7 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
 def validate_state(rho: GptState) -> FeasibilityCertificate:
     """Certificate that a normalized state lies in the pure-state hull."""
     _require_normalized(rho, "state")
-    return feasible_convex_combination([v for v in rho.system.pure_states], rho.vec)
+    return feasible_convex_combination(rho.system.pure_states, rho.vec)
 
 
 def validate_channel(ch) -> list[str]:
@@ -477,7 +492,7 @@ def validate_channel(ch) -> list[str]:
         residual = np.max(np.abs(ch.output_system.unit_effect @ ch.matrix
                                  - ch.input_system.unit_effect))
         report.append(f"unit effect not preserved (residual {residual:.3e})")
-    targets = [v for v in ch.output_system.pure_states]
+    targets = np.asarray(ch.output_system.pure_states)
     for j, v in enumerate(ch.input_system.pure_states):
         image = ch.matrix @ v
         if not feasible_convex_combination(targets, image).feasible:

@@ -2,8 +2,14 @@
 
 Solves   min c.x   s.t.   A x = b,  x >= 0   with a tableau simplex using
 Bland's anti-cycling rule, so the pivot sequence (and hence the returned
-vertex) is deterministic.  Problems here have at most a few dozen rows and
-a few hundred columns, so an O(m*n) dense pivot is the right trade-off.
+vertex) is deterministic.  Problems here have a few dozen rows and up to
+about a thousand columns (the 720-point classical-6 orbit), so every step
+is a whole-array operation on the dense tableau: the entering column is
+the first index with a negative reduced cost, the ratio test and its Bland
+tie-break are vectorized over the rows, and a pivot updates every row with
+a nonzero pivot-column entry in one rank-one step.  Each tableau entry sees
+the same multiply-then-subtract as in a row-by-row update, so the pivots
+and the returned vertex do not depend on the vectorization.
 
 ``phase1`` answers pure feasibility questions (the convex-combination
 certificates); ``solve`` runs phase 2 from a caller-supplied starting basis
@@ -31,33 +37,27 @@ class UnboundedError(SimplexError):
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    piv = tableau[row]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * piv
+    rows = np.flatnonzero(np.abs(tableau[:, col]) > 0.0)
+    rows = rows[rows != row]
+    tableau[rows] -= tableau[rows, col][:, None] * tableau[row]
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-         allowed: np.ndarray) -> None:
+def _run(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     """Drive the tableau to optimality in place (Bland's rule).
 
     ``tableau`` is m x (n+1) with the right-hand side in the last column and
-    a feasible basis installed (identity columns).  ``allowed`` masks the
-    columns that may enter the basis.
+    a feasible basis installed (identity columns).
     """
     m = tableau.shape[0]
     for _ in range(MAX_ITER):
         # reduced costs r = c - c_B . B^-1 A, using the current tableau rows
         cb = cost[basis]
         reduced = cost[:-1] - cb @ tableau[:, :-1]
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if reduced[j] < -PIVOT_TOL:
-                entering = j  # Bland: smallest admissible index
-                break
-        if entering < 0:
+        admissible = np.flatnonzero(reduced < -PIVOT_TOL)
+        if admissible.size == 0:
             return
+        entering = admissible[0]                 # Bland: smallest admissible index
         ratios = np.full(m, np.inf)
         col = tableau[:, entering]
         ok = col > PIVOT_TOL
@@ -66,8 +66,8 @@ def _run(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
         if not np.isfinite(best):
             raise UnboundedError("objective unbounded along entering column")
         # Bland tie-break: among minimizing rows, leave the smallest basis index
-        rows = np.flatnonzero(np.isclose(ratios, best, rtol=0.0, atol=PIVOT_TOL))
-        leave = rows[np.argmin([basis[r] for r in rows])]
+        rows = np.flatnonzero(np.abs(ratios - best) <= PIVOT_TOL)
+        leave = rows[np.argmin(np.asarray(basis)[rows])]
         _pivot(tableau, basis, int(leave), int(entering))
     raise SimplexError("simplex iteration cap exceeded")
 
@@ -90,8 +90,7 @@ def phase1(a: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     cost = np.zeros(n + m + 1)
     cost[n:n + m] = 1.0
     basis = list(range(n, n + m))
-    allowed = np.ones(n + m, dtype=bool)
-    _run(tableau, basis, cost, allowed)
+    _run(tableau, basis, cost)
     x = np.zeros(n + m)
     x[basis] = tableau[:, -1]
     objective = float(np.sum(x[n:]))
@@ -117,8 +116,7 @@ def solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     tableau[:, -1] = np.maximum(b, 0.0)
     cost = np.concatenate([np.asarray(c, dtype=float), [0.0]])
     basis = list(basis)
-    allowed = np.ones(n, dtype=bool)
-    _run(tableau, basis, cost, allowed)
+    _run(tableau, basis, cost)
     x = np.zeros(n)
     x[basis] = tableau[:, -1]
     return x, float(cost[:-1] @ x)

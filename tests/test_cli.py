@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import cli
+from gptpurity import cli, simplex
 from gptpurity.boxworld import BoxState, pr_box_k
 from gptpurity.core import make_square_bit, system_to_dict
 
@@ -34,6 +34,16 @@ def test_more_mixed_infeasible_exit_code(capsys):
                         "--rho", "0.5,0.5", "--sigma", "0.7,0.3")
     assert code == 1
     assert payload["status"] == "infeasible"
+
+
+def test_solver_fault_is_not_reported_as_a_failed_check(monkeypatch):
+    def broken(a, b):
+        raise simplex.SimplexError("simplex iteration cap exceeded")
+
+    monkeypatch.setattr(simplex, "phase1", broken)
+    with pytest.raises(simplex.SimplexError):
+        cli.main(["more-mixed", "--system", "classical:2", "--rho", "0.7,0.3",
+                  "--sigma", "0.5,0.5"])
 
 
 def test_validate_system_verb(capsys, tmp_path):

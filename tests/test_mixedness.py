@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptpurity import core, mixedness, simplex
 
@@ -62,6 +64,17 @@ def test_center_in_orbit_hull(square_bit):
 def test_bad_scale_raises():
     with pytest.raises(mixedness.IllConditionedError):
         mixedness.feasible_convex_combination([(1e13, 0), (0, 1)], (1.0, 0.0))
+
+
+def test_generators_as_rows_of_an_array():
+    gens = np.array([[1.0, 0.0], [0.0, 1.0]])
+    cert = mixedness.feasible_convex_combination(gens, (0.25, 0.75))
+    listed = mixedness.feasible_convex_combination([(1, 0), (0, 1)], (0.25, 0.75))
+    assert cert.weights.tobytes() == listed.weights.tobytes()
+    for bad, target in ((np.empty((0, 2)), (1.0, 0.0)), ([(1, 0), (0, 1, 0)], (1.0, 0.0)),
+                        (gens, (1.0, 0.0, 0.0)), (np.ones(2), (1.0, 0.0))):
+        with pytest.raises(core.StructuralError):
+            mixedness.feasible_convex_combination(bad, target)
 
 
 def test_certificate_roundtrip():
@@ -171,6 +184,46 @@ def test_orbit_hull_generates_reachable_set(square_bit):
         assert reachable == in_hull
 
 
+def _first_hits_loop(points, atol):
+    """Reference first-hit rule: drop exact repeats, then one row at a time."""
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    first = np.ones(len(points), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    kept = []
+    for i in np.sort(order[first]):
+        if np.all(np.max(np.abs(points[kept] - points[i]), axis=1) > atol):
+            kept.append(int(i))
+    return kept
+
+
+def _near_duplicate_chains(rng, atol):
+    """Rows in runs spaced 0.6 atol apart, so a dropped row's neighbour is kept."""
+    base = rng.normal(size=(6, 3))
+    steps = rng.integers(0, 5, size=40)
+    rows = base[rng.integers(0, 6, size=40)].copy()
+    rows[np.arange(40), rng.integers(0, 3, size=40)] += 0.6 * atol * steps
+    return np.vstack([rows, rows[rng.integers(0, 40, size=8)]])[rng.permutation(48)]
+
+
+def test_first_hits_matches_loop_form():
+    rng = np.random.default_rng(31)
+    cases = [_near_duplicate_chains(rng, atol) for atol in (core.ATOL, 0.1) for _ in range(5)]
+    cases += [rng.integers(0, 4, size=(60, 2)) * 0.05 for _ in range(5)]   # ties at atol
+    for n in (3, 4, 5, 6):
+        group = core.make_classical(n).group_array
+        cases.append(group @ rng.dirichlet(np.ones(n)))
+        cases.append(group @ np.resize(np.repeat(rng.dirichlet(np.ones(3)) / 2, 2), n))
+    for system in (core.make_square_bit(), core.system_from_dict(_pentagon_dict())):
+        cases.append(system.group_array @ np.append(rng.uniform(-0.3, 0.3, 2), 1.0))
+        cases.append(system.group_array @ np.array([0.0, 0.0, 1.0]))
+    for atol in (core.ATOL, 0.05, 0.1):
+        for points in cases:
+            assert mixedness._first_hits(points, atol) == _first_hits_loop(points, atol)
+    chain = np.array([[0.0], [0.6], [1.2], [1.8], [2.4]]) * core.ATOL
+    assert mixedness._first_hits(chain, core.ATOL) == [0, 2, 4]
+
+
 def _hull_by_definition(rho, atol=core.ATOL):
     """Orbit hull by its definition, with HiGHS: the distinct orbit points in
     group order (first hit within atol kept), minus every point that lies in
@@ -244,6 +297,28 @@ def test_invariant_state_rebuilt_by_uniform_channel(sys, lp_calls):
     for v in sys.pure_states:
         np.testing.assert_allclose(uniform.apply(sys.state(v)).vec, chi.vec,
                                    rtol=0, atol=core.ATOL)
+
+
+_RARE_SYSTEMS = [core.make_classical(n) for n in (3, 4, 5)] + [
+    core.make_square_bit(), core.system_from_dict(_pentagon_dict())]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(_RARE_SYSTEMS), st.data())
+def test_rare_image_is_certified_more_mixed(system, data):
+    n_verts, n_group = len(system.pure_states), len(system.group)
+    mix = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n_verts,
+                                      max_size=n_verts).filter(lambda w: sum(w) > 0.1)))
+    rho = system.state((mix / mix.sum()) @ np.asarray(system.pure_states))
+    picks = data.draw(st.lists(st.integers(0, n_group - 1), min_size=1, max_size=4))
+    raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=len(picks),
+                                      max_size=len(picks))))
+    channel = mixedness.RaReChannel(system, tuple(zip(raw / raw.sum(), picks)))
+    sigma = channel.apply(rho)
+    cert = mixedness.more_mixed(rho, sigma)
+    assert cert.feasible
+    rebuilt = cert.weights @ (system.group_array @ rho.vec)
+    assert np.max(np.abs(rebuilt - sigma.vec)) <= mixedness.RESIDUAL_TOL
 
 
 # -- majorizes ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gptpurity import simplex
+from gptpurity import core, monotones, simplex
 
 from oracles import hull_membership_scipy
+from test_user_system import _pentagon_dict
 
 
 def test_phase1_simple_feasible():
@@ -73,3 +74,151 @@ def test_degenerate_pivoting_terminates():
         feasible, x, _ = simplex.phase1(a, b)
         assert feasible
         np.testing.assert_allclose(a @ x, b, atol=1e-9)
+
+
+# -- vectorized kernel against the row-by-row reference ------------------------
+
+def _pivot_loop(tableau, basis, row, col):
+    """Reference pivot: one row update at a time."""
+    tableau[row] /= tableau[row, col]
+    piv = tableau[row]
+    for i in range(tableau.shape[0]):
+        if i != row and abs(tableau[i, col]) > 0.0:
+            tableau[i] -= tableau[i, col] * piv
+    basis[row] = col
+
+
+def _run_loop(tableau, basis, cost):
+    """Reference Bland run: column scan for the entering index, isclose ties."""
+    m = tableau.shape[0]
+    for _ in range(simplex.MAX_ITER):
+        cb = cost[basis]
+        reduced = cost[:-1] - cb @ tableau[:, :-1]
+        entering = -1
+        for j in range(reduced.shape[0]):
+            if reduced[j] < -simplex.PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return
+        ratios = np.full(m, np.inf)
+        col = tableau[:, entering]
+        ok = col > simplex.PIVOT_TOL
+        ratios[ok] = tableau[ok, -1] / col[ok]
+        best = np.min(ratios)
+        if not np.isfinite(best):
+            raise simplex.UnboundedError("objective unbounded along entering column")
+        rows = np.flatnonzero(np.isclose(ratios, best, rtol=0.0, atol=simplex.PIVOT_TOL))
+        leave = rows[np.argmin([basis[r] for r in rows])]
+        _pivot_loop(tableau, basis, int(leave), int(entering))
+    raise simplex.SimplexError("simplex iteration cap exceeded")
+
+
+def _with_reference(monkeypatch, fn, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(simplex, "_run", _run_loop)
+        return fn(*args)
+
+
+def _assert_phase1_matches_reference(monkeypatch, a, b):
+    feasible, x, y = simplex.phase1(a, b)
+    ref_feasible, ref_x, ref_y = _with_reference(monkeypatch, simplex.phase1, a, b)
+    assert feasible == ref_feasible
+    assert x.tobytes() == ref_x.tobytes()
+    assert y.tobytes() == ref_y.tobytes()
+    return feasible
+
+
+def _orbit_lp(system, rho, sigma):
+    """The phase-1 system of more_mixed(rho, sigma), scaled as the caller does."""
+    orbit = system.group_array @ rho
+    scale = max(np.abs(orbit).max(), np.abs(sigma).max(), 1.0)
+    a = np.vstack([np.ascontiguousarray(orbit.T), np.ones(len(orbit))]) / scale
+    return a, np.append(sigma, 1.0) / scale
+
+
+def _orbit_systems():
+    return [core.make_classical(n) for n in (3, 4, 5, 6)] + [
+        core.make_square_bit(), core.system_from_dict(_pentagon_dict())]
+
+
+@pytest.mark.parametrize("system", _orbit_systems(), ids=lambda s: s.name)
+def test_phase1_matches_reference_on_orbit_lps(system, monkeypatch):
+    rng = np.random.default_rng(70)
+    verts = np.asarray(system.pure_states)
+    verdicts = []
+    for _ in range(6):
+        rho = rng.dirichlet(np.ones(len(verts))) @ verts
+        picks = rng.choice(len(system.group), size=min(4, len(system.group)), replace=False)
+        rare = rng.dirichlet(np.ones(len(picks))) @ (system.group_array[picks] @ rho)
+        sharper = 0.5 * (rho + verts[rng.integers(len(verts))])
+        for sigma in (rare, rng.dirichlet(np.ones(len(verts))) @ verts, sharper):
+            verdicts.append(_assert_phase1_matches_reference(
+                monkeypatch, *_orbit_lp(system, rho, sigma)))
+    assert any(verdicts) and not all(verdicts)   # feasible and Farkas cases both seen
+
+
+def test_phase1_matches_reference_on_degenerate_orbits(monkeypatch):
+    rng = np.random.default_rng(71)
+    cases = []
+    for n in (4, 5, 6):
+        system = core.make_classical(n)
+        for _ in range(4):
+            vals = rng.dirichlet(np.ones(n // 2))
+            rho = rng.permutation(np.resize(np.repeat(vals / 2, 2), n))
+            rho /= rho.sum()
+            cases += [(system, rho, system.group_array[k] @ rho)
+                      for k in rng.choice(len(system.group), 2)]
+            cases.append((system, rho, np.full(n, 1.0 / n)))
+            cases.append((system, rho, rng.dirichlet(np.ones(n))))
+    four = core.make_classical(4)
+    cases.append((four, np.array([0.4, 0.4, 0.1, 0.1]), np.array([0.4, 0.1, 0.4, 0.1])))
+    for system, rho, sigma in cases:
+        _assert_phase1_matches_reference(monkeypatch, *_orbit_lp(system, rho, sigma))
+
+
+def test_phase1_matches_reference_on_random_and_degenerate_lps(monkeypatch):
+    rng = np.random.default_rng(42)
+    for _ in range(100):
+        dim = rng.integers(2, 5)
+        n_gen = rng.integers(dim, 3 * dim)
+        gens = rng.normal(size=(dim, n_gen))
+        target = (gens @ rng.dirichlet(np.ones(n_gen)) if rng.random() < 0.5
+                  else rng.normal(size=dim))
+        _assert_phase1_matches_reference(monkeypatch, np.vstack([gens, np.ones(n_gen)]),
+                                         np.append(target, 1.0))
+    rng = np.random.default_rng(1)                 # test_degenerate_pivoting_terminates
+    for _ in range(50):
+        a = np.vstack([rng.normal(size=(3, 6)), rng.normal(size=(2, 6))])
+        a[:, -1] = 0.0
+        _assert_phase1_matches_reference(monkeypatch, a, np.zeros(5))
+
+
+@pytest.mark.parametrize("system", _orbit_systems(), ids=lambda s: s.name)
+def test_solve_matches_reference_on_effect_lps(system, monkeypatch):
+    rng = np.random.default_rng(72)
+    a, b, basis = monotones._effect_lp(system)
+    verts = np.asarray(system.pure_states)
+    d = system.dim
+    for _ in range(6):
+        delta = rng.dirichlet(np.ones(len(verts))) @ verts - verts.mean(axis=0)
+        for sign in (1.0, -1.0):                   # maximize and minimize a(delta)
+            c = np.zeros(a.shape[1])
+            c[:d], c[d:2 * d] = -sign * delta, sign * delta
+            x, objective = simplex.solve(a, b, c, basis)
+            ref_x, ref_objective = _with_reference(monkeypatch, simplex.solve, a, b, c, basis)
+            assert x.tobytes() == ref_x.tobytes()
+            assert objective == ref_objective
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-11, 1e-9, 1e-8, 1e-6])
+def test_ratio_near_ties_match_reference(gap, monkeypatch):
+    # min -x0 with x0 + s1 = 1 + gap and x0 + s2 = 1: the two ratios tie
+    # within PIVOT_TOL only for the small gaps, and then s1 leaves (Bland)
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    b = np.array([1.0 + gap, 1.0])
+    c = np.array([-1.0, 0.0, 0.0])
+    x, objective = simplex.solve(a, b, c, [1, 2])
+    ref_x, ref_objective = _with_reference(monkeypatch, simplex.solve, a, b, c, [1, 2])
+    assert x.tobytes() == ref_x.tobytes() and objective == ref_objective
+    assert (x[1] == 0.0) == (gap <= simplex.PIVOT_TOL)
