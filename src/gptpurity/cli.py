@@ -18,9 +18,11 @@ import numpy as np
 from . import boxworld, core, harness, mixedness, monotones, quantum
 from .core import CapacityError, StructuralError
 from .serialize import complex_to_pairs, dump_json, pairs_to_complex
+from .tolerances import WITNESS_TOL
 
-#: largest entry of (C x D)(rho) - SWAP rho SWAP that locex-quantum accepts
-SWAP_RESIDUAL_TOL = 1e-9
+#: default of locex-quantum --tol, the largest entry of (C x D)(rho) - SWAP rho SWAP
+#: it accepts: the channel pair is a synthesized witness of the swap
+SWAP_RESIDUAL_TOL = WITNESS_TOL
 
 
 class UsageError(ValueError):
@@ -41,7 +43,7 @@ def _read_json(path: str):
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_system(spec: str) -> core.TheorySystem:
+def _load_system(spec: str, validate: bool = True) -> core.TheorySystem:
     if spec.startswith("classical:"):
         try:
             size = int(spec.split(":", 1)[1])
@@ -50,7 +52,7 @@ def _load_system(spec: str) -> core.TheorySystem:
         return core.make_classical(size)
     if spec == "square-bit":
         return core.make_square_bit()
-    return core.system_from_dict(_read_json(spec))
+    return core.system_from_dict(_read_json(spec), validate=validate)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -159,7 +161,8 @@ def _emit(payload, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate_system(args):
-    report = core.validate_system(_load_system(args.system))
+    # a theory file is loaded unvalidated, so its violations are this verb's report
+    report = core.validate_system(_load_system(args.system, validate=False))
     return (0 if not report else 1), {"violations": report, "valid": not report}
 
 

@@ -22,8 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-#: absolute tolerance for polytope / group identities in floating point
-ATOL = 1e-9
+from .tolerances import ATOL, SINGULAR_DET_TOL
 
 
 class StructuralError(ValueError):
@@ -154,12 +153,6 @@ class TheorySystem:
     def state(self, vec) -> "GptState":
         return GptState(self, vec)
 
-    def effect(self, covec) -> "Effect":
-        return Effect(self, covec)
-
-    def norm(self, vec) -> float:
-        return float(self.unit_effect @ np.asarray(vec, dtype=float))
-
 
 @dataclass(frozen=True, eq=False)
 class GptState:
@@ -175,8 +168,8 @@ class GptState:
     def norm(self) -> float:
         return float(self.system.unit_effect @ self.vec)
 
-    def is_normalized(self, atol: float = ATOL) -> bool:
-        return abs(self.norm - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm - 1.0) <= ATOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +185,6 @@ class Effect:
     def __call__(self, state) -> float:
         vec = state.vec if isinstance(state, GptState) else np.asarray(state, dtype=float)
         return float(self.covec @ vec)
-
-    def is_valid(self, atol: float = ATOL) -> bool:
-        values = [self(v) for v in self.system.pure_states]
-        return min(values) >= -atol and max(values) <= 1.0 + atol
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,10 +226,10 @@ class GptChannel:
             self, "matrix",
             _as_matrix(self.matrix, (self.output_system.dim, self.input_system.dim), "channel matrix"))
 
-    def preserves_unit(self, atol: float = ATOL) -> bool:
+    def preserves_unit(self) -> bool:
         # deterministic transformations are exactly those with u_out . M = u_in
         return bool(np.allclose(self.output_system.unit_effect @ self.matrix,
-                                self.input_system.unit_effect, atol=atol))
+                                self.input_system.unit_effect, rtol=0.0, atol=ATOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,7 +313,7 @@ def _closure_report(perm: np.ndarray, members: np.ndarray, base: list[int]) -> l
     return report
 
 
-def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
+def validate_system(sys: TheorySystem) -> list[str]:
     """Check every TheorySystem invariant; return the list of violations.
 
     An empty report means the system is valid within tolerance.  Structural
@@ -332,7 +321,7 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
     being reported, since no further check is meaningful.
 
     Every group element must permute the vertex list: perm[g, j] is the
-    first pure state within ``atol`` (max-norm) of group[g] @ pure_states[j].
+    first pure state within ``ATOL`` (max-norm) of group[g] @ pure_states[j].
     When the pure states span R^dim (checked, and reported otherwise), a
     matrix is fixed by its images of ``dim`` independent vertices, so repeats,
     closure and inverses are checked exactly on the permutations of the elements
@@ -344,11 +333,11 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
     group = sys.group_array
 
     images = np.matmul(group, verts.T).transpose(0, 2, 1)     # images[g, j] = g @ v_j
-    close = np.stack([np.max(np.abs(images - w), axis=2) <= atol for w in verts], axis=2)
+    close = np.stack([np.max(np.abs(images - w), axis=2) <= ATOL for w in verts], axis=2)
     matched = close.any(axis=2).all(axis=1)
     perm = close.argmax(axis=2)
     bijective = np.all(np.sort(perm, axis=1) == np.arange(len(verts)), axis=1)
-    singular = np.abs(np.linalg.det(group)) < 1e-12
+    singular = np.abs(np.linalg.det(group)) < SINGULAR_DET_TOL
     unit_residual = np.max(np.abs(sys.unit_effect @ group - sys.unit_effect), axis=1)
     for i in range(len(group)):
         if singular[i]:
@@ -361,7 +350,7 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
                           f"(residual {residual:.3e})")
         elif not bijective[i]:
             report.append(f"group[{i}] does not act injectively on the vertex list")
-        if unit_residual[i] > atol:
+        if unit_residual[i] > ATOL:
             report.append(f"group[{i}] does not preserve the unit effect "
                           f"(residual {unit_residual[i]:.3e})")
 
@@ -373,7 +362,7 @@ def validate_system(sys: TheorySystem, atol: float = ATOL) -> list[str]:
 
     values = np.reshape(sys.extremal_effects, (-1, sys.dim)) @ verts.T
     low, high = values.min(axis=1), values.max(axis=1)
-    for i in np.flatnonzero((low < -atol) | (high > 1.0 + atol)):
+    for i in np.flatnonzero((low < -ATOL) | (high > 1.0 + ATOL)):
         report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
                       f"(range [{low[i]:.3e}, {high[i]:.3e}])")
     return report

@@ -3,7 +3,8 @@
 Each suite samples instances with a counter-based generator (Philox), so a
 given TrialConfig reproduces its report byte for byte (wall time aside) on
 any platform.  Counterexamples carry their full inputs and can be replayed
-standalone.
+standalone.  Witnesses are checked against the tolerance table: Birkhoff
+and RaRe mixtures to ``WITNESS_TOL``, one-way protocols to ``PROTOCOL_TOL``.
 """
 
 from __future__ import annotations
@@ -13,32 +14,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StructuralError, make_classical
+from .core import StructuralError, TheorySystem, make_classical
 from .mixedness import birkhoff_rare_synthesis, majorizes, more_mixed
 from .quantum import (DensityMatrix, PureBipartiteState, lu_equivalent, marginals,
                       maximally_entangled, nielsen_convertible, one_way_locc_from_rare,
                       random_density_matrix, random_pure_state, random_unitary,
                       rare_synthesis_quantum)
 from .serialize import complex_to_pairs, pairs_to_complex
+from .tolerances import (MONOTONE_TOL, MULTIPLICATIVITY_TOL, PROTOCOL_TOL, WITNESS_TOL,
+                         ZERO_TOL)
+
+#: counterexamples a suite records before it stops
+COUNTEREXAMPLE_BUDGET = 10
 
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Seed, sizes, trial counts and tolerances for one suite run."""
+    """Seed, sizes and trial counts for one suite run."""
 
     seed: int = 0
     trials: int = 100
     dims: tuple[int, ...] = (2, 3, 4)
     sizes: tuple[int, ...] = (2, 3, 4, 5)
-    reconstruction_tol: float = 1e-9
-    protocol_tol: float = 1e-8
-    counterexample_budget: int = 10
 
     def __post_init__(self):
         if self.trials < 1:
             raise StructuralError("trial count must be >= 1")
-        if self.reconstruction_tol <= 0 or self.protocol_tol <= 0:
-            raise StructuralError("tolerances must be positive")
 
 
 @dataclass
@@ -77,10 +78,9 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 class _Collector:
-    """Counts agreements and stops after the counterexample budget."""
+    """Counts agreements and stops after COUNTEREXAMPLE_BUDGET counterexamples."""
 
-    def __init__(self, budget: int):
-        self.budget = budget
+    def __init__(self):
         self.agreements = 0
         self.counterexamples: list[dict] = []
 
@@ -89,7 +89,7 @@ class _Collector:
             self.agreements += 1
         else:
             self.counterexamples.append(detail)
-        return len(self.counterexamples) < self.budget
+        return len(self.counterexamples) < COUNTEREXAMPLE_BUDGET
 
     def report(self, suite: str, started: float) -> SuiteReport:
         return SuiteReport(suite, self.agreements + len(self.counterexamples),
@@ -101,8 +101,7 @@ class _Collector:
 # duality suite
 # ---------------------------------------------------------------------------
 
-def _check_direction(psi: PureBipartiteState, target: PureBipartiteState,
-                     cfg: TrialConfig) -> dict:
+def _check_direction(psi: PureBipartiteState, target: PureBipartiteState) -> dict:
     """Compare the two sides of the duality on one ordered pair.
 
     Returns residual data; 'agree' is False when the convertibility verdict
@@ -123,9 +122,9 @@ def _check_direction(psi: PureBipartiteState, target: PureBipartiteState,
             protocol = one_way_locc_from_rare(psi, target, rare)
             out["completeness_residual"] = protocol.completeness_residual()
             out["outcome_residual"] = float(np.max(protocol.outcome_residuals(psi, target)))
-            out["agree"] = (out["rare_residual"] <= cfg.reconstruction_tol
-                            and out["completeness_residual"] <= cfg.protocol_tol
-                            and out["outcome_residual"] <= cfg.protocol_tol)
+            out["agree"] = (out["rare_residual"] <= WITNESS_TOL
+                            and out["completeness_residual"] <= PROTOCOL_TOL
+                            and out["outcome_residual"] <= PROTOCOL_TOL)
         except (StructuralError, RuntimeError) as exc:
             out["agree"] = False
             out["witness_error"] = str(exc)
@@ -136,18 +135,17 @@ def run_duality_suite(cfg: TrialConfig) -> SuiteReport:
     """Duality check: convertibility iff marginal-spectrum majorization.
 
     For every sampled ordered pair that is convertible, the RaRe witness
-    and the one-way protocol are constructed explicitly and verified at
-    the configured tolerances.
+    and the one-way protocol are constructed explicitly and verified.
     """
     started = time.perf_counter()
     rng = _rng(cfg.seed)
-    collector = _Collector(cfg.counterexample_budget)
+    collector = _Collector()
     for d in cfg.dims:
         for trial in range(cfg.trials):
             psi = random_pure_state((d, d), rng)
             phi = random_pure_state((d, d), rng)
-            forward = _check_direction(psi, phi, cfg)
-            backward = _check_direction(phi, psi, cfg)
+            forward = _check_direction(psi, phi)
+            backward = _check_direction(phi, psi)
             ok = forward["agree"] and backward["agree"]
             detail = {}
             if not ok:
@@ -160,14 +158,13 @@ def run_duality_suite(cfg: TrialConfig) -> SuiteReport:
     return collector.report("duality", started)
 
 
-def replay_duality_counterexample(detail: dict, cfg: TrialConfig | None = None) -> bool:
+def replay_duality_counterexample(detail: dict) -> bool:
     """Recompute a serialized duality counterexample; True iff it still fails."""
-    cfg = cfg or TrialConfig()
     d = int(detail["dim"])
     psi = PureBipartiteState((d, d), pairs_to_complex(detail["psi"]))
     phi = PureBipartiteState((d, d), pairs_to_complex(detail["phi"]))
-    forward = _check_direction(psi, phi, cfg)
-    backward = _check_direction(phi, psi, cfg)
+    forward = _check_direction(psi, phi)
+    backward = _check_direction(phi, psi)
     return not (forward["agree"] and backward["agree"])
 
 
@@ -175,55 +172,56 @@ def replay_duality_counterexample(detail: dict, cfg: TrialConfig | None = None) 
 # classical agreement suite
 # ---------------------------------------------------------------------------
 
+def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
+                     ) -> tuple[bool, dict]:
+    """Compare the LP verdict with majorization on one pair of distributions.
+
+    Returns (ok, verdicts).  ok is False when the two verdicts differ, or
+    when the Birkhoff witness of a comparable pair misses its target by
+    more than WITNESS_TOL.
+    """
+    lp_verdict = more_mixed(system.state(p), system.state(q)).feasible
+    maj_verdict = majorizes(p, q)
+    ok = lp_verdict == maj_verdict
+    residual = None
+    if ok and maj_verdict:
+        channel = birkhoff_rare_synthesis(p, q, system=system)
+        residual = float(np.max(np.abs(channel.matrix() @ p - q)))
+        ok = residual <= WITNESS_TOL
+    return ok, {"lp_verdict": lp_verdict, "majorizes": maj_verdict,
+                "witness_residual": residual}
+
+
 def run_classical_agreement_suite(cfg: TrialConfig) -> SuiteReport:
     """LP-based more_mixed against partial-sum majorization, on random pairs.
 
     Whenever the pair is comparable, the Birkhoff witness is synthesized and
-    its defining equation checked to the reconstruction tolerance.
+    its defining equation checked.
     """
     started = time.perf_counter()
     rng = _rng(cfg.seed)
-    collector = _Collector(cfg.counterexample_budget)
+    collector = _Collector()
     systems = {n: make_classical(n) for n in cfg.sizes}
     for n in cfg.sizes:
         sys_n = systems[n]
         for trial in range(cfg.trials):
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(n))
-            lp_verdict = more_mixed(sys_n.state(p), sys_n.state(q)).feasible
-            maj_verdict = majorizes(p, q)
-            ok = lp_verdict == maj_verdict
-            residual = None
-            if ok and maj_verdict:
-                channel = birkhoff_rare_synthesis(p, q, system=sys_n)
-                residual = float(np.max(np.abs(channel.matrix() @ p - q)))
-                ok = residual <= cfg.reconstruction_tol
+            ok, verdicts = _classical_trial(sys_n, p, q)
             detail = {}
             if not ok:
-                detail = {"n": n, "trial": trial, "p": p.tolist(), "q": q.tolist(),
-                          "lp_verdict": lp_verdict, "majorizes": maj_verdict,
-                          "witness_residual": residual}
+                detail = {"n": n, "trial": trial, "p": p.tolist(), "q": q.tolist(), **verdicts}
             if not collector.record(ok, detail):
                 return collector.report("classical-agreement", started)
     return collector.report("classical-agreement", started)
 
 
-def replay_classical_counterexample(detail: dict,
-                                    cfg: TrialConfig | None = None) -> bool:
-    cfg = cfg or TrialConfig()
-    n = int(detail["n"])
-    sys_n = make_classical(n)
+def replay_classical_counterexample(detail: dict) -> bool:
+    """Recompute a serialized classical counterexample; True iff it still fails."""
     p = np.asarray(detail["p"], dtype=float)
     q = np.asarray(detail["q"], dtype=float)
-    lp_verdict = more_mixed(sys_n.state(p), sys_n.state(q)).feasible
-    maj_verdict = majorizes(p, q)
-    if lp_verdict != maj_verdict:
-        return True
-    if maj_verdict:
-        channel = birkhoff_rare_synthesis(p, q, system=sys_n)
-        residual = float(np.max(np.abs(channel.matrix() @ p - q)))
-        return residual > cfg.reconstruction_tol
-    return False
+    ok, _ = _classical_trial(make_classical(int(detail["n"])), p, q)
+    return not ok
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +237,7 @@ def run_maximal_entanglement_suite(cfg: TrialConfig) -> SuiteReport:
     """
     started = time.perf_counter()
     rng = _rng(cfg.seed)
-    collector = _Collector(cfg.counterexample_budget)
+    collector = _Collector()
     for d in cfg.dims:
         phi = maximally_entangled(d)
         for trial in range(cfg.trials):
@@ -272,7 +270,7 @@ def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
     """
     started = time.perf_counter()
     rng = _rng(cfg.seed)
-    collector = _Collector(cfg.counterexample_budget)
+    collector = _Collector()
     dims = [d for d in cfg.dims if d <= 4]
     for trial in range(cfg.trials):
         d_a = int(rng.choice(dims))
@@ -281,9 +279,9 @@ def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
         gamma = random_density_matrix(d_c, rng)
         joint = np.kron(rho.matrix, gamma.matrix)
         joint_purity = float(np.trace(joint @ joint).real)
-        product_ok = abs(joint_purity - rho.purity() * gamma.purity()) <= 1e-10
+        product_ok = abs(joint_purity - rho.purity() * gamma.purity()) <= MULTIPLICATIVITY_TOL
         margin = gamma.purity() - joint_purity
-        margin_ok = margin > 1e-12
+        margin_ok = margin > ZERO_TOL
         monotone_ok, erased = True, False
         for _ in range(4):
             k = int(rng.integers(2, 5))
@@ -291,9 +289,9 @@ def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
             unitaries = [random_unitary(d_a * d_c, rng) for _ in range(k)]
             mixed = sum(w * u @ joint @ u.conj().T for w, u in zip(weights, unitaries))
             out_purity = float(np.trace(mixed @ mixed).real)
-            if out_purity > joint_purity + 1e-9:
+            if out_purity > joint_purity + MONOTONE_TOL:
                 monotone_ok = False
-            if out_purity >= gamma.purity() - 1e-9:
+            if out_purity >= gamma.purity() - MONOTONE_TOL:
                 erased = True
         ok = product_ok and margin_ok and monotone_ok and not erased
         detail = {}

@@ -24,16 +24,11 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import simplex
-from .core import (ATOL, CapacityError, GptState, StructuralError, TheorySystem,
+from .core import (CapacityError, GptState, StructuralError, TheorySystem,
                    make_classical, permutation_matrix)
-
-#: maximum reconstruction error accepted for a feasible certificate
-RESIDUAL_TOL = 1e-8
-#: inputs whose largest entry exceeds this are refused as ill-conditioned
-MAX_SCALE = 1e12
-#: normalised margin above which a separating functional certifies a hull
-#: vertex; ten times the phase-1 threshold, so the LP would answer infeasible
-VERTEX_MARGIN = 10 * simplex.FEASIBILITY_TOL
+from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
+                         MAJORIZATION_TOL, MAX_SCALE, RARE_SUM_TOL, RESIDUAL_TOL,
+                         VERTEX_MARGIN, WITNESS_TOL, ZERO_TOL)
 
 
 class IllConditionedError(ValueError):
@@ -51,7 +46,7 @@ class RaReChannel:
         weights = np.array([w for w, _ in self.entries])
         if weights.size == 0:
             raise StructuralError("RaRe channel needs at least one entry")
-        if weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-12:
+        if weights.min() < -ZERO_TOL or abs(weights.sum() - 1.0) > RARE_SUM_TOL:
             raise StructuralError("RaRe weights must be nonnegative and sum to 1")
         for _, k in self.entries:
             if not 0 <= k < len(self.system.group):
@@ -138,7 +133,7 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
         y = farkas / norm
         violation = float(np.max(y @ a))
         gain = float(y @ b)
-        if violation > 1e-7 or gain < 1e-9:
+        if violation > FARKAS_VIOLATION_TOL or gain < FARKAS_MIN_SEPARATION:
             raise IllConditionedError(
                 f"infeasibility certificate too weak (violation {violation:.2e}, "
                 f"separation {gain:.2e}); input is numerically marginal")
@@ -184,12 +179,14 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
 
 
 def rare_channel_from_certificate(system: TheorySystem,
-                                  cert: FeasibilityCertificate,
-                                  prune: float = 1e-12) -> RaReChannel:
-    """Turn a feasible more_mixed certificate into an explicit RaRe channel."""
+                                  cert: FeasibilityCertificate) -> RaReChannel:
+    """Turn a feasible more_mixed certificate into an explicit RaRe channel.
+
+    Weights at or below ``ZERO_TOL`` are pruned and the rest renormalised.
+    """
     if not cert.feasible or cert.weights is None:
         raise StructuralError("certificate is not feasible")
-    entries = [(float(w), k) for k, w in enumerate(cert.weights) if w > prune]
+    entries = [(float(w), k) for k, w in enumerate(cert.weights) if w > ZERO_TOL]
     total = sum(w for w, _ in entries)
     entries = [(w / total, k) for w, k in entries]
     return RaReChannel(system, tuple(entries))
@@ -284,12 +281,12 @@ def _certified_vertices(points: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return own - rival > VERTEX_MARGIN * scale * norm
 
 
-def orbit_hull(rho: GptState, atol: float = ATOL) -> list[np.ndarray]:
+def orbit_hull(rho: GptState) -> list[np.ndarray]:
     """Vertices of the convex hull of the group orbit of rho.
 
     The hull is exactly the set of states more mixed than rho, so the
     returned list generates that set.  Orbit points are deduplicated in
-    group order, keeping the first hit within ``atol``.  Each distinct
+    group order, keeping the first hit within ``ATOL``.  Each distinct
     point s is then certified as a vertex by the functional x -> (M s).x,
     with M the group-averaged Gram form: the group acts orthogonally for
     M, so s beats every other orbit point s' by (1/2)|s - s'|_M^2.  A point
@@ -299,7 +296,7 @@ def orbit_hull(rho: GptState, atol: float = ATOL) -> list[np.ndarray]:
     or a convex combination.
     """
     orbit = _orbit(rho)
-    points = orbit[_first_hits(orbit, atol)]
+    points = orbit[_first_hits(orbit, ATOL)]
     if len(points) == 1:
         return [points[0]]
     vertex = _certified_vertices(points, rho.system.group_gram)
@@ -309,46 +306,47 @@ def orbit_hull(rho: GptState, atol: float = ATOL) -> list[np.ndarray]:
     return list(points[vertex])
 
 
-def majorizes(p, q, atol: float = 1e-10) -> bool:
+def majorizes(p, q) -> bool:
     """Partial-sum majorization test: p majorizes q.
 
     Vectors are sorted descending (ties broken by index); both must be
-    probability vectors within tolerance.
+    probability vectors, and every partial sum of p must reach q's, within
+    ``MAJORIZATION_TOL``.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise StructuralError("majorization needs equal-length vectors")
     for name, v in (("p", p), ("q", q)):
-        if v.min() < -atol or abs(v.sum() - 1.0) > atol:
+        if v.min() < -MAJORIZATION_TOL or abs(v.sum() - 1.0) > MAJORIZATION_TOL:
             raise StructuralError(f"{name} is not a probability vector")
     ps = np.cumsum(np.sort(p)[::-1])
     qs = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(ps >= qs - atol))
+    return bool(np.all(ps >= qs - MAJORIZATION_TOL))
 
 
-def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray,
-                       atol: float = 1e-12) -> np.ndarray:
+def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray) -> np.ndarray:
     """Doubly stochastic D with D p_sorted = q_sorted, as a T-transform product.
 
     Standard Hardy-Littlewood-Polya construction on descending-sorted
     vectors: at each step take the largest index j where the current vector
     still exceeds the target and transfer weight to the first deficient
-    index after it.  Terminates in at most n-1 steps.
+    index after it.  Terminates in at most n-1 steps.  Gaps to the target
+    at or below ``ZERO_TOL`` count as closed.
     """
     n = p_sorted.shape[0]
     x = p_sorted.copy()
     d = np.eye(n)
     for _ in range(6 * n):
-        if np.max(np.abs(x - q_sorted)) <= atol:
+        if np.max(np.abs(x - q_sorted)) <= ZERO_TOL:
             return d
         # indices in genuine excess/deficiency; sub-tolerance dust is treated
-        # as converged (the 1e-9 backstop below covers the residue)
-        over = [j for j in range(n) if x[j] > q_sorted[j] + atol]
+        # as converged (the WITNESS_TOL backstop below covers the residue)
+        over = [j for j in range(n) if x[j] > q_sorted[j] + ZERO_TOL]
         if not over:
             break
         j = max(over)
-        under = [k for k in range(j + 1, n) if x[k] < q_sorted[k] - atol]
+        under = [k for k in range(j + 1, n) if x[k] < q_sorted[k] - ZERO_TOL]
         if not under:
             break
         k = min(under)
@@ -359,7 +357,7 @@ def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray,
         t[j, k] = t[k, j] = 1.0 - lam
         x = t @ x
         d = t @ d
-    if np.max(np.abs(x - q_sorted)) <= 1e-9:
+    if np.max(np.abs(x - q_sorted)) <= WITNESS_TOL:
         return d
     raise RuntimeError("T-transform chain failed to converge in n-1 steps")
 
@@ -399,11 +397,11 @@ def _bottleneck_permutation(residual: np.ndarray, atol: float) -> tuple[float, n
     return float(values[good]), best
 
 
-def _birkhoff_decompose(d: np.ndarray, atol: float = 1e-12) -> list[tuple[float, tuple[int, ...]]]:
+def _birkhoff_decompose(d: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
     """Decompose a doubly stochastic matrix into permutations.
 
     At every step, remove the permutation with the largest bottleneck weight
-    on the residual (entries at or below ``atol`` count as zero), found by
+    on the residual (entries at or below ``ZERO_TOL`` count as zero), found by
     bottleneck matching in _bottleneck_permutation.  Among permutations with
     that bottleneck the one taken is scipy's linear_sum_assignment solution
     for the 0/1 costs [residual < bottleneck], so the output is a function
@@ -414,9 +412,9 @@ def _birkhoff_decompose(d: np.ndarray, atol: float = 1e-12) -> list[tuple[float,
     residual = d.copy()
     terms: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(n * n):
-        if residual.max() <= atol:
+        if residual.max() <= ZERO_TOL:
             break
-        weight, perm = _bottleneck_permutation(residual, atol)
+        weight, perm = _bottleneck_permutation(residual, ZERO_TOL)
         terms.append((weight, tuple(perm.tolist())))
         residual[rows, perm] -= weight
         residual[residual < 0] = 0.0
@@ -463,14 +461,14 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
         # exceed the affine rank of the doubly stochastic polytope
         mats = [permutation_matrix(perm).reshape(-1) for _, perm in terms]
         cert = feasible_convex_combination(mats, d.reshape(-1))
-        kept = [(float(w), terms[i][1]) for i, w in enumerate(cert.weights) if w > 1e-12]
+        kept = [(float(w), terms[i][1]) for i, w in enumerate(cert.weights) if w > ZERO_TOL]
         total = sum(w for w, _ in kept)
         terms = [(w / total, perm) for w, perm in kept]
 
     entries = tuple(sorted((w, _lexicographic_rank(perm)) for w, perm in terms))
     channel = RaReChannel(sys, entries)
     residual = np.max(np.abs(channel.matrix() @ p - q))
-    if residual > 1e-9:
+    if residual > WITNESS_TOL:
         raise RuntimeError(f"synthesized channel misses target by {residual:.2e}")
     return channel
 

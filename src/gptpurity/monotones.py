@@ -22,6 +22,7 @@ from . import simplex
 from .core import GptState, Measurement, StructuralError, TheorySystem
 from .mixedness import RaReChannel, invariant_state
 from .quantum import DensityMatrix, _eig_desc, _entropy_bits
+from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL, TRACE_TOL
 
 
 class UnsupportedSystemError(ValueError):
@@ -54,16 +55,13 @@ class ConvexScalarFn:
         return ConvexScalarFn("square", lambda x: x * x)
 
     @staticmethod
-    def custom(evaluator: Callable[[float], float], check: bool = True,
-               tag: str = "custom") -> "ConvexScalarFn":
+    def custom(evaluator: Callable[[float], float], tag: str = "custom") -> "ConvexScalarFn":
+        """Wrap ``evaluator``, probing midpoint convexity on a 41-point grid of [0, 1]."""
         convex = True
-        if check:
-            xs = np.linspace(0.0, 1.0, 41)
-            for a, b in itertools.combinations(xs, 2):
-                mid = evaluator((a + b) / 2)
-                if mid > (evaluator(a) + evaluator(b)) / 2 + 1e-12:
-                    convex = False
-                    break
+        for a, b in itertools.combinations(np.linspace(0.0, 1.0, 41), 2):
+            if evaluator((a + b) / 2) > (evaluator(a) + evaluator(b)) / 2 + CONVEXITY_TOL:
+                convex = False
+                break
         return ConvexScalarFn(tag, evaluator, convex)
 
 
@@ -115,7 +113,7 @@ def measurement_entropy(rho) -> MonotoneReport:
     fine-grained distribution).
     """
     if isinstance(rho, DensityMatrix):
-        if abs(rho.trace - 1.0) > 1e-10:
+        if abs(rho.trace - 1.0) > TRACE_TOL:
             raise StructuralError("measurement_entropy requires a normalized state")
         vals, vecs = _eig_desc(rho.matrix)
         witness = {"type": "projective-eigenbasis",
@@ -213,7 +211,7 @@ def purity_2norm(rho) -> float:
     if isinstance(rho, DensityMatrix):
         return rho.purity()
     q = rho.system.group_gram
-    if np.linalg.cond(q) > 1e10:
+    if np.linalg.cond(q) > MAX_GRAM_CONDITION:
         raise UnsupportedSystemError(
             "group-averaged quadratic form is degenerate; 2-norm purity unsupported")
     return float(rho.vec @ q @ rho.vec)
@@ -242,13 +240,13 @@ def _as_value(p_out) -> float:
 
 def schur_convexity_check(monotone: Callable[[GptState], float],
                           system: TheorySystem, trials: int, seed: int,
-                          name: str = "monotone",
-                          atol: float = 1e-9) -> SchurCheckReport:
+                          name: str = "monotone") -> SchurCheckReport:
     """Sample RaRe degradations and test P(rho) >= P(sigma).
 
     Each trial draws a random mixture of vertices and a random reversible
-    mixture, and compares the monotone before and after.  Violations are
-    reported with full witnesses, not raised.
+    mixture, and compares the monotone before and after; a rise above
+    ``MONOTONE_TOL`` is a violation.  Violations are reported with full
+    witnesses, not raised.
     """
     rng = np.random.default_rng(seed)
     report = SchurCheckReport(name, trials)
@@ -264,7 +262,7 @@ def schur_convexity_check(monotone: Callable[[GptState], float],
         sigma = channel.apply(rho)
         p_rho = _as_value(monotone(rho))
         p_sigma = _as_value(monotone(sigma))
-        if p_rho < p_sigma - atol:
+        if p_rho < p_sigma - MONOTONE_TOL:
             report.violations.append({
                 "rho": rho.vec.tolist(),
                 "weights": weights.tolist(),

@@ -21,22 +21,42 @@ from scipy.special import entr
 
 from .core import StructuralError
 from .mixedness import birkhoff_rare_synthesis, majorizes
+from .tolerances import (DEGENERACY_TOL, DISTRIBUTION_SUM_TOL, ENTROPY_FLOOR,
+                         EOF_ARTANH_CLIP, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR,
+                         HERM_TOL, LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL,
+                         PHASE_FLOOR, PROTOCOL_TOL, PSD_TOL, RANK_TOL,
+                         RELATIVE_RANK_TOL, SPECTRUM_TOL, TIE_DECIMALS,
+                         TRACE_PRESERVING_TOL, TRACE_TOL, UNITARY_TOL, WITNESS_TOL,
+                         ZERO_TOL)
 
-HERM_TOL = 1e-10
-RANK_TOL = 1e-12
-#: slack on a density matrix's trace, and on "normalized" (trace one)
-TRACE_TOL = 1e-10
-#: ensemble members lighter than this carry no cost and no gradient
-EOF_WEIGHT_FLOOR = 1e-14
-#: largest s = sqrt(1 - 4|det|^2/q^2) fed to artanh in the EoF gradient,
-#: which diverges at product members (s = 1)
-EOF_ARTANH_CLIP = 1.0 - 1e-15
+#: pure members of an EoF ensemble (at least the rank of the state)
+EOF_MEMBERS = 6
+#: L-BFGS starts of the EoF optimizer: the eigen-ensemble, then random rotations
+EOF_STARTS = 3
+
+
+def _sci(tol: float) -> str:
+    """A tolerance in short scientific form, exponent unpadded, for error messages."""
+    return np.format_float_scientific(tol, trim="-", exp_digits=1)
 
 
 def _entropy_bits(p: np.ndarray) -> float:
     p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    nz = p[p > 1e-15]
+    nz = p[p > ENTROPY_FLOOR]
     return float(-np.sum(nz * np.log2(nz)))
+
+
+def _lead_phases(vecs: np.ndarray) -> np.ndarray:
+    """Phase of each column's first component above ``LEAD_TOL`` in magnitude.
+
+    Dividing a column by its phase makes that component real positive.
+    The columns must be unit vectors, which always have such a component.
+    The modulus is taken with hypot, as abs() of a complex scalar does, so
+    the phases equal a column-by-column loop's bit for bit (numpy's
+    vectorized complex abs can differ from it in the last bit).
+    """
+    lead = vecs[np.argmax(np.abs(vecs) > LEAD_TOL, axis=0), np.arange(vecs.shape[1])]
+    return lead / np.hypot(lead.real, lead.imag)
 
 
 def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,18 +69,16 @@ def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
-    # unit eigenvectors always have a component above 1e-9
-    lead = vecs[np.argmax(np.abs(vecs) > 1e-9, axis=0), np.arange(vals.size)]
-    vecs = vecs / (lead / np.abs(lead))
+    vecs = vecs / _lead_phases(vecs)
     # order degenerate blocks by rounded components, compared column by
     # column as the interleaved (real, imag) sequence
     start = 0
     while start < vals.size:
         stop = start + 1
-        while stop < vals.size and abs(vals[stop] - vals[start]) < 1e-10:
+        while stop < vals.size and abs(vals[stop] - vals[start]) < DEGENERACY_TOL:
             stop += 1
         if stop - start > 1:
-            keys = np.ascontiguousarray(np.round(vecs[:, start:stop], 8).T).view(float)
+            keys = np.ascontiguousarray(np.round(vecs[:, start:stop], TIE_DECIMALS).T).view(float)
             vecs[:, start:stop] = vecs[:, start + np.lexsort(keys.T[::-1])]
         start = stop
     return vals, vecs
@@ -77,9 +95,9 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
-            raise StructuralError("matrix is not Hermitian within 1e-10")
+            raise StructuralError(f"matrix is not Hermitian within {_sci(HERM_TOL)}")
         vals = np.linalg.eigvalsh(m)
-        if vals.min() < -1e-10:
+        if vals.min() < -PSD_TOL:
             raise StructuralError(f"matrix has negative eigenvalue {vals.min():.3e}")
         tr = float(np.trace(m).real)
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
@@ -130,8 +148,8 @@ class PureBipartiteState:
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.shape[0] != da * db:
             raise StructuralError(f"vector length {v.shape[0]} != {da}*{db}")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-10:
-            raise StructuralError("state vector is not normalized within 1e-10")
+        if abs(np.linalg.norm(v) - 1.0) > TRACE_TOL:
+            raise StructuralError(f"state vector is not normalized within {_sci(TRACE_TOL)}")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
         object.__setattr__(self, "dims", (int(da), int(db)))
@@ -160,14 +178,14 @@ class SchmidtData:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
-        if np.any(np.diff(c) > 1e-12) or c.min() < -1e-12:
+        if np.any(np.diff(c) > ZERO_TOL) or c.min() < -ZERO_TOL:
             raise StructuralError("Schmidt coefficients must be nonnegative descending")
-        if abs(np.sum(c ** 2) - 1.0) > 1e-9:
+        if abs(np.sum(c ** 2) - 1.0) > DISTRIBUTION_SUM_TOL:
             raise StructuralError("squared Schmidt coefficients must sum to 1")
         for name, b in (("left_basis", self.left_basis), ("right_basis", self.right_basis)):
             gram = np.asarray(b).conj().T @ np.asarray(b)
-            if np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-10:
-                raise StructuralError(f"{name} is not orthonormal within 1e-10")
+            if np.max(np.abs(gram - np.eye(gram.shape[0]))) > ORTHONORMAL_TOL:
+                raise StructuralError(f"{name} is not orthonormal within {_sci(ORTHONORMAL_TOL)}")
         object.__setattr__(self, "coefficients", c)
         object.__setattr__(self, "left_basis", np.asarray(self.left_basis, dtype=complex))
         object.__setattr__(self, "right_basis", np.asarray(self.right_basis, dtype=complex))
@@ -200,8 +218,9 @@ class KrausChannel:
             if k.shape[1] != din:
                 raise StructuralError("Kraus operators disagree on input dimension")
             total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(din))) > 1e-9:
-            raise StructuralError("Kraus operators do not preserve the trace within 1e-9")
+        if np.max(np.abs(total - np.eye(din))) > TRACE_PRESERVING_TOL:
+            raise StructuralError("Kraus operators do not preserve the trace within "
+                                  f"{_sci(TRACE_PRESERVING_TOL)}")
         object.__setattr__(self, "operators", ops)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -241,15 +260,15 @@ class OneWayProtocol:
         for a, b, p in zip(self.alice_corrections, self.bob_instrument, self.outcome_probs):
             branch = (a @ m @ b.T).reshape(-1)
             overlap = np.vdot(target.vec, branch)
-            phase = overlap / abs(overlap) if abs(overlap) > 1e-14 else 1.0
+            phase = overlap / abs(overlap) if abs(overlap) > PHASE_FLOOR else 1.0
             out.append(np.linalg.norm(branch - np.sqrt(p) * phase * target.vec))
         return np.array(out)
 
-    def verify(self, psi: "PureBipartiteState", target: "PureBipartiteState",
-               atol: float = 1e-8) -> bool:
-        if self.completeness_residual() > 1e-9:
+    def verify(self, psi: "PureBipartiteState", target: "PureBipartiteState") -> bool:
+        """Bob's branches are complete and every branch hits its target."""
+        if self.completeness_residual() > TRACE_PRESERVING_TOL:
             return False
-        return bool(np.all(self.outcome_residuals(psi, target) <= atol))
+        return bool(np.all(self.outcome_residuals(psi, target) <= PROTOCOL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +285,16 @@ def schmidt_decompose(psi: PureBipartiteState) -> SchmidtData:
     u, s, vh = np.linalg.svd(m)
     r = min(psi.dims)
     u, s, vh = u[:, :r], s[:r], vh[:r, :]
-    right = vh.T  # kets, as columns: psi = sum_k s_k u[:,k] (x) right[:,k]
-    for k in range(r):
-        col = u[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            u[:, k] = col / phase
-            right[:, k] = right[:, k] * phase
-    return SchmidtData(s, u, right)
+    # right holds kets, as columns: psi = sum_k s_k u[:,k] (x) right[:,k]
+    phase = _lead_phases(u)
+    return SchmidtData(s, u / phase, vh.T * phase)
 
 
 def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
     """Partial traces over B and over A.
 
     The nonzero parts of the two spectra always agree for a pure state,
-    and this is asserted within 1e-9.
+    and this is asserted within ``SPECTRUM_TOL``.
     """
     m = psi.coefficient_matrix()
     rho_a = m @ m.conj().T
@@ -290,7 +303,7 @@ def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
     r = min(da, db)
     sa = np.sort(np.linalg.eigvalsh(rho_a))[::-1][:r]
     sb = np.sort(np.linalg.eigvalsh(rho_b))[::-1][:r]
-    if np.max(np.abs(sa - sb)) > 1e-9:
+    if np.max(np.abs(sa - sb)) > SPECTRUM_TOL:
         raise RuntimeError("marginal spectra of a pure state disagree; numerical failure")
     return DensityMatrix(rho_a), DensityMatrix(rho_b)
 
@@ -338,14 +351,16 @@ def nielsen_convertible(psi: PureBipartiteState, target: PureBipartiteState) -> 
     return majorizes(q, p)
 
 
-def lu_equivalent(psi: PureBipartiteState, other: PureBipartiteState,
-                  atol: float = 1e-9) -> bool:
-    """Equivalence under local reversible transformations: equal Schmidt weights."""
+def lu_equivalent(psi: PureBipartiteState, other: PureBipartiteState) -> bool:
+    """Equivalence under local reversible transformations: equal Schmidt weights.
+
+    The sorted squared Schmidt coefficients must agree within ``SPECTRUM_TOL``.
+    """
     if psi.dims != other.dims:
         raise StructuralError("lu_equivalent requires equal dims")
     p = np.sort(schmidt_squared(psi))[::-1]
     q = np.sort(schmidt_squared(other))[::-1]
-    return bool(np.max(np.abs(p - q)) <= atol)
+    return bool(np.max(np.abs(p - q)) <= SPECTRUM_TOL)
 
 
 def local_exchange_channels(psi: PureBipartiteState) -> tuple[KrausChannel, KrausChannel]:
@@ -416,7 +431,7 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
         perm = channel.system.group[k]
         out.append((weight, v @ perm @ w.conj().T))
     mix = sum(wt * u @ source.matrix @ u.conj().T for wt, u in out)
-    if np.max(np.abs(mix - rho.matrix)) > 1e-9:
+    if np.max(np.abs(mix - rho.matrix)) > WITNESS_TOL:
         raise RuntimeError("synthesized mixture misses the target density matrix")
     return out
 
@@ -427,14 +442,14 @@ def _connecting_unitary(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     The partial isometry pinv(M1) M2 does the job on the row space; it is
     completed by any isometry between the kernels.
     """
-    x0 = np.linalg.pinv(m1, rcond=1e-12) @ m2
+    x0 = np.linalg.pinv(m1, rcond=RELATIVE_RANK_TOL) @ m2
     def kernel(m):
         _, s, vh = np.linalg.svd(m)
-        r = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
+        r = int(np.sum(s > s[0] * RELATIVE_RANK_TOL)) if s.size else 0
         return vh[r:].conj().T
     k1, k2 = kernel(m1), kernel(m2)
     t = x0 + k1 @ k2.conj().T
-    if np.max(np.abs(t.conj().T @ t - np.eye(t.shape[0]))) > 1e-8:
+    if np.max(np.abs(t.conj().T @ t - np.eye(t.shape[0]))) > UNITARY_TOL:
         raise RuntimeError("connecting map failed to complete to a unitary; "
                            "row Grams probably differ")
     return t
@@ -450,12 +465,12 @@ def connecting_local_unitary(psi: PureBipartiteState,
 
 
 def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
-                           rare: list[tuple[float, np.ndarray]],
-                           atol: float = 1e-8) -> OneWayProtocol:
+                           rare: list[tuple[float, np.ndarray]]) -> OneWayProtocol:
     """One-way protocol converting psi into target, from a RaRe witness.
 
     ``rare`` must satisfy sum_i w_i U_i rho' U_i^dag = rho, where rho and
-    rho' are the A-marginals of psi and target.  The construction purifies
+    rho' are the A-marginals of psi and target, within ``PROTOCOL_TOL``.
+    The construction purifies
     the mixture sum_i w_i (U_i x I)|target> with a register of one dimension
     per branch, connects it to psi x |0> by a unitary on B x register, and
     reads Bob's instrument off the register index; Alice's corrections are
@@ -467,10 +482,10 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     rho = marginals(psi)[0].matrix
     rho_p = marginals(target)[0].matrix
     weights = np.array([w for w, _ in rare])
-    if weights.min() < -1e-12 or abs(weights.sum() - 1.0) > 1e-9:
+    if weights.min() < -ZERO_TOL or abs(weights.sum() - 1.0) > DISTRIBUTION_SUM_TOL:
         raise StructuralError("rare weights must be a probability distribution")
     mix = sum(w * u @ rho_p @ u.conj().T for w, u in rare)
-    if np.max(np.abs(mix - rho)) > atol:
+    if np.max(np.abs(mix - rho)) > PROTOCOL_TOL:
         raise StructuralError("rare decomposition does not map target marginal "
                               "to source marginal within tolerance")
 
@@ -519,7 +534,8 @@ def _roof_cost(phi: np.ndarray) -> tuple[float, np.ndarray]:
     s = np.sqrt(np.clip(1.0 - 4.0 * ratio, 0.0, 1.0))
     h = (entr((1.0 - s) / 2.0) + entr((1.0 + s) / 2.0)) / np.log(2.0)
     # g(s) diverges at product members (s = 1) and tends to 2/ln 2 at s = 0;
-    # s is either 0 or at least 1e-8 in floating point, so the division is safe
+    # s is either 0 or at least the square root of the machine epsilon, since
+    # 1 - 4 ratio is, so the division is safe
     sc = np.minimum(s, EOF_ARTANH_CLIP)
     g = np.divide(np.arctanh(sc), sc, out=np.ones_like(sc), where=sc > 0) * (2.0 / np.log(2.0))
     c_q = np.where(good, h - 2.0 * ratio * g, 0.0)
@@ -533,7 +549,7 @@ def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """QR of z with the diagonal of R made real positive."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) > 1e-14, d / np.abs(d), 1.0)
+    d = np.where(np.abs(d) > PHASE_FLOOR, d / np.abs(d), 1.0)
     return q * d, r * d.conj()[:, None]
 
 
@@ -559,18 +575,17 @@ def _roof_objective(params: np.ndarray, roots: np.ndarray
     return cost, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
 
 
-def entanglement_of_formation(rho: DensityMatrix, members: int = 6,
-                              starts: int = 3, seed: int = 11) -> float:
+def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
     """Convex-roof entanglement of formation for a two-qubit state, in ebits.
 
     Minimizes the ensemble-average marginal entropy over decompositions of
-    rho into ``max(members, rank)`` pure members, parameterized by
+    rho into ``max(EOF_MEMBERS, rank)`` pure members, parameterized by
     isometries applied to the eigen-ensemble: multi-start L-BFGS with the
     closed-form convex-roof gradient over QR-parametrised isometries (the
     variational method of Audenaert, Verstraete & De Moor, PRA 64, 052304
-    (2001)).  The first start is the eigen-ensemble itself, the others
-    rotate it by random unitaries drawn from ``seed``, so the result is
-    deterministic.
+    (2001)).  Of the ``EOF_STARTS`` starts, the first is the eigen-ensemble
+    itself and the others rotate it by random unitaries drawn from ``seed``,
+    so the result is deterministic.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
@@ -583,17 +598,17 @@ def entanglement_of_formation(rho: DensityMatrix, members: int = 6,
     roots = (v * np.sqrt(lam)).T            # (r, 4) subnormalized eigen-members
     if r == 1:
         return _roof_cost(roots)[0]
-    m = max(members, r)
+    m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(seed)
 
     best = np.inf
-    for s in range(starts):
+    for s in range(EOF_STARTS):
         w = (np.eye(m) if s == 0 else
              np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0])
         z0 = w[:, :r]
         p0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
         res = minimize(_roof_objective, p0, args=(roots,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": 1e-14, "gtol": 1e-11})
+                       options={"maxiter": 300, "ftol": EOF_FTOL, "gtol": EOF_GTOL})
         best = min(best, float(res.fun))
     return float(best)
 
@@ -624,7 +639,8 @@ def catalytic_erasure_possible(rho: DensityMatrix) -> ErasureCertificate:
         raise StructuralError("state must be normalized")
     purity = rho.purity()
     margin = max(0.0, 1.0 - purity)
-    return ErasureCertificate(possible=purity >= 1.0 - 1e-9, purity=purity, margin=margin)
+    return ErasureCertificate(possible=purity >= 1.0 - MONOTONE_TOL, purity=purity,
+                              margin=margin)
 
 
 # ---------------------------------------------------------------------------

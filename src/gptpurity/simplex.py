@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-PIVOT_TOL = 1e-10
-#: largest phase-1 optimum (sum of artificials) still reported as feasible
-FEASIBILITY_TOL = 1e-9
+from .tolerances import FEASIBILITY_TOL, PIVOT_TOL
+
 MAX_ITER = 20000
 
 

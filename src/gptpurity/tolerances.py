@@ -1,0 +1,117 @@
+"""Every numeric tolerance and threshold of the package, one name per meaning.
+
+Each verdict the package reports rests on a floating-point identity or
+inequality checked against one of these names, and every module imports
+them from here.  Names that a module exported before (``core.ATOL``,
+``simplex.PIVOT_TOL``, ``mixedness.RESIDUAL_TOL``, ``quantum.HERM_TOL`` and
+so on) stay importable from that module.  Iteration caps and other work
+budgets are not tolerances and live with the code they bound.  Box world
+is exact and needs none of them.
+
+Where one meaning carries different values in different checks, each
+value has its own name saying what it guards.  These are:
+
+* sums of weights to one: ``RARE_SUM_TOL``, ``DISTRIBUTION_SUM_TOL`` and
+  ``MAJORIZATION_TOL`` (and ``ATOL`` for a GPT state's norm, ``TRACE_TOL``
+  for a quantum state's);
+* a witness rebuilding its target: ``RESIDUAL_TOL`` for the weights of a
+  feasibility certificate, ``WITNESS_TOL`` for a synthesized channel;
+* completeness of Bob's instrument: ``TRACE_PRESERVING_TOL`` in
+  ``OneWayProtocol.verify``, ``PROTOCOL_TOL`` in the duality suite;
+* weights too small to count in an entropy: ``ENTROPY_FLOOR``,
+  ``EOF_WEIGHT_FLOOR``.
+"""
+
+# ---------------------------------------------------------------------------
+# GPT systems, mixedness and the simplex
+# ---------------------------------------------------------------------------
+
+#: polytope and group identities: vertex and unit-effect matches, normalization, effect ranges
+ATOL = 1e-9
+#: a group element with |det| below this is singular
+SINGULAR_DET_TOL = 1e-12
+#: a simplex reduced cost, pivot entry, ratio gap or right-hand side this small is zero
+PIVOT_TOL = 1e-10
+#: largest phase-1 optimum (sum of artificials) still reported as feasible
+FEASIBILITY_TOL = 1e-9
+#: largest reconstruction error of a feasible certificate's weights
+RESIDUAL_TOL = 1e-8
+#: inputs whose largest entry exceeds this are refused as ill-conditioned
+MAX_SCALE = 1e12
+#: normalised margin that certifies a hull vertex; above FEASIBILITY_TOL, so the LP agrees
+VERTEX_MARGIN = 10 * FEASIBILITY_TOL
+#: largest value of a normalised Farkas functional on any generator
+FARKAS_VIOLATION_TOL = 1e-7
+#: smallest value of a normalised Farkas functional on the target
+FARKAS_MIN_SEPARATION = 1e-9
+
+# ---------------------------------------------------------------------------
+# weights, distributions and witnesses
+# ---------------------------------------------------------------------------
+
+#: an entry this close to zero is zero: weights, Birkhoff residue, T-transform gaps, margins
+ZERO_TOL = 1e-12
+#: RaRe channel weights sum to one within this
+RARE_SUM_TOL = 1e-12
+#: one-way protocol weights and squared Schmidt coefficients sum to one within this
+DISTRIBUTION_SUM_TOL = 1e-9
+#: majorization slack, on the inputs' signs and sums and on every partial sum
+MAJORIZATION_TOL = 1e-10
+#: a synthesized witness (Birkhoff, quantum RaRe, swap channels) rebuilds its target within this
+WITNESS_TOL = 1e-9
+#: a one-way protocol and the RaRe witness it is built from hit their targets within this
+PROTOCOL_TOL = 1e-8
+#: the sum of K^dag K over Kraus operators or instrument branches is I within this
+TRACE_PRESERVING_TOL = 1e-9
+
+# ---------------------------------------------------------------------------
+# quantum states
+# ---------------------------------------------------------------------------
+
+#: largest entry of M - M^dag in a matrix accepted as Hermitian
+HERM_TOL = 1e-10
+#: most negative eigenvalue accepted in a density matrix
+PSD_TOL = 1e-10
+#: slack on a density matrix's trace and on "normalized" (unit trace or unit norm)
+TRACE_TOL = 1e-10
+#: largest entry of B^dag B - I in a basis accepted as orthonormal
+ORTHONORMAL_TOL = 1e-10
+#: eigenvalues and Schmidt coefficients at or below this are outside the support
+RANK_TOL = 1e-12
+#: singular values at or below this fraction of the largest are outside the row space
+RELATIVE_RANK_TOL = 1e-12
+#: eigenvalues closer than this form one degenerate block
+DEGENERACY_TOL = 1e-10
+#: decimals of the eigenvector components that order the vectors of a degenerate block
+TIE_DECIMALS = 8
+#: the first component above this sets a unit vector's phase (it is made real positive)
+LEAD_TOL = 1e-9
+#: a complex number below this in magnitude has no phase (taken as 1)
+PHASE_FLOOR = 1e-14
+#: two spectra (marginal eigenvalues, squared Schmidt coefficients) are equal within this
+SPECTRUM_TOL = 1e-9
+#: largest entry of T^dag T - I for a completed connecting map to count as unitary
+UNITARY_TOL = 1e-8
+
+# ---------------------------------------------------------------------------
+# monotones and entropies
+# ---------------------------------------------------------------------------
+
+#: values of a purity monotone within this of each other count as equal
+MONOTONE_TOL = 1e-9
+#: Tr((rho x gamma)^2) equals Tr(rho^2) Tr(gamma^2) within this
+MULTIPLICATIVITY_TOL = 1e-10
+#: excess of f at a midpoint over its chord that the convexity probe forgives
+CONVEXITY_TOL = 1e-12
+#: condition number above which the group-averaged Gram form is degenerate
+MAX_GRAM_CONDITION = 1e10
+#: probabilities at or below this add nothing to a Shannon entropy
+ENTROPY_FLOOR = 1e-15
+#: EoF ensemble members lighter than this carry no cost and no gradient
+EOF_WEIGHT_FLOOR = 1e-14
+#: largest s fed to artanh in the EoF gradient, which diverges at product members (s = 1)
+EOF_ARTANH_CLIP = 1.0 - 1e-15
+#: the EoF L-BFGS polish stops when a step lowers the cost by less than this, relatively
+EOF_FTOL = 1e-14
+#: the EoF L-BFGS polish stops when no projected gradient entry exceeds this
+EOF_GTOL = 1e-11

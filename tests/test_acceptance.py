@@ -24,8 +24,7 @@ def _report(num: int, name: str, detail: str) -> None:
 
 
 def test_criterion_1_duality_with_witnesses():
-    cfg = TrialConfig(seed=20260810, trials=500, dims=(2, 3, 4),
-                      reconstruction_tol=1e-9, protocol_tol=1e-8)
+    cfg = TrialConfig(seed=20260810, trials=500, dims=(2, 3, 4))
     report = run_duality_suite(cfg)
     assert report.trials == 1500
     assert report.agreements == 1500, report.counterexamples[:1]
@@ -33,8 +32,7 @@ def test_criterion_1_duality_with_witnesses():
 
 
 def test_criterion_2_classical_equivalence():
-    cfg = TrialConfig(seed=424242, trials=1000, sizes=(2, 3, 4, 5),
-                      reconstruction_tol=1e-9)
+    cfg = TrialConfig(seed=424242, trials=1000, sizes=(2, 3, 4, 5))
     report = run_classical_agreement_suite(cfg)
     assert report.trials == 4000
     assert report.agreements == 4000, report.counterexamples[:1]
@@ -97,7 +95,7 @@ def test_criterion_5_monotones():
         for name, fn in table.items():
             check = monotones.schur_convexity_check(fn, sys, trials=50,
                                                     seed=rng.integers(1 << 31),
-                                                    name=name, atol=1e-9)
+                                                    name=name)
             total_degradations += 50
             assert check.ok, (sys.name, name, check.violations[:1])
     assert total_degradations >= 1000

@@ -53,6 +53,22 @@ def test_validate_system_verb(capsys, tmp_path):
     assert code == 0 and payload["valid"]
 
 
+def test_validate_system_verb_reports_violations_of_a_file(capsys, tmp_path):
+    # the square bit minus its last reflection is no longer closed
+    data = system_to_dict(make_square_bit())
+    data["group"] = data["group"][:-1]
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(data))
+    code, payload = run(capsys, "validate-system", "--system", str(path))
+    assert code == 1 and not payload["valid"]
+    assert payload["violations"] == [
+        f"group is not closed: group[{i}] @ group[{j}] not in list"
+        for i, j in ((1, 4), (2, 5), (3, 6), (4, 3), (5, 2), (6, 1))]
+    # every other verb still refuses the file on load
+    code = cli.main(["invariant-state", "--system", str(path)])
+    assert code == 2 and "invalid theory definition" in capsys.readouterr().err
+
+
 def test_majorizes_and_birkhoff(capsys):
     code, payload = run(capsys, "majorizes", "--p", "0.7,0.3", "--q", "0.6,0.4")
     assert code == 0 and payload["majorizes"]

@@ -14,8 +14,6 @@ from gptpurity.serialize import complex_to_pairs, dump_json
 def test_config_validation():
     with pytest.raises(StructuralError):
         TrialConfig(trials=0)
-    with pytest.raises(StructuralError):
-        TrialConfig(protocol_tol=0.0)
 
 
 def test_report_invariant():
@@ -110,3 +108,16 @@ def test_counterexample_budget_bounds_report(monkeypatch):
     report = h.run_classical_agreement_suite(TrialConfig(seed=6, trials=200))
     assert len(report.counterexamples) <= 10
     assert not report.ok
+
+
+def test_classical_replay_reproduces_a_recorded_counterexample(monkeypatch):
+    # the suite and its replay share one trial check, so a patched-in
+    # disagreement replays as a failure, and replays clean once removed
+    from gptpurity import harness as h
+    monkeypatch.setattr(h, "majorizes", lambda p, q: False)
+    report = h.run_classical_agreement_suite(TrialConfig(seed=6, trials=20, sizes=(3,)))
+    detail = report.counterexamples[0]
+    assert detail["lp_verdict"] and not detail["majorizes"]
+    assert replay_classical_counterexample(detail)
+    monkeypatch.undo()
+    assert not replay_classical_counterexample(detail)

@@ -494,6 +494,17 @@ def test_validate_channel(square_bit, bit):
     assert mixedness.validate_channel(core.GptChannel(square_bit, bit, onto_bit)) == []
 
 
+def test_channel_unit_check_has_no_relative_slack(bit):
+    # np.allclose's default rtol=1e-5 let a 9e-6 stretch of the unit effect pass
+    stretched = core.GptChannel(bit, bit, 1.000009 * np.eye(2))
+    assert not stretched.preserves_unit()
+    assert mixedness.validate_channel(stretched) == [
+        "unit effect not preserved (residual 9.000e-06)",
+        "image of pure_states[0] leaves the output polytope",
+        "image of pure_states[1] leaves the output polytope"]
+    assert core.GptChannel(bit, bit, (1.0 + 0.5 * core.ATOL) * np.eye(2)).preserves_unit()
+
+
 def test_validate_instrument(square_bit):
     halves = (0.5 * np.eye(3), 0.5 * np.eye(3))
     inst = core.Instrument(square_bit, square_bit, halves)

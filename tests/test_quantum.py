@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptpurity import quantum
-from gptpurity.core import StructuralError
+from gptpurity.core import ATOL, StructuralError
 from gptpurity.quantum import (DensityMatrix, PureBipartiteState,
                                catalytic_erasure_possible, connecting_local_unitary,
                                entanglement_entropy, entanglement_of_formation,
@@ -51,6 +55,68 @@ def test_schmidt_reconstruction_and_phase_convention():
         for k in range(sd.rank):
             first = sd.left_basis[np.flatnonzero(np.abs(sd.left_basis[:, k]) > 1e-9)[0], k]
             assert abs(first.imag) < 1e-9 and first.real > 0
+
+
+def _schmidt_decompose_loop(psi):
+    """The column-by-column form of quantum.schmidt_decompose, kept as its reference."""
+    u, s, vh = np.linalg.svd(psi.coefficient_matrix())
+    r = min(psi.dims)
+    u, s, vh = u[:, :r], s[:r], vh[:r, :]
+    right = vh.T
+    for k in range(r):
+        col = u[:, k]
+        idx = np.flatnonzero(np.abs(col) > 1e-9)
+        if idx.size:
+            phase = col[idx[0]] / abs(col[idx[0]])
+            u[:, k] = col / phase
+            right[:, k] = right[:, k] * phase
+    return s, u, right
+
+
+def _low_rank_state(dims, rank, rng):
+    """A random pure state whose coefficient matrix has the given rank."""
+    da, db = dims
+    left = rng.normal(size=(da, rank)) + 1j * rng.normal(size=(da, rank))
+    right = rng.normal(size=(rank, db)) + 1j * rng.normal(size=(rank, db))
+    m = left @ right
+    return PureBipartiteState.from_matrix(m / np.linalg.norm(m))
+
+
+def test_schmidt_decompose_matches_column_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    states = [random_pure_state(dims, rng)
+              for dims in itertools.product(range(1, 5), repeat=2) for _ in range(3)]
+    states += [_low_rank_state(dims, rank, rng) for dims, rank in
+               (((2, 2), 1), ((3, 3), 1), ((3, 3), 2), ((4, 4), 2), ((4, 4), 3),
+                ((4, 3), 1), ((2, 4), 1), ((4, 2), 1))]
+    states += [bell(), two_qubit(1.0, 0.0), two_qubit(0.0, 1.0),
+               PureBipartiteState((2, 2), [0, 1, 0, 0]),
+               PureBipartiteState((2, 3), [0, 0, 1j, 0, 0, 0]),
+               maximally_entangled(3), maximally_entangled(4)]
+    for psi in states:
+        sd = schmidt_decompose(psi)
+        for got, want in zip((sd.coefficients, sd.left_basis, sd.right_basis),
+                             _schmidt_decompose_loop(psi)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_schmidt_data_rebuilds_the_state(da, db, data):
+    # Hypothesis draws zeros and repeated entries often, so product and
+    # rank-deficient states come up alongside generic ones
+    parts = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * da * db,
+                                        max_size=2 * da * db)
+                               .filter(lambda x: np.linalg.norm(x) > 0.1)))
+    vec = parts[:da * db] + 1j * parts[da * db:]
+    psi = PureBipartiteState((da, db), vec / np.linalg.norm(vec))
+    sd = schmidt_decompose(psi)
+    assert np.max(np.abs(sd.reconstruct() - psi.vec)) <= ATOL
+    assert np.all(np.diff(sd.coefficients) <= 0.0)
+    for col in sd.left_basis.T:
+        first = col[np.flatnonzero(np.abs(col) > quantum.LEAD_TOL)[0]]
+        assert abs(first.imag) <= quantum.ZERO_TOL and first.real > 0
 
 
 # -- marginals and purifications -----------------------------------------------
