@@ -150,8 +150,11 @@ def _emit(payload, args) -> None:
     else:
         text = dump_json(payload) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -232,6 +235,8 @@ def _cmd_monotone(args):
     if args.name not in table:
         raise UsageError(f"unknown monotone {args.name!r}; choose from {sorted(table)}")
     fn = table[args.name]
+    if args.grid < 0:
+        raise UsageError(f"--grid must be a nonnegative tick count, got {args.grid}")
     if args.grid:
         if system.name != "square-bit":
             raise UsageError("--grid is only supported for the square-bit system")

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -368,15 +368,6 @@ def validate_system(sys: TheorySystem) -> list[str]:
     return report
 
 
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    """Matrix P with (P x)[i] = x[perm[i]]."""
-    n = len(perm)
-    p = np.zeros((n, n))
-    for i, j in enumerate(perm):
-        p[i, j] = 1.0
-    return p
-
-
 def make_classical(n: int) -> TheorySystem:
     """Classical system on n outcomes: simplex vertices, permutation group."""
     if n < 1:
@@ -384,7 +375,8 @@ def make_classical(n: int) -> TheorySystem:
     if n > 6:
         raise CapacityError(f"classical systems are limited to n <= 6 (n! group), got n={n}")
     eye = np.eye(n)
-    # group[k] is permutation_matrix of the k-th permutation in lexicographic order
+    # group[k] is the matrix P with (P x)[i] = x[perm[i]], for the k-th permutation
+    # in lexicographic order
     perms = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n))),
                         dtype=np.intp, count=n * math.factorial(n)).reshape(-1, n)
     group = eye[perms]

@@ -40,6 +40,12 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise StructuralError("trial count must be >= 1")
+        if not 0 <= self.seed < 2 ** 128:
+            raise StructuralError("seed must be in [0, 2**128)")
+        if not self.dims or min(self.dims) < 1:
+            raise StructuralError("dimensions must be >= 1")
+        if not self.sizes or min(self.sizes) < 1:
+            raise StructuralError("sizes must be >= 1")
 
 
 @dataclass
@@ -266,12 +272,15 @@ def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
     Per trial: random mixed rho and random catalyst gamma; check the margin
     Tr(gamma^2) - Tr((rho x gamma)^2) is positive, and that sampled
     random-unitary mixings never increase the 2-norm (so the erasure target
-    stays out of reach).
+    stays out of reach).  Dimensions are drawn from the configured ones in
+    2..4; a config with none of them is refused.
     """
     started = time.perf_counter()
     rng = _rng(cfg.seed)
     collector = _Collector()
-    dims = [d for d in cfg.dims if d <= 4]
+    dims = [d for d in cfg.dims if 2 <= d <= 4]
+    if not dims:
+        raise StructuralError("the catalyst suite needs a dimension in 2..4")
     for trial in range(cfg.trials):
         d_a = int(rng.choice(dims))
         d_c = int(rng.choice(dims))

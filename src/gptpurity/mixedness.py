@@ -9,23 +9,23 @@ with the system's stacked group; the orbit hull and the invariant state
 need no LP on a genuine group, since the group action itself supplies
 their certificates.
 
-The classical case reduces to majorization, and the witness can be built
-constructively: a doubly stochastic matrix from a T-transform chain, then a
-Birkhoff decomposition into permutation matrices, each found as a
-bottleneck perfect matching.
+The classical case reduces to majorization, and the witness is built
+without an LP: q lies in the permutohedron of p (the hull of p's
+permutations) exactly when p majorizes q, and a Caratheodory walk on that
+polytope writes q as a mix of at most n permutations of p.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import simplex
 from .core import (CapacityError, GptState, StructuralError, TheorySystem,
-                   make_classical, permutation_matrix)
+                   make_classical)
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
                          MAJORIZATION_TOL, MAX_SCALE, RARE_SUM_TOL, RESIDUAL_TOL,
                          VERTEX_MARGIN, WITNESS_TOL, ZERO_TOL)
@@ -325,101 +325,45 @@ def majorizes(p, q) -> bool:
     return bool(np.all(ps >= qs - MAJORIZATION_TOL))
 
 
-def _t_transform_chain(p_sorted: np.ndarray, q_sorted: np.ndarray) -> np.ndarray:
-    """Doubly stochastic D with D p_sorted = q_sorted, as a T-transform product.
+def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Weights w_perm with sum_perm w_perm p[perm] = q, over at most n permutations.
 
-    Standard Hardy-Littlewood-Polya construction on descending-sorted
-    vectors: at each step take the largest index j where the current vector
-    still exceeds the target and transfer weight to the first deficient
-    index after it.  Terminates in at most n-1 steps.  Gaps to the target
-    at or below ``ZERO_TOL`` count as closed.
+    A Caratheodory walk on the permutohedron of p, the polytope
+    sum_S x <= (sum of the |S| largest p) over proper nonempty subsets S,
+    which holds q when p majorizes q (Rado, 1952).  At x (first q), the
+    vertex v puts p in the order of x (stable sort), so v lies on every
+    facet that x lies on.  The step from v through x to the boundary ends
+    at y, with lam = 1 + min over S of slack/rise; then
+    x = y/lam + (1 - 1/lam) v, and y lies on one facet more than x.  A
+    chain of n - 1 facets makes a vertex, so the walk ends after at most n
+    terms.  In floats, with ``left`` the weight x still carries, a set
+    limits the step only when x rises toward it (``left * rise`` above
+    ``ZERO_TOL``) and does not already lie on or over it (``left * slack``
+    above ``ZERO_TOL``).  When no set limits the step, x is v up to dust
+    and the walk stops there.  A permutation met twice keeps one summed
+    entry.
     """
-    n = p_sorted.shape[0]
-    x = p_sorted.copy()
-    d = np.eye(n)
-    for _ in range(6 * n):
-        if np.max(np.abs(x - q_sorted)) <= ZERO_TOL:
-            return d
-        # indices in genuine excess/deficiency; sub-tolerance dust is treated
-        # as converged (the WITNESS_TOL backstop below covers the residue)
-        over = [j for j in range(n) if x[j] > q_sorted[j] + ZERO_TOL]
-        if not over:
+    n = p.shape[0]
+    rows = (np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1
+    bound = np.cumsum(np.sort(p)[::-1])[rows.sum(axis=1) - 1]
+    by_size = np.argsort(-p, kind="stable")
+    x, left = q.copy(), 1.0
+    weights: defaultdict[tuple[int, ...], float] = defaultdict(float)
+    for step in range(n):
+        perm = np.empty(n, dtype=np.intp)
+        perm[np.argsort(-x, kind="stable")] = by_size
+        v = p[perm]
+        rise = rows @ (x - v)
+        slack = bound - rows @ x
+        limits = (left * rise > ZERO_TOL) & (left * slack > ZERO_TOL)
+        if step == n - 1 or not limits.any():
             break
-        j = max(over)
-        under = [k for k in range(j + 1, n) if x[k] < q_sorted[k] - ZERO_TOL]
-        if not under:
-            break
-        k = min(under)
-        delta = min(x[j] - q_sorted[j], q_sorted[k] - x[k])
-        lam = 1.0 - delta / (x[j] - x[k])
-        t = np.eye(n)
-        t[j, j] = t[k, k] = lam
-        t[j, k] = t[k, j] = 1.0 - lam
-        x = t @ x
-        d = t @ d
-    if np.max(np.abs(x - q_sorted)) <= WITNESS_TOL:
-        return d
-    raise RuntimeError("T-transform chain failed to converge in n-1 steps")
-
-
-def _bottleneck_permutation(residual: np.ndarray, atol: float) -> tuple[float, np.ndarray]:
-    """A permutation maximising min_i residual[i, perm[i]] over entries above atol.
-
-    The optimum t is one of the entries, at most the smallest row or column
-    maximum (the cap), and a permutation with bottleneck at least t exists
-    iff {residual >= t} holds a perfect matching (the assignment of 0/1
-    costs [residual < t] has total 0).  Bisection over the sorted entries
-    up to the cap, probing the cap first as it is usually the optimum,
-    finds the largest such t; the permutation returned is
-    linear_sum_assignment's optimal assignment at that t.
-    """
-    cap = np.minimum(residual.max(axis=0), residual.max(axis=1)).min()
-    values = np.sort(residual[(residual > atol) & (residual <= cap)])
-
-    def matching(t: float) -> np.ndarray | None:
-        below = residual < t
-        rows, cols = linear_sum_assignment(below)
-        return None if below[rows, cols].any() else cols
-
-    # values[good] admits a perfect matching and values[bad] does not
-    good, bad, best = -1, len(values), None
-    probe = bad - 1
-    while bad - good > 1:
-        cols = matching(values[probe])
-        if cols is None:
-            bad = probe
-        else:
-            good, best = probe, cols
-        probe = (good + bad) // 2
-    if best is None:
-        raise RuntimeError("no permutation fits the residual support; "
-                           "matrix is not doubly stochastic")
-    return float(values[good]), best
-
-
-def _birkhoff_decompose(d: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """Decompose a doubly stochastic matrix into permutations.
-
-    At every step, remove the permutation with the largest bottleneck weight
-    on the residual (entries at or below ``ZERO_TOL`` count as zero), found by
-    bottleneck matching in _bottleneck_permutation.  Among permutations with
-    that bottleneck the one taken is scipy's linear_sum_assignment solution
-    for the 0/1 costs [residual < bottleneck], so the output is a function
-    of the input.  Each step zeroes at least one entry of the residual.
-    """
-    n = d.shape[0]
-    rows = np.arange(n)
-    residual = d.copy()
-    terms: list[tuple[float, tuple[int, ...]]] = []
-    for _ in range(n * n):
-        if residual.max() <= ZERO_TOL:
-            break
-        weight, perm = _bottleneck_permutation(residual, ZERO_TOL)
-        terms.append((weight, tuple(perm.tolist())))
-        residual[rows, perm] -= weight
-        residual[residual < 0] = 0.0
-    total = sum(w for w, _ in terms)
-    return [(w / total, perm) for w, perm in terms]
+        lam = 1.0 + np.min(slack[limits] / rise[limits])
+        weights[tuple(perm.tolist())] += left * (1.0 - 1.0 / lam)
+        left /= lam
+        x = v + lam * (x - v)
+    weights[tuple(perm.tolist())] += left
+    return weights
 
 
 def _lexicographic_rank(perm: tuple[int, ...]) -> int:
@@ -432,11 +376,11 @@ def _lexicographic_rank(perm: tuple[int, ...]) -> int:
 def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
-    Requires that p majorizes q.  Builds a doubly stochastic matrix via a
-    T-transform chain on the sorted vectors, decomposes it by Birkhoff's
-    algorithm with bottleneck matchings, and returns weights over the
-    permutation matrices of make_classical(n) (or of the supplied classical
-    system, whose group must be in the same order).
+    Requires that p majorizes q.  The permutohedron walk writes q as a mix
+    of at most n permutations of p, each met once; the channel weighs the
+    matching permutation matrices of make_classical(n) (or of the supplied
+    classical system, whose group must be in the same order).  The channel
+    rebuilds q within ``WITNESS_TOL``, or the call raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -447,25 +391,8 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
         raise StructuralError("precondition failed: p does not majorize q")
     sys = system if system is not None else make_classical(n)
 
-    order_p = np.argsort(-p, kind="stable")
-    order_q = np.argsort(-q, kind="stable")
-    sp = permutation_matrix(order_p)        # (sp p)[i] = p[order_p[i]], sorted desc
-    sq = permutation_matrix(order_q)
-    d_sorted = _t_transform_chain(p[order_p], q[order_q])
-    d = sq.T @ d_sorted @ sp                # doubly stochastic, d @ p = q
-
-    terms = _birkhoff_decompose(d)
-    max_support = (n - 1) ** 2 + 1
-    if len(terms) > max_support:
-        # reduce to a basic solution of sum w_i P_i = d; its support cannot
-        # exceed the affine rank of the doubly stochastic polytope
-        mats = [permutation_matrix(perm).reshape(-1) for _, perm in terms]
-        cert = feasible_convex_combination(mats, d.reshape(-1))
-        kept = [(float(w), terms[i][1]) for i, w in enumerate(cert.weights) if w > ZERO_TOL]
-        total = sum(w for w, _ in kept)
-        terms = [(w / total, perm) for w, perm in kept]
-
-    entries = tuple(sorted((w, _lexicographic_rank(perm)) for w, perm in terms))
+    terms = _permutohedron_walk(p, q)
+    entries = tuple(sorted((w, _lexicographic_rank(perm)) for perm, w in terms.items()))
     channel = RaReChannel(sys, entries)
     residual = np.max(np.abs(channel.matrix() @ p - q))
     if residual > WITNESS_TOL:

@@ -11,6 +11,7 @@ the eigenbasis measurement, which is optimal there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass, field
@@ -31,38 +32,44 @@ class UnsupportedSystemError(ValueError):
 
 @dataclass(frozen=True)
 class ConvexScalarFn:
-    """A convex function on [0, 1] used to build an f-purity.
+    """A function on [0, 1] used to build an f-purity.
 
     By convention the evaluator is finite at 0 (x log x is extended by 0);
-    f-purities additionally require f(0) = 0.
+    f-purities additionally require f(0) = 0.  ``convex`` is not an
+    argument: the constructor sets it by probing midpoint convexity on a
+    41-point grid of [0, 1].  The builtins ``xlogx()`` and ``square()`` are
+    built, and probed, once.
     """
 
     tag: str
     evaluator: Callable[[float], float]
-    convex: bool = True
+    convex: bool = field(init=False)
+
+    def __post_init__(self):
+        f = self.evaluator
+        convex = all(f((a + b) / 2) <= (f(a) + f(b)) / 2 + CONVEXITY_TOL
+                     for a, b in itertools.combinations(np.linspace(0.0, 1.0, 41), 2))
+        object.__setattr__(self, "convex", convex)
 
     def __call__(self, x: float) -> float:
         return self.evaluator(x)
 
     @staticmethod
+    @functools.cache
     def xlogx() -> "ConvexScalarFn":
         def f(x: float) -> float:
             return 0.0 if x <= 0.0 else x * np.log2(x)
         return ConvexScalarFn("xlogx", f)
 
     @staticmethod
+    @functools.cache
     def square() -> "ConvexScalarFn":
         return ConvexScalarFn("square", lambda x: x * x)
 
     @staticmethod
     def custom(evaluator: Callable[[float], float], tag: str = "custom") -> "ConvexScalarFn":
-        """Wrap ``evaluator``, probing midpoint convexity on a 41-point grid of [0, 1]."""
-        convex = True
-        for a, b in itertools.combinations(np.linspace(0.0, 1.0, 41), 2):
-            if evaluator((a + b) / 2) > (evaluator(a) + evaluator(b)) / 2 + CONVEXITY_TOL:
-                convex = False
-                break
-        return ConvexScalarFn(tag, evaluator, convex)
+        """Wrap ``evaluator``; the same as ``ConvexScalarFn(tag, evaluator)``."""
+        return ConvexScalarFn(tag, evaluator)
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,8 @@ class PureBipartiteState:
 
     def __post_init__(self):
         da, db = self.dims
+        if da < 1 or db < 1:
+            raise StructuralError(f"dims must be positive, got {da}x{db}")
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.shape[0] != da * db:
             raise StructuralError(f"vector length {v.shape[0]} != {da}*{db}")
@@ -591,6 +593,8 @@ def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
     if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("state must be normalized")
+    if seed < 0:
+        raise StructuralError(f"seed must be >= 0, got {seed}")
     vals, vecs = _eig_desc(rho.matrix)
     keep = vals > RANK_TOL
     lam, v = vals[keep], vecs[:, keep]

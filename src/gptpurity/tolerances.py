@@ -49,7 +49,8 @@ FARKAS_MIN_SEPARATION = 1e-9
 # weights, distributions and witnesses
 # ---------------------------------------------------------------------------
 
-#: an entry this close to zero is zero: weights, Birkhoff residue, T-transform gaps, margins
+#: an entry this close to zero is zero: weights, margins, and the permutohedron walk's
+#: weighted rises and slacks
 ZERO_TOL = 1e-12
 #: RaRe channel weights sum to one within this
 RARE_SUM_TOL = 1e-12

@@ -247,6 +247,131 @@ def test_box_verbs_map_garbage_to_exit_2(data, verb):
         assert cli.main([verb, "--box", str(path)]) == 2
 
 
+_PRODUCT = json.dumps([[1, 0], [0, 0], [0, 0], [0, 0]])
+_BELL = json.dumps([[0.7071067811865475, 0], [0, 0], [0, 0], [0.7071067811865475, 0]])
+_MIXED = json.dumps([[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]])
+_MIXED_2X2 = json.dumps([[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)])
+
+#: a valid command line for every verb outside box world; each flag is tagged
+#: with the kind of garbage the test puts in its place
+_NON_BOX_VERBS = {
+    "validate-system": {"--system": ("square-bit", "system")},
+    "more-mixed": {"--system": ("classical:2", "system"), "--rho": ("0.7,0.3", "vector"),
+                   "--sigma": ("0.5,0.5", "vector")},
+    "equally-mixed": {"--system": ("classical:2", "system"), "--rho": ("0.7,0.3", "vector"),
+                      "--sigma": ("0.3,0.7", "vector")},
+    "invariant-state": {"--system": ("square-bit", "system")},
+    "orbit-hull": {"--system": ("classical:2", "system"), "--rho": ("0.7,0.3", "vector")},
+    "majorizes": {"--p": ("0.7,0.3", "vector"), "--q": ("0.6,0.4", "vector")},
+    "birkhoff": {"--p": ("0.7,0.3", "vector"), "--q": ("0.6,0.4", "vector")},
+    "monotone": {"--system": ("classical:2", "system"), "--name": ("x2-purity", "name"),
+                 "--rho": ("0.7,0.3", "vector")},
+    "schmidt": {"--state": (_BELL, "complex"), "--dims": ("2x2", "dims")},
+    "marginals": {"--state": (_BELL, "complex"), "--dims": ("2x2", "dims")},
+    "purify": {"--rho": (_MIXED, "complex")},
+    "sym-purify": {"--rho": (_MIXED, "complex")},
+    "nielsen": {"--state": (_BELL, "complex"), "--target": (_PRODUCT, "complex"),
+                "--dims": ("2x2", "dims")},
+    "lu-equiv": {"--state": (_BELL, "complex"), "--target": (_PRODUCT, "complex"),
+                 "--dims": ("2x2", "dims")},
+    "locex-quantum": {"--state": (_BELL, "complex"), "--dims": ("2x2", "dims")},
+    "rare-quantum": {"--rho": (_MIXED, "complex"), "--source": (_MIXED, "complex")},
+    "one-way": {"--state": (_BELL, "complex"), "--target": (_PRODUCT, "complex"),
+                "--dims": ("2x2", "dims")},
+    "eof": {"--rho": (_MIXED_2X2, "complex"), "--seed": ("11", "seed")},
+    "catalyst": {"--rho": (_MIXED, "complex")},
+    "duality": {"--trials": ("1", "trials"), "--seed": ("0", "seed"), "--dim": ("2", "dim")},
+    "classical-agreement": {"--trials": ("1", "trials"), "--seed": ("0", "seed"),
+                            "--size": ("2", "size")},
+    "max-ent": {"--trials": ("1", "trials"), "--seed": ("0", "seed"), "--dim": ("2", "dim")},
+    "catalyst-suite": {"--trials": ("1", "trials"), "--seed": ("0", "seed"),
+                       "--dim": ("2", "catalyst-dim")},
+}
+
+
+def _finite_floats(text: str) -> bool:
+    try:
+        return all(np.isfinite(float(tok)) for tok in text.split(","))
+    except ValueError:
+        return False
+
+
+def _json_text(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+_no_number = st.text(alphabet="xyz{}[] ", max_size=3)
+_garbage = {
+    "system": (st.integers().filter(lambda n: not 1 <= n <= 6).map(lambda n: f"classical:{n}")
+               | st.text(alphabet="xyz:-", max_size=4).map(lambda t: f"missing{t}.json")),
+    "vector": (st.text(max_size=8).filter(lambda t: not _finite_floats(t))
+               | st.lists(st.floats(-2, 2), min_size=4, max_size=6).map(
+                   lambda v: ",".join(map(repr, v)))),
+    "name": st.text(max_size=8).filter(lambda t: not t.startswith("-")).map(lambda t: t + "?"),
+    # JSON without a number in it, or no JSON at all
+    "complex": (st.recursive(st.none() | _no_number,
+                             lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(_no_number, inner, max_size=2), max_leaves=6
+                             ).map(json.dumps)
+                | st.text(max_size=6).filter(lambda t: not _json_text(t))),
+    "dims": (st.tuples(st.integers(-3, 5), st.integers(-3, 5))
+             .filter(lambda d: min(d) < 1 or d[0] * d[1] != 4).map(lambda d: "%dx%d" % d)
+             | st.text(max_size=5).filter(lambda t: "x" not in t)),
+    "seed": st.integers(max_value=-1),
+    "trials": st.integers(max_value=0),
+    "dim": st.integers(max_value=0),
+    "size": st.integers().filter(lambda n: not 1 <= n <= 6),
+    "catalyst-dim": st.integers().filter(lambda n: not 2 <= n <= 4),
+}
+
+
+@st.composite
+def _garbage_command_lines(draw):
+    """A valid non-box command line with the value of one flag replaced by garbage."""
+    verb = draw(st.sampled_from(sorted(_NON_BOX_VERBS)))
+    flags = _NON_BOX_VERBS[verb]
+    bad = draw(st.sampled_from(sorted(flags)))
+    argv = [verb]
+    for flag, (value, kind) in flags.items():
+        argv.append(f"{flag}={draw(_garbage[kind]) if flag == bad else value}")
+    return argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_garbage_command_lines())
+def test_non_box_verbs_map_garbage_to_exit_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2, (argv, code)
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("monotone", "--system", "square-bit", "--name", "x2-purity", "--grid", "-1"),
+    ("duality", "--trials", "1", "--dim", "-3"),
+    ("duality", "--trials", "1", "--seed", "-1"),
+    ("catalyst-suite", "--trials", "1", "--dim", "1"),
+    ("catalyst-suite", "--trials", "1", "--dim", "9"),
+    ("schmidt", "--state", "[[1,0],[0,0],[0,0],[0,0]]", "--dims=-2x-2"),
+    ("eof", "--rho", _MIXED_2X2, "--seed", "-1"),
+], ids=["grid", "duality-dim", "duality-seed", "catalyst-dim-1", "catalyst-dim-9",
+        "schmidt-dims", "eof-seed"])
+def test_out_of_range_numbers_exit_2(capsys, argv):
+    _one_line_error(capsys, *argv)
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path):
+    err = _one_line_error(capsys, "majorizes", "--p", "0.7,0.3", "--q", "0.6,0.4",
+                          "--output", str(tmp_path / "missing" / "out.json"))
+    assert "cannot write" in err
+
+
 def test_suite_verbs_and_exit(capsys):
     code, payload = run(capsys, "duality", "--dim", "2", "--trials", "5",
                         "--seed", "7", "--no-timing")

@@ -14,6 +14,10 @@ from gptpurity.serialize import complex_to_pairs, dump_json
 def test_config_validation():
     with pytest.raises(StructuralError):
         TrialConfig(trials=0)
+    for bad in ({"seed": -1}, {"seed": 2 ** 128}, {"dims": ()}, {"dims": (2, -3)},
+                {"sizes": (0,)}):
+        with pytest.raises(StructuralError):
+            TrialConfig(**bad)
 
 
 def test_report_invariant():

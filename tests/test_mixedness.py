@@ -356,6 +356,12 @@ def test_birkhoff_noop():
     assert channel.entries[0][1] == 0  # identity permutation
 
 
+def test_birkhoff_drops_rounding_dust():
+    # q is a permutation of p up to 1e-15, which the walk takes as the vertex itself
+    channel = mixedness.birkhoff_rare_synthesis([0.5, 0.3, 0.2], [0.2 + 1e-15, 0.5 - 1e-15, 0.3])
+    assert channel.entries == ((1.0, mixedness._lexicographic_rank((2, 0, 1))),)
+
+
 def test_birkhoff_requires_majorization():
     with pytest.raises(core.StructuralError):
         mixedness.birkhoff_rare_synthesis([0.5, 0.5], [0.7, 0.3])
@@ -376,7 +382,7 @@ def test_birkhoff_random_instances_support_and_residual():
             continue
         channel = mixedness.birkhoff_rare_synthesis(p, q)
         np.testing.assert_allclose(channel.matrix() @ np.asarray(p), q, atol=1e-9)
-        assert len(channel.entries) <= (n - 1) ** 2 + 1
+        assert len(channel.entries) <= n
 
 
 def test_lexicographic_rank_is_the_classical_group_order():
@@ -385,23 +391,7 @@ def test_lexicographic_rank_is_the_classical_group_order():
         assert [mixedness._lexicographic_rank(perm) for perm in perms] == list(range(len(perms)))
 
 
-def _brute_force_bottleneck(residual, atol=1e-12):
-    n = residual.shape[0]
-    perms = np.array(list(itertools.permutations(range(n))))
-    best = residual[np.arange(n), perms].min(axis=1).max()
-    return best if best > atol else None
-
-
-def test_birkhoff_takes_the_largest_bottleneck(monkeypatch):
-    steps = []
-    bottleneck = mixedness._bottleneck_permutation
-
-    def recorded(residual, atol):
-        weight, perm = bottleneck(residual, atol)
-        steps.append((residual.copy(), weight, perm))
-        return weight, perm
-
-    monkeypatch.setattr(mixedness, "_bottleneck_permutation", recorded)
+def test_birkhoff_witness_has_at_most_n_distinct_terms():
     rng = np.random.default_rng(21)
     for _ in range(200):
         n = int(rng.integers(2, 7))
@@ -409,18 +399,55 @@ def test_birkhoff_takes_the_largest_bottleneck(monkeypatch):
         d = sum(w * np.eye(n)[perm] for w, perm in zip(rng.dirichlet(np.ones(len(perms))), perms))
         p = rng.dirichlet(np.ones(n))
         q = d @ p
-        steps.clear()
-        terms = mixedness._birkhoff_decompose(d)
-        assert len(terms) == len(steps) <= (n - 1) ** 2 + 1
-        rebuilt = sum(w * np.eye(n)[list(perm)] for w, perm in terms)
-        np.testing.assert_allclose(rebuilt, d, atol=1e-9)
         channel = mixedness.birkhoff_rare_synthesis(p, q)
-        assert len(channel.entries) <= (n - 1) ** 2 + 1
-        np.testing.assert_allclose(channel.matrix() @ p, q, atol=1e-9)
+        indices = [k for _, k in channel.entries]
+        assert len(indices) == len(set(indices)) <= n
+        assert np.max(np.abs(channel.matrix() @ p - q)) <= mixedness.WITNESS_TOL
         assert mixedness.birkhoff_rare_synthesis(p, q).entries == channel.entries
-        for residual, weight, perm in steps:      # d's steps, then the synthesis's
-            assert weight == _brute_force_bottleneck(residual)
-            assert min(residual[i, perm[i]] for i in range(n)) == weight
+
+
+def test_birkhoff_reproduction_near_a_face():
+    p = [0.20880983241829282, 0.703903125233618, 0.08728704234808912]
+    q = [0.46551724482329776, 0.08728704230592764, 0.4471957128707746]
+    assert mixedness.majorizes(p, q)
+    channel = mixedness.birkhoff_rare_synthesis(p, q)
+    assert np.max(np.abs(channel.matrix() @ p - q)) <= mixedness.WITNESS_TOL
+
+
+def _pushed_face_points(rng, count):
+    """Points on a facet of p's permutohedron, pushed <= 1e-10 off it, that p majorizes.
+
+    A facet point mixes vertices that put the |T| largest entries of p on one
+    set T; some p get ties by rounding to eighths.
+    """
+    while count:
+        n = int(rng.integers(2, 7))
+        p = rng.dirichlet(np.ones(n))
+        if rng.random() < 0.3:
+            p = np.round(p * 8) / 8
+            p /= p.sum()
+        k = int(rng.integers(1, n))
+        order = rng.permutation(n)
+        q = np.zeros(n)
+        for w in rng.dirichlet(np.ones(int(rng.integers(1, 4)))):
+            vertex = np.empty(n)
+            vertex[np.concatenate([rng.permutation(order[:k]), rng.permutation(order[k:])])] = \
+                np.sort(p)[::-1]
+            q += w * vertex
+        push = rng.normal(size=n)
+        push -= push.mean()
+        q += 10.0 ** rng.uniform(-14, -10) * push / np.abs(push).max()
+        if q.min() >= 0 and mixedness.majorizes(p, q):
+            count -= 1
+            yield p, q
+
+
+def test_birkhoff_never_raises_near_the_boundary():
+    rng = np.random.default_rng(2)
+    for p, q in _pushed_face_points(rng, 1500):
+        channel = mixedness.birkhoff_rare_synthesis(p, q)
+        assert len(channel.entries) <= len(p)
+        assert np.max(np.abs(channel.matrix() @ p - q)) <= mixedness.WITNESS_TOL
 
 
 # -- preorder properties ------------------------------------------------------

@@ -263,3 +263,19 @@ def test_schur_check_flags_nonconvex_function(trit):
 def test_custom_fn_convexity_probe():
     assert ConvexScalarFn.custom(lambda x: x ** 4).convex
     assert not ConvexScalarFn.custom(lambda x: math.sin(10 * x)).convex
+
+
+def test_convex_flag_is_not_a_constructor_argument(trit):
+    with pytest.raises(TypeError):
+        ConvexScalarFn("wavy", lambda x: math.sin(10 * x), True)
+    with pytest.raises(TypeError):
+        ConvexScalarFn("wavy", lambda x: math.sin(10 * x), convex=True)
+    wavy = ConvexScalarFn("wavy", lambda x: math.sin(10 * x))
+    assert not wavy.convex
+    with pytest.raises(ValueError, match="convex f with f\\(0\\) = 0"):
+        monotones.f_purity(trit.state([0.5, 0.3, 0.2]), wavy)
+
+
+def test_builtin_fns_are_probed_once():
+    for build in (ConvexScalarFn.square, ConvexScalarFn.xlogx):
+        assert build().convex and build() is build()

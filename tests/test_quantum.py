@@ -101,6 +101,13 @@ def test_schmidt_decompose_matches_column_loop_bit_for_bit():
             assert got.tobytes() == want.tobytes()
 
 
+def test_pure_state_refuses_nonpositive_dims():
+    # (-2) * (-2) = 4 matches the vector length, so only the sign check stops these
+    for dims in ((-2, -2), (-1, -4)):
+        with pytest.raises(StructuralError, match="dims must be positive"):
+            PureBipartiteState(dims, [1, 0, 0, 0])
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_schmidt_data_rebuilds_the_state(da, db, data):
