@@ -4,7 +4,9 @@ Each suite samples instances with a counter-based generator (Philox), so a
 given TrialConfig reproduces its report byte for byte (wall time aside) on
 any platform.  Counterexamples carry their full inputs and can be replayed
 standalone.  Witnesses are checked against the tolerance table: Birkhoff
-and RaRe mixtures to ``WITNESS_TOL``, one-way protocols to ``PROTOCOL_TOL``.
+and RaRe mixtures to ``WITNESS_TOL``, one-way protocols to ``PROTOCOL_TOL``,
+and the completeness of Bob's instrument to ``TRACE_PRESERVING_TOL``, as
+``OneWayProtocol.verify`` does.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .quantum import (DensityMatrix, PureBipartiteState, lu_equivalent, marginal
                       random_density_matrix, random_pure_state, random_unitary,
                       rare_synthesis_quantum)
 from .serialize import complex_to_pairs, pairs_to_complex
-from .tolerances import (MONOTONE_TOL, MULTIPLICATIVITY_TOL, PROTOCOL_TOL, WITNESS_TOL,
-                         ZERO_TOL)
+from .tolerances import (MONOTONE_TOL, MULTIPLICATIVITY_TOL, PROTOCOL_TOL,
+                         TRACE_PRESERVING_TOL, WITNESS_TOL, ZERO_TOL)
 
 #: counterexamples a suite records before it stops
 COUNTEREXAMPLE_BUDGET = 10
@@ -129,7 +131,7 @@ def _check_direction(psi: PureBipartiteState, target: PureBipartiteState) -> dic
             out["completeness_residual"] = protocol.completeness_residual()
             out["outcome_residual"] = float(np.max(protocol.outcome_residuals(psi, target)))
             out["agree"] = (out["rare_residual"] <= WITNESS_TOL
-                            and out["completeness_residual"] <= PROTOCOL_TOL
+                            and out["completeness_residual"] <= TRACE_PRESERVING_TOL
                             and out["outcome_residual"] <= PROTOCOL_TOL)
         except (StructuralError, RuntimeError) as exc:
             out["agree"] = False

@@ -519,17 +519,20 @@ def entanglement_entropy(psi: PureBipartiteState) -> float:
     return _entropy_bits(schmidt_squared(psi))
 
 
-def _roof_cost(phi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ensemble cost of the subnormalized members (rows) and its gradient.
+def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble cost of each stack of subnormalized members (rows) and its gradient.
 
+    ``phi`` is an ``(S, m, 4)`` stack of S ensembles of m members each, or
+    one ``(m, 4)`` ensemble; the costs come back one per ensemble, the
+    gradient in the shape of ``phi``.
     A member phi = (a, b, c, d) of weight q = |phi|^2 and D = |ad - bc|^2
     costs q h2((1 - s)/2) with s = sqrt(1 - 4D/q^2), the weight times the
     entropy of its marginal.  The gradient is the Wirtinger derivative
     dC/d(conj phi) = C_q phi + C_D det (conj d, -conj c, -conj b, conj a), with
     C_q = h2 - 2 (D/q^2) g(s), C_D = g(s)/q and g(s) = 2 artanh(s)/(s ln 2).
     """
-    q = (phi.real ** 2 + phi.imag ** 2).sum(axis=1)
-    det = phi[:, 0] * phi[:, 3] - phi[:, 1] * phi[:, 2]
+    q = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
+    det = phi[..., 0] * phi[..., 3] - phi[..., 1] * phi[..., 2]
     good = q > EOF_WEIGHT_FLOOR
     q_safe = np.where(good, q, 1.0)
     ratio = (det.real ** 2 + det.imag ** 2) / q_safe ** 2
@@ -542,39 +545,43 @@ def _roof_cost(phi: np.ndarray) -> tuple[float, np.ndarray]:
     g = np.divide(np.arctanh(sc), sc, out=np.ones_like(sc), where=sc > 0) * (2.0 / np.log(2.0))
     c_q = np.where(good, h - 2.0 * ratio * g, 0.0)
     c_d = np.where(good, g / q_safe, 0.0)
-    swapped = phi[:, ::-1].conj() * np.array([1.0, -1.0, -1.0, 1.0])
-    grad = c_q[:, None] * phi + (c_d * det)[:, None] * swapped
-    return float(np.sum(np.where(good, q * h, 0.0))), grad
+    swapped = phi[..., ::-1].conj() * np.array([1.0, -1.0, -1.0, 1.0])
+    grad = c_q[..., None] * phi + (c_d * det)[..., None] * swapped
+    return np.sum(np.where(good, q * h, 0.0), axis=-1), grad
 
 
 def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QR of z with the diagonal of R made real positive."""
+    """QR of each matrix of the stack z, with the diagonal of R made real positive."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1)
     d = np.where(np.abs(d) > PHASE_FLOOR, d / np.abs(d), 1.0)
-    return q * d, r * d.conj()[:, None]
+    return q * d[..., None, :], r * d.conj()[..., :, None]
 
 
-def _roof_objective(params: np.ndarray, roots: np.ndarray
-                    ) -> tuple[float, np.ndarray]:
-    """Ensemble cost of Q(Z) @ roots and its gradient in the real parameters of Z.
+def _roof_objective(params: np.ndarray, roots: np.ndarray, starts: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble cost of Q(Z_k) @ roots for each start k, and the stacked gradient.
 
-    Z (m x r) is packed as its real then imaginary parts; Q(Z) is the
-    isometry of its positive-diagonal QR.  The gradient is pulled back
-    through QR: with G_Q = G_phi roots^H and B = Q^H G_Q,
+    The ``starts`` matrices Z_k (m x r each) are packed as the real parts of
+    the whole stack, then its imaginary parts; Q(Z) is the isometry of the
+    positive-diagonal QR.  The starts share no parameter, so the gradient of
+    the summed cost is each start's own gradient, pulled back through QR:
+    with G_Q = G_phi roots^H and B = Q^H G_Q,
     G_Z = [(I - Q Q^H) G_Q + Q (tril(B - B^H, -1) + i diag(Im B))] R^{-H}.
     """
     r = roots.shape[0]
     half = params.size // 2
-    z = (params[:half] + 1j * params[half:]).reshape(-1, r)
+    z = (params[:half] + 1j * params[half:]).reshape(starts, -1, r)
     q_mat, r_mat = _orthonormalize(z)
-    cost, g_phi = _roof_cost(q_mat @ roots)
+    costs, g_phi = _roof_cost(q_mat @ roots)
     g_q = g_phi @ roots.conj().T
-    b = q_mat.conj().T @ g_q
-    inner = np.tril(b - b.conj().T, -1) + 1j * np.diag(b.diagonal().imag)
+    b = q_mat.conj().swapaxes(-1, -2) @ g_q
+    inner = np.tril(b - b.conj().swapaxes(-1, -2), -1)
+    diag = np.arange(r)
+    inner[:, diag, diag] = 1j * b[:, diag, diag].imag
     y = g_q - q_mat @ (b - inner)
-    g_z = np.linalg.solve(r_mat, y.conj().T).conj().T
-    return cost, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
+    g_z = np.linalg.solve(r_mat, y.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
+    return costs, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
 
 
 def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
@@ -582,12 +589,13 @@ def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
 
     Minimizes the ensemble-average marginal entropy over decompositions of
     rho into ``max(EOF_MEMBERS, rank)`` pure members, parameterized by
-    isometries applied to the eigen-ensemble: multi-start L-BFGS with the
-    closed-form convex-roof gradient over QR-parametrised isometries (the
-    variational method of Audenaert, Verstraete & De Moor, PRA 64, 052304
-    (2001)).  Of the ``EOF_STARTS`` starts, the first is the eigen-ensemble
-    itself and the others rotate it by random unitaries drawn from ``seed``,
-    so the result is deterministic.
+    isometries applied to the eigen-ensemble: L-BFGS with the closed-form
+    convex-roof gradient over QR-parametrised isometries (the variational
+    method of Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
+    ``EOF_STARTS`` starts run side by side as one problem, whose cost is the
+    sum of theirs; the first is the eigen-ensemble itself and the others
+    rotate it by random unitaries drawn from ``seed``, so the result is
+    deterministic.  The value is the lowest single start's cost at the end.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
@@ -601,20 +609,21 @@ def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
     r = int(lam.size)
     roots = (v * np.sqrt(lam)).T            # (r, 4) subnormalized eigen-members
     if r == 1:
-        return _roof_cost(roots)[0]
+        return float(_roof_cost(roots)[0])
     m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(seed)
+    z0 = np.stack([np.eye(m, r)] + [
+        np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0][:, :r]
+        for _ in range(EOF_STARTS - 1)])
+    p0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
 
-    best = np.inf
-    for s in range(EOF_STARTS):
-        w = (np.eye(m) if s == 0 else
-             np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0])
-        z0 = w[:, :r]
-        p0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
-        res = minimize(_roof_objective, p0, args=(roots,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 300, "ftol": EOF_FTOL, "gtol": EOF_GTOL})
-        best = min(best, float(res.fun))
-    return float(best)
+    def total(params):
+        costs, grad = _roof_objective(params, roots, EOF_STARTS)
+        return costs.sum(), grad
+
+    res = minimize(total, p0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": 300 * EOF_STARTS, "ftol": EOF_FTOL, "gtol": EOF_GTOL})
+    return float(_roof_objective(res.x, roots, EOF_STARTS)[0].min())
 
 
 @dataclass(frozen=True)
@@ -652,14 +661,25 @@ def catalytic_erasure_possible(rho: DensityMatrix) -> ErasureCertificate:
 # ---------------------------------------------------------------------------
 
 def random_pure_state(dims: tuple[int, int], rng: np.random.Generator) -> PureBipartiteState:
+    """Haar-random unit vector on d_A x d_B; dims below 1 are refused before any draw."""
     da, db = dims
+    if da < 1 or db < 1:
+        raise StructuralError(f"dims must be positive, got {da}x{db}")
     v = rng.normal(size=da * db) + 1j * rng.normal(size=da * db)
     return PureBipartiteState(dims, v / np.linalg.norm(v))
 
 
 def random_density_matrix(d: int, rng: np.random.Generator,
                           rank: int | None = None) -> DensityMatrix:
+    """Random d x d state of the given rank (default d), from a complex Gaussian G G^dag.
+
+    A dimension below 1 or a rank outside 1..d is refused before any draw.
+    """
+    if d < 1:
+        raise StructuralError(f"dimension must be positive, got {d}")
     rank = d if rank is None else rank
+    if not 1 <= rank <= d:
+        raise StructuralError(f"rank must be in 1..{d}, got {rank}")
     g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho).real)

@@ -16,8 +16,6 @@ value has its own name saying what it guards.  These are:
   for a quantum state's);
 * a witness rebuilding its target: ``RESIDUAL_TOL`` for the weights of a
   feasibility certificate, ``WITNESS_TOL`` for a synthesized channel;
-* completeness of Bob's instrument: ``TRACE_PRESERVING_TOL`` in
-  ``OneWayProtocol.verify``, ``PROTOCOL_TOL`` in the duality suite;
 * weights too small to count in an entropy: ``ENTROPY_FLOOR``,
   ``EOF_WEIGHT_FLOOR``.
 """

@@ -114,6 +114,23 @@ def test_counterexample_budget_bounds_report(monkeypatch):
     assert not report.ok
 
 
+def test_duality_suite_holds_completeness_to_the_verify_tolerance(monkeypatch):
+    # a residual between TRACE_PRESERVING_TOL and PROTOCOL_TOL fails verify,
+    # so the suite must not count that direction as agreeing either
+    from gptpurity import harness as h
+    from gptpurity.quantum import (OneWayProtocol, PureBipartiteState, marginals,
+                                   maximally_entangled, one_way_locc_from_rare,
+                                   rare_synthesis_quantum)
+    psi = maximally_entangled(2)
+    target = PureBipartiteState((2, 2), np.array([np.sqrt(0.8), 0, 0, np.sqrt(0.2)]))
+    assert h._check_direction(psi, target)["agree"]
+    monkeypatch.setattr(OneWayProtocol, "completeness_residual", lambda self: 5e-9)
+    out = h._check_direction(psi, target)
+    assert out["completeness_residual"] == 5e-9 and not out["agree"]
+    rare = rare_synthesis_quantum(marginals(psi)[0], marginals(target)[0])
+    assert not one_way_locc_from_rare(psi, target, rare).verify(psi, target)
+
+
 def test_classical_replay_reproduces_a_recorded_counterexample(monkeypatch):
     # the suite and its replay share one trial check, so a patched-in
     # disagreement replays as a failure, and replays clean once removed

@@ -406,13 +406,17 @@ def _central_gradient(fun, x, h=1e-6):
     return out
 
 
+def _stacked_sum(roots, starts):
+    return lambda p: quantum._roof_objective(p, roots, starts)[0].sum()
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_eof_objective_gradient_matches_central_differences(rank):
     rng = np.random.default_rng(40 + rank)
     roots = (rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))) / 3
-    params = rng.normal(size=2 * 6 * rank)
-    _, grad = quantum._roof_objective(params, roots)
-    numeric = _central_gradient(lambda p: quantum._roof_objective(p, roots)[0], params)
+    params = rng.normal(size=2 * 3 * 6 * rank)
+    _, grad = quantum._roof_objective(params, roots, 3)
+    numeric = _central_gradient(_stacked_sum(roots, 3), params)
     np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
 
 
@@ -420,16 +424,43 @@ def test_eof_objective_gradient_at_singular_members():
     rng = np.random.default_rng(45)
     other = (rng.normal(size=4) + 1j * rng.normal(size=4)) / 3
     # at the identity isometry the members are the roots themselves, and the
-    # rows beyond the rank are empty (below the member-weight floor)
-    identity = np.concatenate([np.eye(6, 2).ravel(), np.zeros(12)])
+    # rows beyond the rank are empty (below the member-weight floor); all
+    # three stacked starts sit there
+    identity = np.concatenate([np.tile(np.eye(6, 2).ravel(), 3), np.zeros(36)])
     entangled = np.array([np.array([1, 0, 0, 1]) / 2, other])      # s = 0 member
-    _, grad = quantum._roof_objective(identity, entangled)
+    _, grad = quantum._roof_objective(identity, entangled, 3)
     assert np.all(np.isfinite(grad))
-    numeric = _central_gradient(lambda p: quantum._roof_objective(p, entangled)[0], identity)
+    numeric = _central_gradient(_stacked_sum(entangled, 3), identity)
     np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
     product = np.array([np.array([0.6, 0, 0, 0]), other])           # D = 0 member
-    cost, grad = quantum._roof_objective(identity, product)
-    assert np.isfinite(cost) and np.all(np.isfinite(grad))
+    cost, grad = quantum._roof_objective(identity, product, 3)
+    assert np.all(np.isfinite(cost)) and np.all(np.isfinite(grad))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_eof_objective_starts_do_not_mix(rank):
+    # each start's cost and gradient block is what that start gives alone
+    rng = np.random.default_rng(50 + rank)
+    roots = (rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))) / 3
+    starts, size = 3, 6 * rank
+    params = rng.normal(size=2 * starts * size)
+    costs, grad = quantum._roof_objective(params, roots, starts)
+    assert costs.shape == (starts,)
+    half = starts * size
+    for k in range(starts):
+        block = np.r_[k * size:(k + 1) * size, half + k * size:half + (k + 1) * size]
+        alone, alone_grad = quantum._roof_objective(params[block], roots, 1)
+        assert abs(costs[k] - alone[0]) <= 1e-14
+        np.testing.assert_allclose(grad[block], alone_grad, rtol=0, atol=1e-14)
+
+
+def test_eof_never_below_wootters():
+    # the members always decompose rho, so the roof can only sit above the oracle
+    rng = np.random.default_rng(47)
+    for rank in (2, 3, 4):
+        for _ in range(5):
+            rho = random_density_matrix(4, rng, rank=rank)
+            assert entanglement_of_formation(rho) >= wootters_eof(rho.matrix) - 1e-12
 
 
 def werner(p: float) -> DensityMatrix:
@@ -534,3 +565,21 @@ def test_duality_boolean_agreement_small_sample():
             right = majorizes(marginals(phi)[0].spectrum(),
                               marginals(psi)[0].spectrum())
             assert left == right
+
+
+# -- random instances ---------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda rng: random_pure_state((-2, -2), rng),
+    lambda rng: random_pure_state((0, 3), rng),
+    lambda rng: random_density_matrix(0, rng),
+    lambda rng: random_density_matrix(-1, rng),
+    lambda rng: random_density_matrix(4, rng, rank=0),
+    lambda rng: random_density_matrix(4, rng, rank=5),
+])
+def test_random_helpers_refuse_bad_shapes_before_drawing(make):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(StructuralError):
+        make(rng)
+    assert rng.bit_generator.state == before
