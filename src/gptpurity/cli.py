@@ -20,10 +20,6 @@ from .core import CapacityError, StructuralError
 from .serialize import complex_to_pairs, dump_json, pairs_to_complex
 from .tolerances import WITNESS_TOL
 
-#: default of locex-quantum --tol, the largest entry of (C x D)(rho) - SWAP rho SWAP
-#: it accepts: the channel pair is a synthesized witness of the swap
-SWAP_RESIDUAL_TOL = WITNESS_TOL
-
 
 class UsageError(ValueError):
     pass
@@ -301,7 +297,7 @@ def _cmd_locex_quantum(args):
     payload = {"c_kraus": [complex_to_pairs(k) for k in chan_c.operators],
                "d_kraus": [complex_to_pairs(k) for k in chan_d.operators],
                "swap_residual": residual}
-    return (0 if residual <= args.tol else 1), payload
+    return (0 if residual <= WITNESS_TOL else 1), payload
 
 
 def _cmd_rare_quantum(args):
@@ -412,8 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pair_args = dict(state_args, **{"--target": {"required": True}})
     add("nielsen", _cmd_nielsen, **pair_args)
     add("lu-equiv", _cmd_lu_equiv, **pair_args)
-    add("locex-quantum", _cmd_locex_quantum, **state_args,
-        **{"--tol": {"type": float, "default": SWAP_RESIDUAL_TOL}})
+    add("locex-quantum", _cmd_locex_quantum, **state_args)
     add("rare-quantum", _cmd_rare_quantum,
         **{"--rho": {"required": True}, "--source": {"required": True}})
     add("one-way", _cmd_one_way, **pair_args)

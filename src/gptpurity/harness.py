@@ -3,15 +3,14 @@
 Each suite samples instances with a counter-based generator (Philox), so a
 given TrialConfig reproduces its report byte for byte (wall time aside) on
 any platform.  Counterexamples carry their full inputs and can be replayed
-standalone.  Witnesses are checked against the tolerance table: Birkhoff
-and RaRe mixtures to ``WITNESS_TOL``, one-way protocols to ``PROTOCOL_TOL``,
-and the completeness of Bob's instrument to ``TRACE_PRESERVING_TOL``, as
-``OneWayProtocol.verify`` does.
+standalone.  Birkhoff and RaRe mixtures are checked to ``WITNESS_TOL``;
+one-way protocols take their verdict from ``OneWayProtocol.verify``.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +22,7 @@ from .quantum import (DensityMatrix, PureBipartiteState, lu_equivalent, marginal
                       random_density_matrix, random_pure_state, random_unitary,
                       rare_synthesis_quantum)
 from .serialize import complex_to_pairs, pairs_to_complex
-from .tolerances import (MONOTONE_TOL, MULTIPLICATIVITY_TOL, PROTOCOL_TOL,
-                         TRACE_PRESERVING_TOL, WITNESS_TOL, ZERO_TOL)
+from .tolerances import MONOTONE_TOL, MULTIPLICATIVITY_TOL, WITNESS_TOL, ZERO_TOL
 
 #: counterexamples a suite records before it stops
 COUNTEREXAMPLE_BUDGET = 10
@@ -85,24 +83,23 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-class _Collector:
-    """Counts agreements and stops after COUNTEREXAMPLE_BUDGET counterexamples."""
+def _run_trials(suite: str, trials: Iterable[tuple[bool, dict | None]]) -> SuiteReport:
+    """Count agreements over (ok, detail) trials; stop after COUNTEREXAMPLE_BUDGET.
 
-    def __init__(self):
-        self.agreements = 0
-        self.counterexamples: list[dict] = []
-
-    def record(self, ok: bool, detail: dict) -> bool:
+    ``detail`` is None for a trial that agrees.  Trials are drawn lazily, so
+    none is drawn after the budget is spent.
+    """
+    started = time.perf_counter()
+    agreements, counterexamples = 0, []
+    for ok, detail in trials:
         if ok:
-            self.agreements += 1
-        else:
-            self.counterexamples.append(detail)
-        return len(self.counterexamples) < COUNTEREXAMPLE_BUDGET
-
-    def report(self, suite: str, started: float) -> SuiteReport:
-        return SuiteReport(suite, self.agreements + len(self.counterexamples),
-                           self.agreements, self.counterexamples,
-                           wall_time=time.perf_counter() - started)
+            agreements += 1
+            continue
+        counterexamples.append(detail)
+        if len(counterexamples) >= COUNTEREXAMPLE_BUDGET:
+            break
+    return SuiteReport(suite, agreements + len(counterexamples), agreements,
+                       counterexamples, wall_time=time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +110,8 @@ def _check_direction(psi: PureBipartiteState, target: PureBipartiteState) -> dic
     """Compare the two sides of the duality on one ordered pair.
 
     Returns residual data; 'agree' is False when the convertibility verdict
-    and the marginal-spectrum majorization verdict differ, or when a
-    constructed witness misses its tolerance.
+    and the marginal-spectrum majorization verdict differ, when the RaRe
+    witness misses WITNESS_TOL, or when the protocol fails its own verify.
     """
     rho = marginals(psi)[0]
     rho_t = marginals(target)[0]
@@ -131,12 +128,30 @@ def _check_direction(psi: PureBipartiteState, target: PureBipartiteState) -> dic
             out["completeness_residual"] = protocol.completeness_residual()
             out["outcome_residual"] = float(np.max(protocol.outcome_residuals(psi, target)))
             out["agree"] = (out["rare_residual"] <= WITNESS_TOL
-                            and out["completeness_residual"] <= TRACE_PRESERVING_TOL
-                            and out["outcome_residual"] <= PROTOCOL_TOL)
+                            and protocol.verify(psi, target))
         except (StructuralError, RuntimeError) as exc:
             out["agree"] = False
             out["witness_error"] = str(exc)
     return out
+
+
+def _duality_pair(psi: PureBipartiteState, phi: PureBipartiteState) -> tuple[bool, dict]:
+    """Check both directions of one pair; ok only when both agree."""
+    forward = _check_direction(psi, phi)
+    backward = _check_direction(phi, psi)
+    return forward["agree"] and backward["agree"], {"forward": forward, "backward": backward}
+
+
+def _duality_trials(cfg: TrialConfig):
+    rng = _rng(cfg.seed)
+    for d in cfg.dims:
+        for trial in range(cfg.trials):
+            psi = random_pure_state((d, d), rng)
+            phi = random_pure_state((d, d), rng)
+            ok, directions = _duality_pair(psi, phi)
+            yield ok, None if ok else {"dim": d, "trial": trial,
+                                       "psi": complex_to_pairs(psi.vec),
+                                       "phi": complex_to_pairs(phi.vec), **directions}
 
 
 def run_duality_suite(cfg: TrialConfig) -> SuiteReport:
@@ -145,25 +160,7 @@ def run_duality_suite(cfg: TrialConfig) -> SuiteReport:
     For every sampled ordered pair that is convertible, the RaRe witness
     and the one-way protocol are constructed explicitly and verified.
     """
-    started = time.perf_counter()
-    rng = _rng(cfg.seed)
-    collector = _Collector()
-    for d in cfg.dims:
-        for trial in range(cfg.trials):
-            psi = random_pure_state((d, d), rng)
-            phi = random_pure_state((d, d), rng)
-            forward = _check_direction(psi, phi)
-            backward = _check_direction(phi, psi)
-            ok = forward["agree"] and backward["agree"]
-            detail = {}
-            if not ok:
-                detail = {"dim": d, "trial": trial,
-                          "psi": complex_to_pairs(psi.vec),
-                          "phi": complex_to_pairs(phi.vec),
-                          "forward": forward, "backward": backward}
-            if not collector.record(ok, detail):
-                return collector.report("duality", started)
-    return collector.report("duality", started)
+    return _run_trials("duality", _duality_trials(cfg))
 
 
 def replay_duality_counterexample(detail: dict) -> bool:
@@ -171,9 +168,8 @@ def replay_duality_counterexample(detail: dict) -> bool:
     d = int(detail["dim"])
     psi = PureBipartiteState((d, d), pairs_to_complex(detail["psi"]))
     phi = PureBipartiteState((d, d), pairs_to_complex(detail["phi"]))
-    forward = _check_direction(psi, phi)
-    backward = _check_direction(phi, psi)
-    return not (forward["agree"] and backward["agree"])
+    ok, _ = _duality_pair(psi, phi)
+    return not ok
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +182,34 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
 
     Returns (ok, verdicts).  ok is False when the two verdicts differ, or
     when the Birkhoff witness of a comparable pair misses its target by
-    more than WITNESS_TOL.
+    more than WITNESS_TOL or cannot be built ('witness_error').
     """
     lp_verdict = more_mixed(system.state(p), system.state(q)).feasible
     maj_verdict = majorizes(p, q)
     ok = lp_verdict == maj_verdict
-    residual = None
+    verdicts = {"lp_verdict": lp_verdict, "majorizes": maj_verdict,
+                "witness_residual": None}
     if ok and maj_verdict:
-        channel = birkhoff_rare_synthesis(p, q, system=system)
+        try:
+            channel = birkhoff_rare_synthesis(p, q, system=system)
+        except (StructuralError, RuntimeError) as exc:
+            return False, {**verdicts, "witness_error": str(exc)}
         residual = float(np.max(np.abs(channel.matrix() @ p - q)))
+        verdicts["witness_residual"] = residual
         ok = residual <= WITNESS_TOL
-    return ok, {"lp_verdict": lp_verdict, "majorizes": maj_verdict,
-                "witness_residual": residual}
+    return ok, verdicts
+
+
+def _classical_trials(cfg: TrialConfig):
+    rng = _rng(cfg.seed)
+    for n in cfg.sizes:
+        system = make_classical(n)
+        for trial in range(cfg.trials):
+            p = rng.dirichlet(np.ones(n))
+            q = rng.dirichlet(np.ones(n))
+            ok, verdicts = _classical_trial(system, p, q)
+            yield ok, None if ok else {"n": n, "trial": trial, "p": p.tolist(),
+                                       "q": q.tolist(), **verdicts}
 
 
 def run_classical_agreement_suite(cfg: TrialConfig) -> SuiteReport:
@@ -206,22 +218,7 @@ def run_classical_agreement_suite(cfg: TrialConfig) -> SuiteReport:
     Whenever the pair is comparable, the Birkhoff witness is synthesized and
     its defining equation checked.
     """
-    started = time.perf_counter()
-    rng = _rng(cfg.seed)
-    collector = _Collector()
-    systems = {n: make_classical(n) for n in cfg.sizes}
-    for n in cfg.sizes:
-        sys_n = systems[n]
-        for trial in range(cfg.trials):
-            p = rng.dirichlet(np.ones(n))
-            q = rng.dirichlet(np.ones(n))
-            ok, verdicts = _classical_trial(sys_n, p, q)
-            detail = {}
-            if not ok:
-                detail = {"n": n, "trial": trial, "p": p.tolist(), "q": q.tolist(), **verdicts}
-            if not collector.record(ok, detail):
-                return collector.report("classical-agreement", started)
-    return collector.report("classical-agreement", started)
+    return _run_trials("classical-agreement", _classical_trials(cfg))
 
 
 def replay_classical_counterexample(detail: dict) -> bool:
@@ -236,6 +233,21 @@ def replay_classical_counterexample(detail: dict) -> bool:
 # maximal entanglement suite
 # ---------------------------------------------------------------------------
 
+def _maximal_entanglement_trials(cfg: TrialConfig):
+    rng = _rng(cfg.seed)
+    for d in cfg.dims:
+        phi = maximally_entangled(d)
+        for trial in range(cfg.trials):
+            psi = random_pure_state((d, d), rng)
+            reaches_everything = nielsen_convertible(phi, psi)
+            back = nielsen_convertible(psi, phi)
+            ok = reaches_everything and ((not back) or lu_equivalent(psi, phi))
+            yield ok, None if ok else {"dim": d, "trial": trial,
+                                       "psi": complex_to_pairs(psi.vec),
+                                       "maximal_reaches_sample": reaches_everything,
+                                       "sample_reaches_maximal": back}
+
+
 def run_maximal_entanglement_suite(cfg: TrialConfig) -> SuiteReport:
     """Uniform-Schmidt states are maximally entangled, and reach every state.
 
@@ -243,46 +255,15 @@ def run_maximal_entanglement_suite(cfg: TrialConfig) -> SuiteReport:
     to the uniform state only when it is itself uniform-spectrum (checked
     via local-unitary equivalence).
     """
-    started = time.perf_counter()
-    rng = _rng(cfg.seed)
-    collector = _Collector()
-    for d in cfg.dims:
-        phi = maximally_entangled(d)
-        for trial in range(cfg.trials):
-            psi = random_pure_state((d, d), rng)
-            reaches_everything = nielsen_convertible(phi, psi)
-            back = nielsen_convertible(psi, phi)
-            back_ok = (not back) or lu_equivalent(psi, phi)
-            ok = reaches_everything and back_ok
-            detail = {}
-            if not ok:
-                detail = {"dim": d, "trial": trial, "psi": complex_to_pairs(psi.vec),
-                          "maximal_reaches_sample": reaches_everything,
-                          "sample_reaches_maximal": back}
-            if not collector.record(ok, detail):
-                return collector.report("maximal-entanglement", started)
-    return collector.report("maximal-entanglement", started)
+    return _run_trials("maximal-entanglement", _maximal_entanglement_trials(cfg))
 
 
 # ---------------------------------------------------------------------------
 # catalyst suite
 # ---------------------------------------------------------------------------
 
-def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
-    """Catalytic erasure is blocked by the multiplicative 2-norm margin.
-
-    Per trial: random mixed rho and random catalyst gamma; check the margin
-    Tr(gamma^2) - Tr((rho x gamma)^2) is positive, and that sampled
-    random-unitary mixings never increase the 2-norm (so the erasure target
-    stays out of reach).  Dimensions are drawn from the configured ones in
-    2..4; a config with none of them is refused.
-    """
-    started = time.perf_counter()
+def _catalyst_trials(cfg: TrialConfig, dims: list[int]):
     rng = _rng(cfg.seed)
-    collector = _Collector()
-    dims = [d for d in cfg.dims if 2 <= d <= 4]
-    if not dims:
-        raise StructuralError("the catalyst suite needs a dimension in 2..4")
     for trial in range(cfg.trials):
         d_a = int(rng.choice(dims))
         d_c = int(rng.choice(dims))
@@ -305,20 +286,22 @@ def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
             if out_purity >= gamma.purity() - MONOTONE_TOL:
                 erased = True
         ok = product_ok and margin_ok and monotone_ok and not erased
-        detail = {}
-        if not ok:
-            detail = {"trial": trial, "rho": complex_to_pairs(rho.matrix),
-                      "gamma": complex_to_pairs(gamma.matrix), "margin": margin,
-                      "product_ok": product_ok, "monotone_ok": monotone_ok,
-                      "erased": erased}
-        if not collector.record(ok, detail):
-            return collector.report("catalyst", started)
-    return collector.report("catalyst", started)
+        yield ok, None if ok else {"trial": trial, "rho": complex_to_pairs(rho.matrix),
+                                   "gamma": complex_to_pairs(gamma.matrix),
+                                   "margin": margin, "product_ok": product_ok,
+                                   "monotone_ok": monotone_ok, "erased": erased}
 
 
-SUITES = {
-    "duality": run_duality_suite,
-    "classical-agreement": run_classical_agreement_suite,
-    "maximal-entanglement": run_maximal_entanglement_suite,
-    "catalyst": run_catalyst_suite,
-}
+def run_catalyst_suite(cfg: TrialConfig) -> SuiteReport:
+    """Catalytic erasure is blocked by the multiplicative 2-norm margin.
+
+    Per trial: random mixed rho and random catalyst gamma; check the margin
+    Tr(gamma^2) - Tr((rho x gamma)^2) is positive, and that sampled
+    random-unitary mixings never increase the 2-norm (so the erasure target
+    stays out of reach).  Dimensions are drawn from the configured ones in
+    2..4; a config with none of them is refused.
+    """
+    dims = [d for d in cfg.dims if 2 <= d <= 4]
+    if not dims:
+        raise StructuralError("the catalyst suite needs a dimension in 2..4")
+    return _run_trials("catalyst", _catalyst_trials(cfg, dims))

@@ -191,16 +191,13 @@ def op_norm_distance(rho: GptState) -> float:
     the effect polytope; both bounds are linear programs over the effect
     constraints on the pure states.
     """
-    if not rho.is_normalized():
-        raise StructuralError("op_norm_distance requires a normalized state")
-    delta = rho.vec - _invariant_vec(rho.system)
-    hi, _ = _optimize_effect(rho.system, delta, maximize=True)
-    lo, _ = _optimize_effect(rho.system, delta, maximize=False)
-    return 0.5 * (hi - lo)
+    return op_norm_report(rho).value
 
 
 def op_norm_report(rho: GptState) -> MonotoneReport:
     """op_norm_distance together with the optimizing effect pair."""
+    if not rho.is_normalized():
+        raise StructuralError("op_norm_distance requires a normalized state")
     delta = rho.vec - _invariant_vec(rho.system)
     hi, top = _optimize_effect(rho.system, delta, maximize=True)
     lo, bottom = _optimize_effect(rho.system, delta, maximize=False)

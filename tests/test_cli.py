@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gptpurity import cli, simplex
+from gptpurity import cli, quantum, simplex
 from gptpurity.boxworld import BoxState, pr_box_k
 from gptpurity.core import make_square_bit, system_to_dict
+from gptpurity.tolerances import WITNESS_TOL
 
 
 def run(capsys, *argv):
@@ -134,16 +135,22 @@ def test_quantum_verbs(capsys):
     assert abs(payload["entanglement_of_formation"] - 1.0) < 1e-6
 
 
-def test_tol_only_on_locex_quantum(capsys):
+def test_no_verb_takes_a_tolerance(capsys, monkeypatch):
     state = json.dumps([[0.6, 0], [0.3, 0.1], [0.2, 0], [0.7, 0.05]])
     code, payload = run(capsys, "locex-quantum", "--state", state)
-    assert code == 0 and payload["swap_residual"] <= 1e-9
-    code, _ = run(capsys, "locex-quantum", "--state", state, "--tol=-1")
-    assert code == 1
-    with pytest.raises(SystemExit) as info:
-        cli.main(["more-mixed", "--system", "classical:2", "--rho", "0.7,0.3",
-                  "--sigma", "0.5,0.5", "--tol", "1e-3"])
-    assert info.value.code == 2
+    assert code == 0 and payload["swap_residual"] <= WITNESS_TOL
+    for argv in (["locex-quantum", "--state", state, "--tol=-1"],
+                 ["more-mixed", "--system", "classical:2", "--rho", "0.7,0.3",
+                  "--sigma", "0.5,0.5", "--tol", "1e-3"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+    # a channel pair that misses the swap by more than WITNESS_TOL fails the check
+    apply = quantum.product_channel_apply
+    monkeypatch.setattr(quantum, "product_channel_apply",
+                        lambda c, d, rho: apply(c, d, rho) + 2 * WITNESS_TOL)
+    code, payload = run(capsys, "locex-quantum", "--state", state)
+    assert code == 1 and payload["swap_residual"] > WITNESS_TOL
 
 
 def test_box_verbs(capsys):

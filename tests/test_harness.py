@@ -105,13 +105,26 @@ def test_incomparable_pair_infeasible_both_ways():
     assert not more_mixed(q, p).feasible
 
 
-def test_counterexample_budget_bounds_report(monkeypatch):
-    # force disagreements by patching the majorization side
-    from gptpurity import harness as h
-    monkeypatch.setattr(h, "majorizes", lambda p, q: False)
-    report = h.run_classical_agreement_suite(TrialConfig(seed=6, trials=200))
-    assert len(report.counterexamples) <= 10
-    assert not report.ok
+# each suite with a patch that makes most of its trials disagree
+_FORCED_DISAGREEMENTS = {
+    "duality": (run_duality_suite, "majorizes", lambda p, q: False),
+    "classical-agreement": (run_classical_agreement_suite, "majorizes", lambda p, q: False),
+    "maximal-entanglement": (run_maximal_entanglement_suite, "nielsen_convertible",
+                             lambda a, b: False),
+    "catalyst": (run_catalyst_suite, "MULTIPLICATIVITY_TOL", -1.0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_FORCED_DISAGREEMENTS))
+def test_counterexample_budget_bounds_report(monkeypatch, suite):
+    runner, name, patch = _FORCED_DISAGREEMENTS[suite]
+    monkeypatch.setattr(harness, name, patch)
+    cfg = TrialConfig(seed=6, trials=200, dims=(2, 3), sizes=(3, 4))
+    report = runner(cfg)
+    assert report.suite == suite
+    assert len(report.counterexamples) == harness.COUNTEREXAMPLE_BUDGET
+    assert report.trials == report.agreements + harness.COUNTEREXAMPLE_BUDGET
+    assert report.trials < cfg.trials  # stopped inside the first dim or size
 
 
 def test_duality_suite_holds_completeness_to_the_verify_tolerance(monkeypatch):
@@ -142,3 +155,27 @@ def test_classical_replay_reproduces_a_recorded_counterexample(monkeypatch):
     assert replay_classical_counterexample(detail)
     monkeypatch.undo()
     assert not replay_classical_counterexample(detail)
+
+
+def test_classical_suite_counts_a_raising_witness(monkeypatch):
+    # a Birkhoff synthesis that raises is a counterexample, as in the duality
+    # suite, and the replay reproduces it
+    def broken(p, q, system=None):
+        raise RuntimeError("synthesis failed")
+
+    monkeypatch.setattr(harness, "birkhoff_rare_synthesis", broken)
+    report = run_classical_agreement_suite(TrialConfig(seed=6, trials=50, sizes=(3,)))
+    assert len(report.counterexamples) == harness.COUNTEREXAMPLE_BUDGET
+    detail = report.counterexamples[0]
+    assert detail["majorizes"] and detail["witness_error"] == "synthesis failed"
+    assert replay_classical_counterexample(detail)
+    monkeypatch.undo()
+    assert not replay_classical_counterexample(detail)
+
+
+def test_catalyst_suite_refuses_dims_outside_2_to_4_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(harness, "_rng", lambda seed: drawn.append(seed))
+    with pytest.raises(StructuralError):
+        run_catalyst_suite(TrialConfig(dims=(5,)))
+    assert not drawn

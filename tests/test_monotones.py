@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gptpurity import core, mixedness, monotones
+from gptpurity.core import StructuralError
 from gptpurity.monotones import ConvexScalarFn
 from gptpurity.quantum import DensityMatrix
 
@@ -174,6 +175,13 @@ def test_op_norm_report_witness(bit):
     sup_val = np.array(report.witness["sup_effect"]) @ delta
     inf_val = np.array(report.witness["inf_effect"]) @ delta
     assert abs(0.5 * (sup_val - inf_val) - report.value) < 1e-10
+
+
+def test_op_norm_report_refuses_an_unnormalized_state(bit):
+    rho = bit.state([2.0, 0.0])
+    for fn in (monotones.op_norm_report, monotones.op_norm_distance):
+        with pytest.raises(StructuralError):
+            fn(rho)
 
 
 def test_monotone_caches_die_with_their_system():
