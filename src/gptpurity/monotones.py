@@ -210,10 +210,13 @@ def purity_2norm(rho) -> float:
     """Squared invariant 2-norm of the state.
 
     Quantum: Tr(rho^2).  Classical: sum p_i^2.  Other systems: v^T Q v with
-    Q the group-averaged Gram form, provided Q is well conditioned.
+    Q the group-averaged Gram form, provided Q is well conditioned.  An
+    unnormalized GPT state is refused.
     """
     if isinstance(rho, DensityMatrix):
         return rho.purity()
+    if not rho.is_normalized():
+        raise StructuralError("purity_2norm requires a normalized state")
     q = rho.system.group_gram
     if np.linalg.cond(q) > MAX_GRAM_CONDITION:
         raise UnsupportedSystemError(

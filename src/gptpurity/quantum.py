@@ -14,6 +14,7 @@ reshape.  Entropies are in bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -86,12 +87,16 @@ def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD matrix with trace at most one."""
+    """Hermitian PSD matrix with trace at most one.
+
+    The matrix is a read-only copy of the input, and the eigenvalues from
+    the PSD check are kept (read-only, ascending) for ``spectrum``.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
@@ -103,7 +108,9 @@ class DensityMatrix:
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise StructuralError(f"trace {tr:.6f} outside [0, 1]")
         m.flags.writeable = False
+        vals.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigenvalues", vals)
 
     @property
     def dim(self) -> int:
@@ -117,9 +124,11 @@ class DensityMatrix:
         return float(np.trace(self.matrix @ self.matrix).real)
 
     def spectrum(self) -> np.ndarray:
-        """Eigenvalues, descending, clipped to be nonnegative."""
-        vals = np.linalg.eigvalsh(self.matrix)[::-1]
-        return np.clip(vals, 0.0, None)
+        """Eigenvalues, descending, clipped to be nonnegative, as a fresh array.
+
+        They come from the eigendecomposition made once by the PSD check.
+        """
+        return np.clip(self._eigenvalues[::-1], 0.0, None)
 
     @staticmethod
     def pure(vec) -> "DensityMatrix":
@@ -138,7 +147,11 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PureBipartiteState:
-    """Unit vector on a d_A x d_B tensor product."""
+    """Unit vector on a d_A x d_B tensor product.
+
+    The vector is a read-only copy of the input.  The marginals and the
+    squared Schmidt weights are computed on first use and kept.
+    """
 
     dims: tuple[int, int]
     vec: np.ndarray
@@ -147,7 +160,7 @@ class PureBipartiteState:
         da, db = self.dims
         if da < 1 or db < 1:
             raise StructuralError(f"dims must be positive, got {da}x{db}")
-        v = np.asarray(self.vec, dtype=complex).reshape(-1)
+        v = np.array(self.vec, dtype=complex).reshape(-1)
         if v.shape[0] != da * db:
             raise StructuralError(f"vector length {v.shape[0]} != {da}*{db}")
         if abs(np.linalg.norm(v) - 1.0) > TRACE_TOL:
@@ -158,6 +171,25 @@ class PureBipartiteState:
 
     def coefficient_matrix(self) -> np.ndarray:
         return self.vec.reshape(self.dims)
+
+    @cached_property
+    def _marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
+        m = self.coefficient_matrix()
+        rho_a = DensityMatrix(m @ m.conj().T)
+        rho_b = DensityMatrix((m.conj().T @ m).T)
+        r = min(self.dims)
+        sa = rho_a._eigenvalues[::-1][:r]
+        sb = rho_b._eigenvalues[::-1][:r]
+        if np.max(np.abs(sa - sb)) > SPECTRUM_TOL:
+            raise RuntimeError("marginal spectra of a pure state disagree; numerical failure")
+        return rho_a, rho_b
+
+    @cached_property
+    def _schmidt_weights(self) -> np.ndarray:
+        # descending, as the SVD returns them
+        w = np.linalg.svd(self.coefficient_matrix(), compute_uv=False) ** 2
+        w.flags.writeable = False
+        return w
 
     @staticmethod
     def from_matrix(m) -> "PureBipartiteState":
@@ -296,18 +328,11 @@ def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
     """Partial traces over B and over A.
 
     The nonzero parts of the two spectra always agree for a pure state,
-    and this is asserted within ``SPECTRUM_TOL``.
+    and this is asserted within ``SPECTRUM_TOL`` on the eigenvalues each
+    marginal's own PSD check computed.  The pair is built once per state
+    object and returned again on later calls.
     """
-    m = psi.coefficient_matrix()
-    rho_a = m @ m.conj().T
-    rho_b = (m.conj().T @ m).T
-    da, db = psi.dims
-    r = min(da, db)
-    sa = np.sort(np.linalg.eigvalsh(rho_a))[::-1][:r]
-    sb = np.sort(np.linalg.eigvalsh(rho_b))[::-1][:r]
-    if np.max(np.abs(sa - sb)) > SPECTRUM_TOL:
-        raise RuntimeError("marginal spectra of a pure state disagree; numerical failure")
-    return DensityMatrix(rho_a), DensityMatrix(rho_b)
+    return psi._marginals
 
 
 def purify(rho: DensityMatrix) -> PureBipartiteState:
@@ -334,8 +359,8 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
 
 
 def schmidt_squared(psi: PureBipartiteState) -> np.ndarray:
-    s = np.linalg.svd(psi.coefficient_matrix(), compute_uv=False)
-    return s ** 2
+    """Squared Schmidt coefficients, descending, as a fresh array."""
+    return psi._schmidt_weights.copy()
 
 
 def nielsen_convertible(psi: PureBipartiteState, target: PureBipartiteState) -> bool:
@@ -344,11 +369,10 @@ def nielsen_convertible(psi: PureBipartiteState, target: PureBipartiteState) -> 
     True iff the squared-Schmidt vector of ``psi`` is majorized by that of
     ``target`` (vectors zero-padded to a common length).
     """
-    p = schmidt_squared(psi)
-    q = schmidt_squared(target)
-    n = max(p.size, q.size)
-    p = np.pad(p, (0, n - p.size))
-    q = np.pad(q, (0, n - q.size))
+    p, q = psi._schmidt_weights, target._schmidt_weights
+    if p.size != q.size:
+        n = max(p.size, q.size)
+        p, q = np.pad(p, (0, n - p.size)), np.pad(q, (0, n - q.size))
     p, q = p / p.sum(), q / q.sum()
     return majorizes(q, p)
 
@@ -360,9 +384,8 @@ def lu_equivalent(psi: PureBipartiteState, other: PureBipartiteState) -> bool:
     """
     if psi.dims != other.dims:
         raise StructuralError("lu_equivalent requires equal dims")
-    p = np.sort(schmidt_squared(psi))[::-1]
-    q = np.sort(schmidt_squared(other))[::-1]
-    return bool(np.max(np.abs(p - q)) <= SPECTRUM_TOL)
+    gap = np.abs(psi._schmidt_weights - other._schmidt_weights)
+    return bool(np.max(gap) <= SPECTRUM_TOL)
 
 
 def local_exchange_channels(psi: PureBipartiteState) -> tuple[KrausChannel, KrausChannel]:
@@ -441,16 +464,20 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
 def _connecting_unitary(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Unitary T with M1 T = M2, for matrices with equal row Gram M M^dag.
 
-    The partial isometry pinv(M1) M2 does the job on the row space; it is
-    completed by any isometry between the kernels.
+    One full SVD per matrix, U S V^dag, splits it at the rank r: the
+    singular values above ``RELATIVE_RANK_TOL`` times the largest, the rule
+    ``pinv`` uses.  The kept part gives the pseudo-inverse
+    V_r S_r^-1 U_r^dag of M1, and the partial isometry pinv(M1) M2 does the
+    job on the row space; the remaining columns of V span the kernel, and
+    the map is completed by the isometry between the two kernels.
     """
-    x0 = np.linalg.pinv(m1, rcond=RELATIVE_RANK_TOL) @ m2
-    def kernel(m):
-        _, s, vh = np.linalg.svd(m)
+    def split(m):
+        u, s, vh = np.linalg.svd(m)
         r = int(np.sum(s > s[0] * RELATIVE_RANK_TOL)) if s.size else 0
-        return vh[r:].conj().T
-    k1, k2 = kernel(m1), kernel(m2)
-    t = x0 + k1 @ k2.conj().T
+        return u[:, :r], s[:r], vh[:r].conj().T, vh[r:].conj().T
+    u1, s1, v1, k1 = split(m1)
+    k2 = split(m2)[3]
+    t = (v1 / s1) @ (u1.conj().T @ m2) + k1 @ k2.conj().T
     if np.max(np.abs(t.conj().T @ t - np.eye(t.shape[0]))) > UNITARY_TOL:
         raise RuntimeError("connecting map failed to complete to a unitary; "
                            "row Grams probably differ")
@@ -516,7 +543,7 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
 
 def entanglement_entropy(psi: PureBipartiteState) -> float:
     """Entropy of entanglement in bits: Shannon entropy of Schmidt weights."""
-    return _entropy_bits(schmidt_squared(psi))
+    return _entropy_bits(psi._schmidt_weights)
 
 
 def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

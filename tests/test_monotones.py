@@ -184,6 +184,13 @@ def test_op_norm_report_refuses_an_unnormalized_state(bit):
             fn(rho)
 
 
+def test_every_builtin_monotone_refuses_an_unnormalized_state(bit):
+    rho = bit.state([2.0, 0.0])
+    for fn in monotones.builtin_monotones().values():
+        with pytest.raises(StructuralError, match="normalized"):
+            fn(rho)
+
+
 def test_monotone_caches_die_with_their_system():
     system = core.make_classical(3)
     monotones.op_norm_distance(system.state([0.5, 0.3, 0.2]))

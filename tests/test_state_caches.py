@@ -1,0 +1,125 @@
+"""Quantum state objects: copied input, factorizations made once and kept.
+
+A ``DensityMatrix`` keeps the eigenvalues of its own PSD check and a
+``PureBipartiteState`` keeps its marginals and squared Schmidt weights, so
+each state is factored once however many functions read it.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from gptpurity import quantum
+from gptpurity.mixedness import majorizes
+from gptpurity.quantum import (DensityMatrix, PureBipartiteState, marginals,
+                               nielsen_convertible, one_way_locc_from_rare,
+                               random_density_matrix, random_pure_state, random_unitary,
+                               rare_synthesis_quantum, schmidt_squared)
+from gptpurity.tolerances import RELATIVE_RANK_TOL, UNITARY_TOL
+
+
+# -- input aliasing ---------------------------------------------------------------
+
+def test_pure_state_copies_its_input():
+    v = np.zeros(4, complex)
+    v[0] = 1
+    psi = PureBipartiteState((2, 2), v)
+    rho_a = marginals(psi)[0]
+    v[0] = 0
+    v[3] = 1                        # the caller's array stays writeable
+    np.testing.assert_array_equal(psi.vec, [1, 0, 0, 0])
+    assert marginals(psi)[0] is rho_a
+    np.testing.assert_array_equal(rho_a.matrix, [[1, 0], [0, 0]])
+    # computed after the caller's write, so it must still see the copy
+    np.testing.assert_array_equal(schmidt_squared(psi), [1, 0])
+
+
+def test_density_matrix_copies_its_input():
+    m = np.diag([0.7, 0.3]).astype(complex)
+    rho = DensityMatrix(m)
+    spectrum = rho.spectrum()
+    m[0, 0] = 5                     # the caller's array stays writeable
+    np.testing.assert_array_equal(rho.matrix, np.diag([0.7, 0.3]))
+    np.testing.assert_array_equal(rho.spectrum(), spectrum)
+
+
+def test_returned_spectra_and_weights_are_fresh_arrays():
+    psi = random_pure_state((3, 3), np.random.default_rng(1))
+    weights = schmidt_squared(psi)
+    weights[:] = 0
+    assert schmidt_squared(psi).sum() == pytest.approx(1.0)
+    rho = marginals(psi)[0]
+    spectrum = rho.spectrum()
+    spectrum[:] = 0
+    assert rho.spectrum().sum() == pytest.approx(1.0)
+
+
+# -- factorization budget ---------------------------------------------------------
+
+def test_duality_pair_factors_each_state_once(monkeypatch):
+    counts = Counter()
+    for name in ("eigvalsh", "svd", "pinv"):
+        def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(1)
+    psi, phi = random_pure_state((3, 3), rng), random_pure_state((3, 3), rng)
+    convertible = 0
+    # both directions, in the order of the benchmark's duality op
+    for a, b in ((psi, phi), (phi, psi)):
+        rho, rho_t = marginals(a)[0], marginals(b)[0]
+        verdict = nielsen_convertible(a, b)
+        assert verdict == majorizes(rho_t.spectrum(), rho.spectrum())
+        if verdict:
+            rare = rare_synthesis_quantum(rho, rho_t)
+            assert one_way_locc_from_rare(a, b, rare).verify(a, b)
+            convertible += 1
+    assert convertible == 1
+    # two states, two marginals each; one Schmidt SVD per state and one
+    # SVD per matrix in the connecting unitary of each protocol
+    assert counts["pinv"] == 0
+    assert counts == Counter(eigvalsh=4, svd=2 + 2 * convertible)
+
+
+def test_spectrum_is_the_eigvalsh_of_the_matrix_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for d in range(1, 6):
+        for rank in range(1, d + 1):
+            m = random_density_matrix(d, rng, rank).matrix.copy()
+            expected = np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
+            assert DensityMatrix(m).spectrum().tobytes() == expected.tobytes()
+        for rho in marginals(random_pure_state((d, d + 1), rng)):
+            expected = np.clip(np.linalg.eigvalsh(rho.matrix)[::-1], 0.0, None)
+            assert rho.spectrum().tobytes() == expected.tobytes()
+
+
+# -- the connecting unitary -------------------------------------------------------
+
+def _connecting_unitary_by_pinv(m1, m2):
+    """The pseudo-inverse construction: pinv(M1) M2 plus an isometry between kernels."""
+    x0 = np.linalg.pinv(m1, rcond=RELATIVE_RANK_TOL) @ m2
+    def kernel(m):
+        _, s, vh = np.linalg.svd(m)
+        r = int(np.sum(s > s[0] * RELATIVE_RANK_TOL)) if s.size else 0
+        return vh[r:].conj().T
+    return x0 + kernel(m1) @ kernel(m2).conj().T
+
+
+def test_connecting_unitary_matches_the_pinv_construction():
+    rng = np.random.default_rng(20)
+    for d in (2, 3, 4):
+        for branches in range(1, d + 1):
+            for rank in range(1, d + 1):
+                # Schmidt rank `rank` in the first register slot, as in the protocol
+                coeffs = np.zeros(d)
+                coeffs[:rank] = rng.dirichlet(np.ones(rank))
+                m_psi = random_unitary(d, rng) @ np.diag(np.sqrt(coeffs)) @ random_unitary(d, rng)
+                m1 = np.zeros((d, d * branches), dtype=complex)
+                m1[:, 0::branches] = m_psi
+                m2 = m1 @ random_unitary(d * branches, rng)
+                t = quantum._connecting_unitary(m1, m2)
+                assert np.max(np.abs(m1 @ t - m2)) <= UNITARY_TOL
+                reference = _connecting_unitary_by_pinv(m1, m2)
+                assert np.max(np.abs(t - reference)) <= UNITARY_TOL
