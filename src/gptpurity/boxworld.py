@@ -159,10 +159,8 @@ class LocalRelabeling:
 # ---------------------------------------------------------------------------
 
 def standard_pr_box() -> BoxState:
-    """The 2-setting/2-outcome box with a+b = xy mod 2, weight 1/2."""
-    return BoxState.from_function(
-        2, 2, 2, 2,
-        lambda a, b, x, y: Fraction(1, 2) if (a + b) % 2 == x * y else Fraction(0))
+    """The 2-setting/2-outcome box with a+b = xy mod 2, weight 1/2: ``pr_box_k(2, 2, 2)``."""
+    return pr_box_k(2, 2, 2)
 
 
 def pr_box_k(k: int, d_a: int, d_b: int) -> BoxState:

@@ -328,7 +328,7 @@ def _cmd_one_way(args):
 
 def _cmd_eof(args):
     rho = _parse_density(args.rho)
-    value = quantum.entanglement_of_formation(rho, seed=args.seed)
+    value = quantum.entanglement_of_formation(rho)
     return 0, {"entanglement_of_formation": value}
 
 
@@ -338,8 +338,7 @@ def _cmd_catalyst(args):
 
 
 def _cmd_make_pr(args):
-    box = boxworld.pr_box_k(args.k, args.d, args.d) if args.k else boxworld.standard_pr_box()
-    return 0, box.to_dict()
+    return 0, boxworld.pr_box_k(args.k, args.d, args.d).to_dict()
 
 
 def _cmd_check_ns(args):
@@ -368,9 +367,6 @@ def _suite_cmd(runner):
     return cmd
 
 
-COMMANDS = {}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gptpurity",
@@ -383,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(name.replace("_", "-") if name.startswith("--") else name, **spec)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
-        COMMANDS[verb] = fn
-        return p
+        p.set_defaults(run=fn)
 
     sys_arg = {"--system": {"required": True, "help": "classical:N | square-bit | theory JSON path"}}
     add("validate-system", _cmd_validate_system, **sys_arg)
@@ -412,10 +407,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("rare-quantum", _cmd_rare_quantum,
         **{"--rho": {"required": True}, "--source": {"required": True}})
     add("one-way", _cmd_one_way, **pair_args)
-    add("eof", _cmd_eof, **{"--rho": {"required": True},
-                            "--seed": {"type": int, "default": 11}})
+    add("eof", _cmd_eof, **{"--rho": {"required": True}})
     add("catalyst", _cmd_catalyst, **{"--rho": {"required": True}})
-    add("make-pr", _cmd_make_pr, **{"--k": {"type": int, "default": 0},
+    add("make-pr", _cmd_make_pr, **{"--k": {"type": int, "default": 2},
                                     "--d": {"type": int, "default": 2}})
     add("check-ns", _cmd_check_ns, **{"--box": {"required": True}})
     add("check-extreme", _cmd_check_extreme, **{"--box": {"required": True}})
@@ -441,8 +435,7 @@ def dispatch(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.verb == "monotone" and not args.grid and args.rho is None:
         parser.error("monotone needs --rho or --grid")
-    fn = COMMANDS[args.verb]
-    code, payload = fn(args)
+    code, payload = args.run(args)
     _emit(payload, args)
     return code
 

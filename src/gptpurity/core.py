@@ -119,6 +119,11 @@ class TheorySystem:
         return gram
 
     @cached_property
+    def _effect_array(self) -> np.ndarray:
+        """The extremal effects as the rows of one ``(K, dim)`` array."""
+        return np.reshape(self.extremal_effects, (-1, self.dim))
+
+    @cached_property
     def pure_measurements(self) -> tuple["Measurement", ...]:
         """The vertices of the measurement polytope, as measurements.
 
@@ -256,14 +261,6 @@ class Instrument:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def _match_vertex(sys: TheorySystem, vec: np.ndarray, atol: float) -> int | None:
-    """Index of the pure state equal to ``vec`` within tolerance, else None."""
-    for j, w in enumerate(sys.pure_states):
-        if np.max(np.abs(vec - w)) <= atol:
-            return j
-    return None
-
 
 def _spanning_rows(verts: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent set of rows, chosen greedily in order."""

@@ -191,7 +191,7 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
                 "witness_residual": None}
     if ok and maj_verdict:
         try:
-            channel = birkhoff_rare_synthesis(p, q, system=system)
+            channel = birkhoff_rare_synthesis(p, q)
         except (StructuralError, RuntimeError) as exc:
             return False, {**verdicts, "witness_error": str(exc)}
         residual = float(np.max(np.abs(channel.matrix() @ p - q)))

@@ -160,9 +160,17 @@ def _orbit(rho: GptState) -> np.ndarray:
     return rho.system.group_array @ rho.vec
 
 
-def _require_normalized(rho: GptState, name: str) -> None:
+def _require_state(rho: GptState, name: str) -> None:
+    """Refuse a vector outside the state space: unnormalized, or below -ATOL on an effect.
+
+    Exact when the extremal effects include every facet effect; every state
+    of a validated system passes.
+    """
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
+    values = rho.system._effect_array @ rho.vec
+    if (values < -ATOL).any():
+        raise StructuralError(f"{name} lies outside the state space (effect {values.min():.3e})")
 
 
 def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
@@ -173,8 +181,8 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
-    _require_normalized(rho, "rho")
-    _require_normalized(sigma, "sigma")
+    _require_state(rho, "rho")
+    _require_state(sigma, "sigma")
     return feasible_convex_combination(_orbit(rho), sigma.vec)
 
 
@@ -295,6 +303,7 @@ def orbit_hull(rho: GptState) -> list[np.ndarray]:
     feasibility solver against the other points, as a Farkas certificate
     or a convex combination.
     """
+    _require_state(rho, "rho")
     orbit = _orbit(rho)
     points = orbit[_first_hits(orbit, ATOL)]
     if len(points) == 1:
@@ -373,14 +382,14 @@ def _lexicographic_rank(perm: tuple[int, ...]) -> int:
                for i, first in enumerate(perm))
 
 
-def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReChannel:
+def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
     Requires that p majorizes q.  The permutohedron walk writes q as a mix
     of at most n permutations of p, each met once; the channel weighs the
-    matching permutation matrices of make_classical(n) (or of the supplied
-    classical system, whose group must be in the same order).  The channel
-    rebuilds q within ``WITNESS_TOL``, or the call raises.
+    matching permutation matrices of make_classical(n), whose group lists
+    the permutations in lexicographic order.  The channel rebuilds q within
+    ``WITNESS_TOL``, or the call raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -389,11 +398,10 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
         raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
     if not majorizes(p, q):
         raise StructuralError("precondition failed: p does not majorize q")
-    sys = system if system is not None else make_classical(n)
 
     terms = _permutohedron_walk(p, q)
     entries = tuple(sorted((w, _lexicographic_rank(perm)) for perm, w in terms.items()))
-    channel = RaReChannel(sys, entries)
+    channel = RaReChannel(make_classical(n), entries)
     residual = np.max(np.abs(channel.matrix() @ p - q))
     if residual > WITNESS_TOL:
         raise RuntimeError(f"synthesized channel misses target by {residual:.2e}")
@@ -401,8 +409,9 @@ def birkhoff_rare_synthesis(p, q, system: TheorySystem | None = None) -> RaReCha
 
 
 def validate_state(rho: GptState) -> FeasibilityCertificate:
-    """Certificate that a normalized state lies in the pure-state hull."""
-    _require_normalized(rho, "state")
+    """Certificate that a normalized state lies in the pure-state hull: the exact membership LP."""
+    if not rho.is_normalized():
+        raise StructuralError(f"state is not normalized (norm {rho.norm:.6f})")
     return feasible_convex_combination(rho.system.pure_states, rho.vec)
 
 

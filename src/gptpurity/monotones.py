@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simplex
 from .core import GptState, Measurement, StructuralError, TheorySystem
-from .mixedness import RaReChannel, invariant_state
+from .mixedness import RaReChannel, _require_state, invariant_state
 from .quantum import DensityMatrix, _eig_desc, _entropy_bits
 from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL, TRACE_TOL
 
@@ -66,11 +66,6 @@ class ConvexScalarFn:
     def square() -> "ConvexScalarFn":
         return ConvexScalarFn("square", lambda x: x * x)
 
-    @staticmethod
-    def custom(evaluator: Callable[[float], float], tag: str = "custom") -> "ConvexScalarFn":
-        """Wrap ``evaluator``; the same as ``ConvexScalarFn(tag, evaluator)``."""
-        return ConvexScalarFn(tag, evaluator)
-
 
 @dataclass(frozen=True)
 class MonotoneReport:
@@ -101,8 +96,7 @@ def f_purity(rho: GptState, f: ConvexScalarFn) -> MonotoneReport:
     """
     if not f.convex or f(0.0) != 0.0:
         raise ValueError(f"the {f.tag}-purity needs a convex f with f(0) = 0")
-    if not rho.is_normalized():
-        raise StructuralError("f_purity requires a normalized state")
+    _require_state(rho, "rho")
     measurements = rho.system.pure_measurements
     if not measurements:
         raise UnsupportedSystemError("no pure measurements available for this system")
@@ -196,8 +190,7 @@ def op_norm_distance(rho: GptState) -> float:
 
 def op_norm_report(rho: GptState) -> MonotoneReport:
     """op_norm_distance together with the optimizing effect pair."""
-    if not rho.is_normalized():
-        raise StructuralError("op_norm_distance requires a normalized state")
+    _require_state(rho, "rho")
     delta = rho.vec - _invariant_vec(rho.system)
     hi, top = _optimize_effect(rho.system, delta, maximize=True)
     lo, bottom = _optimize_effect(rho.system, delta, maximize=False)
@@ -210,13 +203,12 @@ def purity_2norm(rho) -> float:
     """Squared invariant 2-norm of the state.
 
     Quantum: Tr(rho^2).  Classical: sum p_i^2.  Other systems: v^T Q v with
-    Q the group-averaged Gram form, provided Q is well conditioned.  An
-    unnormalized GPT state is refused.
+    Q the group-averaged Gram form, provided Q is well conditioned.  A GPT
+    state outside the state space is refused.
     """
     if isinstance(rho, DensityMatrix):
         return rho.purity()
-    if not rho.is_normalized():
-        raise StructuralError("purity_2norm requires a normalized state")
+    _require_state(rho, "rho")
     q = rho.system.group_gram
     if np.linalg.cond(q) > MAX_GRAM_CONDITION:
         raise UnsupportedSystemError(

@@ -34,11 +34,20 @@ from .tolerances import (DEGENERACY_TOL, DISTRIBUTION_SUM_TOL, ENTROPY_FLOOR,
 EOF_MEMBERS = 6
 #: L-BFGS starts of the EoF optimizer: the eigen-ensemble, then random rotations
 EOF_STARTS = 3
+#: seed of the random rotations that make the EoF starts after the first
+EOF_SEED = 11
 
 
 def _sci(tol: float) -> str:
     """A tolerance in short scientific form, exponent unpadded, for error messages."""
     return np.format_float_scientific(tol, trim="-", exp_digits=1)
+
+
+def _frozen(x, dtype) -> np.ndarray:
+    """A read-only copy of ``x`` as an array of ``dtype``."""
+    a = np.array(x, dtype=dtype)
+    a.flags.writeable = False
+    return a
 
 
 def _entropy_bits(p: np.ndarray) -> float:
@@ -96,7 +105,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = _frozen(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
@@ -107,7 +116,6 @@ class DensityMatrix:
         tr = float(np.trace(m).real)
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise StructuralError(f"trace {tr:.6f} outside [0, 1]")
-        m.flags.writeable = False
         vals.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_eigenvalues", vals)
@@ -160,12 +168,11 @@ class PureBipartiteState:
         da, db = self.dims
         if da < 1 or db < 1:
             raise StructuralError(f"dims must be positive, got {da}x{db}")
-        v = np.array(self.vec, dtype=complex).reshape(-1)
+        v = _frozen(self.vec, complex).reshape(-1)
         if v.shape[0] != da * db:
             raise StructuralError(f"vector length {v.shape[0]} != {da}*{db}")
         if abs(np.linalg.norm(v) - 1.0) > TRACE_TOL:
             raise StructuralError(f"state vector is not normalized within {_sci(TRACE_TOL)}")
-        v.flags.writeable = False
         object.__setattr__(self, "vec", v)
         object.__setattr__(self, "dims", (int(da), int(db)))
 
@@ -204,25 +211,25 @@ def maximally_entangled(d: int) -> PureBipartiteState:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtData:
-    """Schmidt form: coefficients and the biorthogonal bases, as columns."""
+    """Schmidt form: coefficients and the biorthogonal bases (columns), as read-only copies."""
 
     coefficients: np.ndarray
     left_basis: np.ndarray
     right_basis: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
+        c = _frozen(self.coefficients, float)
         if np.any(np.diff(c) > ZERO_TOL) or c.min() < -ZERO_TOL:
             raise StructuralError("Schmidt coefficients must be nonnegative descending")
         if abs(np.sum(c ** 2) - 1.0) > DISTRIBUTION_SUM_TOL:
             raise StructuralError("squared Schmidt coefficients must sum to 1")
-        for name, b in (("left_basis", self.left_basis), ("right_basis", self.right_basis)):
-            gram = np.asarray(b).conj().T @ np.asarray(b)
+        object.__setattr__(self, "coefficients", c)
+        for name in ("left_basis", "right_basis"):
+            b = _frozen(getattr(self, name), complex)
+            gram = b.conj().T @ b
             if np.max(np.abs(gram - np.eye(gram.shape[0]))) > ORTHONORMAL_TOL:
                 raise StructuralError(f"{name} is not orthonormal within {_sci(ORTHONORMAL_TOL)}")
-        object.__setattr__(self, "coefficients", c)
-        object.__setattr__(self, "left_basis", np.asarray(self.left_basis, dtype=complex))
-        object.__setattr__(self, "right_basis", np.asarray(self.right_basis, dtype=complex))
+            object.__setattr__(self, name, b)
 
     @property
     def rank(self) -> int:
@@ -238,19 +245,19 @@ class SchmidtData:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Trace-preserving channel given by Kraus operators."""
+    """Trace-preserving channel given by Kraus operators, kept as read-only copies."""
 
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        ops = tuple(_frozen(k, complex) for k in self.operators)
         if not ops:
             raise StructuralError("channel needs at least one Kraus operator")
         din = ops[0].shape[1]
         total = np.zeros((din, din), dtype=complex)
         for k in ops:
-            if k.shape[1] != din:
-                raise StructuralError("Kraus operators disagree on input dimension")
+            if k.shape != ops[0].shape:
+                raise StructuralError(f"Kraus operator shapes differ: {k.shape}, {ops[0].shape}")
             total += k.conj().T @ k
         if np.max(np.abs(total - np.eye(din))) > TRACE_PRESERVING_TOL:
             raise StructuralError("Kraus operators do not preserve the trace within "
@@ -264,7 +271,7 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class OneWayProtocol:
-    """Bob's instrument plus Alice's conditional unitary corrections."""
+    """Bob's instrument plus Alice's conditional unitary corrections, as read-only copies."""
 
     bob_instrument: tuple[np.ndarray, ...]
     alice_corrections: tuple[np.ndarray, ...]
@@ -272,14 +279,15 @@ class OneWayProtocol:
 
     def __post_init__(self):
         object.__setattr__(self, "bob_instrument",
-                           tuple(np.asarray(b, dtype=complex) for b in self.bob_instrument))
+                           tuple(_frozen(b, complex) for b in self.bob_instrument))
         object.__setattr__(self, "alice_corrections",
-                           tuple(np.asarray(a, dtype=complex) for a in self.alice_corrections))
-        object.__setattr__(self, "outcome_probs",
-                           np.asarray(self.outcome_probs, dtype=float))
+                           tuple(_frozen(a, complex) for a in self.alice_corrections))
+        object.__setattr__(self, "outcome_probs", _frozen(self.outcome_probs, float))
         if not (len(self.bob_instrument) == len(self.alice_corrections)
                 == self.outcome_probs.size):
             raise StructuralError("protocol branch counts disagree")
+        if not self.bob_instrument:
+            raise StructuralError("protocol needs at least one branch")
 
     def completeness_residual(self) -> float:
         db = self.bob_instrument[0].shape[1]
@@ -532,7 +540,7 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     bob = []
     for i in range(n):
         # B_i = (I_B x <i|_C) W (I_B x |0>_C)
-        bob.append(w_unitary[i::n, 0::n].copy())
+        bob.append(w_unitary[i::n, 0::n])
     alice = [u.conj().T for _, u in rare]
     return OneWayProtocol(tuple(bob), tuple(alice), weights)
 
@@ -611,7 +619,7 @@ def _roof_objective(params: np.ndarray, roots: np.ndarray, starts: int
     return costs, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
 
 
-def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
+def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Convex-roof entanglement of formation for a two-qubit state, in ebits.
 
     Minimizes the ensemble-average marginal entropy over decompositions of
@@ -621,15 +629,14 @@ def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
     method of Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
     ``EOF_STARTS`` starts run side by side as one problem, whose cost is the
     sum of theirs; the first is the eigen-ensemble itself and the others
-    rotate it by random unitaries drawn from ``seed``, so the result is
-    deterministic.  The value is the lowest single start's cost at the end.
+    rotate it by random unitaries drawn from the fixed ``EOF_SEED``, so the
+    value is a function of rho alone.  It is the lowest single start's cost
+    at the end.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
     if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("state must be normalized")
-    if seed < 0:
-        raise StructuralError(f"seed must be >= 0, got {seed}")
     vals, vecs = _eig_desc(rho.matrix)
     keep = vals > RANK_TOL
     lam, v = vals[keep], vecs[:, keep]
@@ -638,7 +645,7 @@ def entanglement_of_formation(rho: DensityMatrix, seed: int = 11) -> float:
     if r == 1:
         return float(_roof_cost(roots)[0])
     m = max(EOF_MEMBERS, r)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(EOF_SEED)
     z0 = np.stack([np.eye(m, r)] + [
         np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0][:, :r]
         for _ in range(EOF_STARTS - 1)])

@@ -24,22 +24,25 @@ def pairs_to_complex(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def round_floats(obj, sig: int = 12):
-    """Recursively round floats to `sig` significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{sig}g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.{sig}g}")
+#: significant digits of every float in emitted JSON
+_DIGITS = 12
+
+
+def round_floats(obj):
+    """Recursively round floats to ``_DIGITS`` significant digits."""
+    if isinstance(obj, (float, np.floating)):
+        return float(f"{float(obj):.{_DIGITS}g}")
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
-        return round_floats(obj.tolist(), sig)
+        return round_floats(obj.tolist())
     if isinstance(obj, dict):
-        return {k: round_floats(v, sig) for k, v in obj.items()}
+        return {k: round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [round_floats(v, sig) for v in obj]
+        return [round_floats(v) for v in obj]
     return obj
 
 
-def dump_json(obj, sig: int = 12, indent: int | None = 2) -> str:
-    return json.dumps(round_floats(obj, sig), indent=indent, sort_keys=True)
+def dump_json(obj) -> str:
+    """Sorted-key JSON, indented by 2, with floats rounded by ``round_floats``."""
+    return json.dumps(round_floats(obj), indent=2, sort_keys=True)

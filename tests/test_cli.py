@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity import cli, quantum, simplex
-from gptpurity.boxworld import BoxState, pr_box_k
+from gptpurity.boxworld import BoxState, pr_box_k, standard_pr_box
 from gptpurity.core import make_square_bit, system_to_dict
 from gptpurity.tolerances import WITNESS_TOL
 
@@ -153,6 +153,27 @@ def test_no_verb_takes_a_tolerance(capsys, monkeypatch):
     assert code == 1 and payload["swap_residual"] > WITNESS_TOL
 
 
+def test_eof_takes_no_seed():
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eof", "--rho", _MIXED_2X2, "--seed", "11"])
+    assert info.value.code == 2
+
+
+def test_make_pr_builds_pr_box_k(capsys):
+    code, payload = run(capsys, "make-pr")
+    assert code == 0 and payload == standard_pr_box().to_dict()
+    code, payload = run(capsys, "make-pr", "--d", "5")
+    assert code == 0 and payload == pr_box_k(2, 5, 5).to_dict()
+    code, payload = run(capsys, "make-pr", "--k", "3", "--d", "4")
+    assert code == 0 and payload == pr_box_k(3, 4, 4).to_dict()
+
+
+def test_each_verb_parser_carries_its_command():
+    parser = cli._build_parser()
+    assert parser.parse_args(["make-square-bit"]).run is cli._cmd_make_square_bit
+    assert parser.parse_args(["make-pr"]).run is cli._cmd_make_pr
+
+
 def test_box_verbs(capsys):
     code, payload = run(capsys, "make-pr")
     assert code == 0
@@ -285,7 +306,7 @@ _NON_BOX_VERBS = {
     "rare-quantum": {"--rho": (_MIXED, "complex"), "--source": (_MIXED, "complex")},
     "one-way": {"--state": (_BELL, "complex"), "--target": (_PRODUCT, "complex"),
                 "--dims": ("2x2", "dims")},
-    "eof": {"--rho": (_MIXED_2X2, "complex"), "--seed": ("11", "seed")},
+    "eof": {"--rho": (_MIXED_2X2, "complex")},
     "catalyst": {"--rho": (_MIXED, "complex")},
     "duality": {"--trials": ("1", "trials"), "--seed": ("0", "seed"), "--dim": ("2", "dim")},
     "classical-agreement": {"--trials": ("1", "trials"), "--seed": ("0", "seed"),
@@ -366,9 +387,9 @@ def test_non_box_verbs_map_garbage_to_exit_2(argv):
     ("catalyst-suite", "--trials", "1", "--dim", "1"),
     ("catalyst-suite", "--trials", "1", "--dim", "9"),
     ("schmidt", "--state", "[[1,0],[0,0],[0,0],[0,0]]", "--dims=-2x-2"),
-    ("eof", "--rho", _MIXED_2X2, "--seed", "-1"),
+    ("make-pr", "--k", "0"),
 ], ids=["grid", "duality-dim", "duality-seed", "catalyst-dim-1", "catalyst-dim-9",
-        "schmidt-dims", "eof-seed"])
+        "schmidt-dims", "make-pr-k"])
 def test_out_of_range_numbers_exit_2(capsys, argv):
     _one_line_error(capsys, *argv)
 

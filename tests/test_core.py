@@ -4,6 +4,14 @@ import pytest
 from gptpurity import core
 
 
+def _match_vertex(sys, vec, atol):
+    """Index of the pure state equal to ``vec`` within ``atol`` (max-norm), else None."""
+    for j, w in enumerate(sys.pure_states):
+        if np.max(np.abs(vec - w)) <= atol:
+            return j
+    return None
+
+
 @pytest.fixture(scope="module")
 def square_bit():
     return core.make_square_bit()
@@ -88,7 +96,7 @@ def test_group_acts_as_bijection_on_vertices(square_bit):
         for u in sys.group:
             images = []
             for v in sys.pure_states:
-                match = core._match_vertex(sys, u @ v, 1e-9)
+                match = _match_vertex(sys, u @ v, 1e-9)
                 assert match is not None
                 images.append(match)
             assert sorted(images) == list(range(len(sys.pure_states)))
@@ -183,7 +191,7 @@ def _reference_validate_system(sys, atol=core.ATOL):
         if abs(np.linalg.det(u)) < 1e-12:
             report.append(f"group[{i}] is singular (det ~ 0)")
             continue
-        hit = [core._match_vertex(sys, u @ v, atol) for v in sys.pure_states]
+        hit = [_match_vertex(sys, u @ v, atol) for v in sys.pure_states]
         if None in hit:
             j = hit.index(None)
             residual = min(np.max(np.abs(u @ sys.pure_states[j] - w)) for w in sys.pure_states)

@@ -94,8 +94,8 @@ def test_pure_measurements_are_the_oracle_vertices(name, count):
 
 def test_f_purity_refuses_inexact_f(trit):
     rho = trit.state([0.5, 0.3, 0.2])
-    wavy = ConvexScalarFn.custom(lambda x: math.sin(10 * x))
-    shifted = ConvexScalarFn.custom(lambda x: x * x + 1.0)
+    wavy = ConvexScalarFn("wavy", lambda x: math.sin(10 * x))
+    shifted = ConvexScalarFn("shifted", lambda x: x * x + 1.0)
     assert not wavy.convex and shifted.convex
     for f in (wavy, shifted):
         with pytest.raises(ValueError, match="convex f with f\\(0\\) = 0"):
@@ -191,6 +191,48 @@ def test_every_builtin_monotone_refuses_an_unnormalized_state(bit):
             fn(rho)
 
 
+def _state_space_entry_points():
+    """Every library function that takes a GPT state, as a one-state callable."""
+    f2 = ConvexScalarFn.square()
+    return {"more_mixed(rho)": lambda s: mixedness.more_mixed(s, s.system.state(s.vec)),
+            "more_mixed(sigma)": lambda s: mixedness.more_mixed(
+                mixedness.invariant_state(s.system), s),
+            "orbit_hull": mixedness.orbit_hull,
+            "f_purity": lambda s: monotones.f_purity(s, f2),
+            "measurement_entropy": monotones.measurement_entropy,
+            "op_norm_report": monotones.op_norm_report,
+            "op_norm_distance": monotones.op_norm_distance,
+            "purity_2norm": monotones.purity_2norm,
+            **monotones.builtin_monotones()}
+
+
+@pytest.mark.parametrize("system, vec", [
+    (core.make_classical(2), [1.5, -0.5]),       # normalized, below 0 on an effect
+    (core.make_classical(2), [2.0, 0.0]),        # unnormalized
+    (core.make_square_bit(), [3.0, 0.0, 1.0]),   # normalized, outside the square
+], ids=["classical-negative", "classical-unnormalized", "square-outside"])
+def test_every_entry_point_refuses_a_state_outside_the_state_space(system, vec):
+    rho = system.state(vec)
+    for name, fn in _state_space_entry_points().items():
+        with pytest.raises(StructuralError, match="normalized|outside the state space"):
+            fn(rho)
+            pytest.fail(f"{name} scored {vec}")
+
+
+@pytest.mark.parametrize("system", [core.make_classical(2), core.make_classical(3),
+                                    core.make_square_bit(),
+                                    core.system_from_dict(_pentagon_dict())],
+                         ids=["classical-2", "classical-3", "square-bit", "pentagon"])
+def test_vertices_and_facet_midpoints_pass_the_state_check(system):
+    verts = list(system.pure_states)
+    # adjacent vertices in list order share a facet on these systems
+    states = verts + [(v + w) / 2 for v, w in zip(verts, verts[1:] + verts[:1])]
+    for vec in states:
+        rho = system.state(vec)
+        for fn in _state_space_entry_points().values():
+            fn(rho)
+
+
 def test_monotone_caches_die_with_their_system():
     system = core.make_classical(3)
     monotones.op_norm_distance(system.state([0.5, 0.3, 0.2]))
@@ -276,8 +318,8 @@ def test_schur_check_flags_nonconvex_function(trit):
 
 
 def test_custom_fn_convexity_probe():
-    assert ConvexScalarFn.custom(lambda x: x ** 4).convex
-    assert not ConvexScalarFn.custom(lambda x: math.sin(10 * x)).convex
+    assert ConvexScalarFn("quartic", lambda x: x ** 4).convex
+    assert not ConvexScalarFn("wavy", lambda x: math.sin(10 * x)).convex
 
 
 def test_convex_flag_is_not_a_constructor_argument(trit):

@@ -527,9 +527,9 @@ def test_eig_desc_matches_column_loop_bit_for_bit():
         assert vecs.tobytes() == ref_vecs.tobytes()
 
 
-def test_eof_same_seed_is_bit_identical():
+def test_eof_is_bit_identical_between_calls():
     rho = random_density_matrix(4, np.random.default_rng(19), rank=3)
-    assert entanglement_of_formation(rho, seed=5) == entanglement_of_formation(rho, seed=5)
+    assert entanglement_of_formation(rho) == entanglement_of_formation(rho)
 
 
 def test_eof_rejects_other_dims():

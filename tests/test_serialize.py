@@ -14,8 +14,8 @@ def test_complex_pairs_roundtrip():
 
 
 def test_floats_printed_with_12_significant_digits():
-    text = dump_json({"x": 1.0 / 3.0}, indent=None)
-    assert text == '{"x": 0.333333333333}'
+    text = dump_json({"x": 1.0 / 3.0})
+    assert text == '{\n  "x": 0.333333333333\n}'
     assert round_floats(123456789.123456789) == 123456789.123
 
 

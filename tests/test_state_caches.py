@@ -12,7 +12,9 @@ import pytest
 
 from gptpurity import quantum
 from gptpurity.mixedness import majorizes
-from gptpurity.quantum import (DensityMatrix, PureBipartiteState, marginals,
+from gptpurity.core import StructuralError
+from gptpurity.quantum import (DensityMatrix, KrausChannel, OneWayProtocol,
+                               PureBipartiteState, SchmidtData, marginals,
                                nielsen_convertible, one_way_locc_from_rare,
                                random_density_matrix, random_pure_state, random_unitary,
                                rare_synthesis_quantum, schmidt_squared)
@@ -42,6 +44,42 @@ def test_density_matrix_copies_its_input():
     m[0, 0] = 5                     # the caller's array stays writeable
     np.testing.assert_array_equal(rho.matrix, np.diag([0.7, 0.3]))
     np.testing.assert_array_equal(rho.spectrum(), spectrum)
+
+
+def test_kraus_channel_copies_its_input():
+    k = np.eye(2, dtype=complex)
+    channel = KrausChannel((k,))
+    k[0, 0] = 5                     # the caller's array stays writeable
+    assert np.trace(channel.apply(np.eye(2) / 2)).real == pytest.approx(1.0)
+    assert not channel.operators[0].flags.writeable
+
+
+def test_schmidt_data_copies_its_input():
+    c, basis = np.array([1.0, 0.0]), np.eye(2, dtype=complex)
+    sd = SchmidtData(c, basis, basis)
+    c[0], basis[0, 0] = 5, 5
+    np.testing.assert_array_equal(sd.coefficients, [1, 0])
+    np.testing.assert_array_equal(sd.left_basis, np.eye(2))
+    assert not any(a.flags.writeable for a in (sd.coefficients, sd.left_basis, sd.right_basis))
+
+
+def test_one_way_protocol_copies_its_input():
+    bob, alice, probs = np.eye(2, dtype=complex), np.eye(2, dtype=complex), np.array([1.0])
+    protocol = OneWayProtocol((bob,), (alice,), probs)
+    bob[0, 0] = alice[0, 0] = probs[0] = 5
+    assert protocol.completeness_residual() == 0.0
+    np.testing.assert_array_equal(protocol.alice_corrections[0], np.eye(2))
+    np.testing.assert_array_equal(protocol.outcome_probs, [1.0])
+
+
+def test_kraus_channel_refuses_operators_of_different_output_dimension():
+    with pytest.raises(StructuralError, match="shapes differ"):
+        KrausChannel((np.eye(2), np.zeros((3, 2))))
+
+
+def test_one_way_protocol_refuses_zero_branches():
+    with pytest.raises(StructuralError, match="at least one branch"):
+        OneWayProtocol((), (), [])
 
 
 def test_returned_spectra_and_weights_are_fresh_arrays():
