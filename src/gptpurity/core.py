@@ -119,6 +119,30 @@ class TheorySystem:
         return gram
 
     @cached_property
+    def _permutation_index(self) -> dict[tuple[int, ...], int] | None:
+        """Group index of each permutation, when the system is classical with its full group.
+
+        That is when the pure states are the standard basis e_1..e_n in any
+        order, the unit effect is all ones, and the group holds each of the
+        n! permutation matrices exactly once, in any order.  group[k] is keyed
+        by the tuple perm with group[k] @ x = x[perm].  On every other system,
+        a simplex with a proper subgroup included, this is None.
+        """
+        n = self.dim
+        if len(self.group) != math.factorial(n):
+            return None
+        eye = np.eye(n)
+        verts = np.asarray(self.pure_states)
+        rows = self.group_array.argmax(axis=2)
+        if not (np.array_equal(self.unit_effect, np.ones(n))
+                and np.array_equal(verts[np.argsort(verts.argmax(axis=1))], eye)
+                and np.array_equal(self.group_array, eye[rows])
+                and np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n), rows.shape))):
+            return None
+        index = {tuple(row): k for k, row in enumerate(rows.tolist())}
+        return index if len(index) == len(self.group) else None
+
+    @cached_property
     def _effect_array(self) -> np.ndarray:
         """The extremal effects as the rows of one ``(K, dim)`` array."""
         return np.reshape(self.extremal_effects, (-1, self.dim))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import StructuralError, TheorySystem, make_classical
-from .mixedness import birkhoff_rare_synthesis, majorizes, more_mixed
+from .mixedness import birkhoff_rare_synthesis, feasible_convex_combination, majorizes
 from .quantum import (DensityMatrix, PureBipartiteState, lu_equivalent, marginals,
                       maximally_entangled, nielsen_convertible, one_way_locc_from_rare,
                       random_density_matrix, random_pure_state, random_unitary,
@@ -180,11 +180,14 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
                      ) -> tuple[bool, dict]:
     """Compare the LP verdict with majorization on one pair of distributions.
 
-    Returns (ok, verdicts).  ok is False when the two verdicts differ, or
-    when the Birkhoff witness of a comparable pair misses its target by
-    more than WITNESS_TOL or cannot be built ('witness_error').
+    The LP is the phase-1 orbit LP that non-classical systems run in
+    ``more_mixed``; classical ``more_mixed`` itself answers by majorization,
+    so calling it here would compare majorization with itself.  Returns
+    (ok, verdicts).  ok is False when the two verdicts differ, or when the
+    Birkhoff witness of a comparable pair misses its target by more than
+    WITNESS_TOL or cannot be built ('witness_error').
     """
-    lp_verdict = more_mixed(system.state(p), system.state(q)).feasible
+    lp_verdict = feasible_convex_combination(system.group_array @ p, q).feasible
     maj_verdict = majorizes(p, q)
     ok = lp_verdict == maj_verdict
     verdicts = {"lp_verdict": lp_verdict, "majorizes": maj_verdict,
@@ -213,7 +216,7 @@ def _classical_trials(cfg: TrialConfig):
 
 
 def run_classical_agreement_suite(cfg: TrialConfig) -> SuiteReport:
-    """LP-based more_mixed against partial-sum majorization, on random pairs.
+    """The phase-1 orbit LP against partial-sum majorization, on random pairs.
 
     Whenever the pair is comparable, the Birkhoff witness is synthesized and
     its defining equation checked.

@@ -9,10 +9,11 @@ with the system's stacked group; the orbit hull and the invariant state
 need no LP on a genuine group, since the group action itself supplies
 their certificates.
 
-The classical case reduces to majorization, and the witness is built
-without an LP: q lies in the permutohedron of p (the hull of p's
-permutations) exactly when p majorizes q, and a Caratheodory walk on that
-polytope writes q as a mix of at most n permutations of p.
+The classical case reduces to majorization and needs no LP: q lies in
+the permutohedron of p (the hull of p's permutations) exactly when p
+majorizes q, and a Caratheodory walk on that polytope writes q as a mix of
+at most n permutations of p.  ``more_mixed`` on a classical system with its
+full permutation group and ``birkhoff_rare_synthesis`` both take that path.
 """
 
 from __future__ import annotations
@@ -177,13 +178,28 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     """Certificate that sigma is more mixed than rho (Def.-3 relation).
 
     Feasible iff sigma lies in the convex hull of the group orbit of rho;
-    the weights index the system group in order.
+    the weights index the system group in order.  On a classical system
+    with its full permutation group (any order of the elements) the orbit
+    hull is rho's permutohedron, so the verdict is ``majorizes(rho, sigma)``
+    and the permutohedron walk gives the weights, at most n of them nonzero,
+    rebuilding sigma within ``WITNESS_TOL`` (or the call raises); no LP is
+    solved.  Every other system, a simplex with a proper subgroup included,
+    solves the phase-1 LP over the orbit of rho.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
     _require_state(rho, "rho")
     _require_state(sigma, "sigma")
-    return feasible_convex_combination(_orbit(rho), sigma.vec)
+    index = rho.system._permutation_index
+    if index is None:
+        return feasible_convex_combination(_orbit(rho), sigma.vec)
+    if not majorizes(rho.vec, sigma.vec):
+        return FeasibilityCertificate("infeasible", None, float("inf"))
+    entries, residual = _walk_witness(rho.vec, sigma.vec, index.__getitem__)
+    weights = np.zeros(len(index))
+    for w, k in entries:
+        weights[k] = w
+    return FeasibilityCertificate("feasible", weights, residual)
 
 
 def rare_channel_from_certificate(system: TheorySystem,
@@ -382,6 +398,20 @@ def _lexicographic_rank(perm: tuple[int, ...]) -> int:
                for i, first in enumerate(perm))
 
 
+def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float, int]], float]:
+    """The permutohedron walk's terms as (weight, index(perm)) pairs, and their rebuild residual.
+
+    ``index`` maps a permutation tuple to its group index.  The terms
+    rebuild q within ``WITNESS_TOL``, or the call raises ``RuntimeError``.
+    """
+    terms = _permutohedron_walk(p, q)
+    weights = np.fromiter(terms.values(), dtype=float, count=len(terms))
+    residual = float(np.max(np.abs(weights @ p[np.array(list(terms))] - q)))
+    if residual > WITNESS_TOL:
+        raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
+    return [(w, index(perm)) for perm, w in terms.items()], residual
+
+
 def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
@@ -398,14 +428,8 @@ def birkhoff_rare_synthesis(p, q) -> RaReChannel:
         raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
     if not majorizes(p, q):
         raise StructuralError("precondition failed: p does not majorize q")
-
-    terms = _permutohedron_walk(p, q)
-    entries = tuple(sorted((w, _lexicographic_rank(perm)) for perm, w in terms.items()))
-    channel = RaReChannel(make_classical(n), entries)
-    residual = np.max(np.abs(channel.matrix() @ p - q))
-    if residual > WITNESS_TOL:
-        raise RuntimeError(f"synthesized channel misses target by {residual:.2e}")
-    return channel
+    entries, _ = _walk_witness(p, q, _lexicographic_rank)
+    return RaReChannel(make_classical(n), tuple(sorted(entries)))
 
 
 def validate_state(rho: GptState) -> FeasibilityCertificate:

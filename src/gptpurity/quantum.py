@@ -253,6 +253,8 @@ class KrausChannel:
         ops = tuple(_frozen(k, complex) for k in self.operators)
         if not ops:
             raise StructuralError("channel needs at least one Kraus operator")
+        if ops[0].ndim != 2:      # the shape check below holds the others to ops[0]'s
+            raise StructuralError(f"Kraus operators must be matrices, got shape {ops[0].shape}")
         din = ops[0].shape[1]
         total = np.zeros((din, din), dtype=complex)
         for k in ops:

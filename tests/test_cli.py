@@ -38,13 +38,19 @@ def test_more_mixed_infeasible_exit_code(capsys):
 
 
 def test_solver_fault_is_not_reported_as_a_failed_check(monkeypatch):
+    # the square bit's orbit LP has 8 columns and its state-space LPs 4, so only
+    # more_mixed's LP fails (classical more_mixed solves no LP)
+    phase1 = simplex.phase1
+
     def broken(a, b):
-        raise simplex.SimplexError("simplex iteration cap exceeded")
+        if a.shape[1] == 8:
+            raise simplex.SimplexError("simplex iteration cap exceeded")
+        return phase1(a, b)
 
     monkeypatch.setattr(simplex, "phase1", broken)
     with pytest.raises(simplex.SimplexError):
-        cli.main(["more-mixed", "--system", "classical:2", "--rho", "0.7,0.3",
-                  "--sigma", "0.5,0.5"])
+        cli.main(["more-mixed", "--system", "square-bit", "--rho", "0.5,0.2,1",
+                  "--sigma", "0,0,1"])
 
 
 def test_validate_system_verb(capsys, tmp_path):

@@ -157,6 +157,24 @@ def test_classical_replay_reproduces_a_recorded_counterexample(monkeypatch):
     assert not replay_classical_counterexample(detail)
 
 
+def test_classical_suite_checks_majorization_against_the_orbit_lp(monkeypatch):
+    # classical more_mixed answers by majorization, so the suite's LP side must
+    # come from the simplex: a phase-1 that says "infeasible" to every pair
+    # (y rises by 1e-8 on every probability vector, weak enough to pass the
+    # Farkas check) makes every majorized pair a counterexample
+    from gptpurity import simplex
+
+    def infeasible(a, b):
+        y = np.ones(a.shape[0])
+        y[-1] = -1.0 + 1e-8
+        return False, np.zeros(a.shape[1]), y
+
+    monkeypatch.setattr(simplex, "phase1", infeasible)
+    report = run_classical_agreement_suite(TrialConfig(seed=6, trials=20, sizes=(3,)))
+    assert report.counterexamples
+    assert all(d["majorizes"] and not d["lp_verdict"] for d in report.counterexamples)
+
+
 def test_classical_suite_counts_a_raising_witness(monkeypatch):
     # a Birkhoff synthesis that raises is a counterexample, as in the duality
     # suite, and the replay reproduces it

@@ -492,6 +492,112 @@ def test_verdict_invariant_under_group_conjugation(square_bit):
             assert moved == base
 
 
+# -- classical more_mixed: majorization and the permutohedron walk -----------
+
+def _classical_pairs(rng, n, count):
+    """Random pairs, RaRe images, and sigma pushed 1e-13..1e-8 outside rho's permutohedron."""
+    eye = np.eye(n)
+    for _ in range(count):
+        p = rng.dirichlet(np.ones(n))
+        yield p, rng.dirichlet(np.ones(n))
+        perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 5)))]
+        yield p, sum(w * eye[perm] @ p for w, perm in zip(rng.dirichlet(np.ones(len(perms))), perms))
+        q = np.sort(p)[::-1]
+        gap = 10.0 ** rng.uniform(-13, -8)
+        q[0] += gap              # the top partial sum of q now exceeds p's by gap
+        q[-1] -= gap
+        yield p, rng.permutation(q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classical_more_mixed_is_majorization_with_a_walk_witness(n, lp_calls):
+    system = core.make_classical(n)
+    rng = np.random.default_rng(100 + n)
+    for p, q in _classical_pairs(rng, n, 25):
+        cert = mixedness.more_mixed(system.state(p), system.state(q))
+        assert cert.feasible == mixedness.majorizes(p, q)
+        if cert.feasible:
+            assert cert.weights.shape == (len(system.group),)
+            assert np.count_nonzero(cert.weights) <= n
+            rebuilt = cert.weights @ (system.group_array @ p)
+            assert np.max(np.abs(rebuilt - q)) <= cert.residual + 1e-15
+            assert cert.residual <= mixedness.WITNESS_TOL
+        else:
+            assert cert.weights is None and cert.residual == float("inf")
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_classical_more_mixed_keeps_every_orbit_lp_verdict(n):
+    # the orbit LP, which classical more_mixed no longer solves, is the
+    # reference: its raises become verdicts, and each verdict it gives stays,
+    # except a "feasible" for a sigma outside the hull by more than the
+    # majorization tolerance but within what the LP's witness allows (the top
+    # partial sums of a mix of p's permutations miss sigma's by at most n times
+    # the mix's residual)
+    system = core.make_classical(n)
+    rng = np.random.default_rng(200 + n)
+    raised = 0
+    for p, q in _classical_pairs(rng, n, 40):
+        cert = mixedness.more_mixed(system.state(p), system.state(q))
+        try:
+            lp = mixedness.feasible_convex_combination(system.group_array @ p, q)
+        except mixedness.IllConditionedError:
+            raised += 1
+            continue
+        if cert.feasible != lp.feasible:
+            excess = np.max(np.cumsum(np.sort(q)[::-1]) - np.cumsum(np.sort(p)[::-1]))
+            assert lp.feasible and mixedness.MAJORIZATION_TOL < excess <= n * lp.residual
+    assert raised > 0
+
+
+def test_classical_more_mixed_weights_index_a_shuffled_group():
+    data = core.system_to_dict(core.make_classical(4))
+    order = np.random.default_rng(4).permutation(24)
+    data["group"] = [data["group"][k] for k in order]
+    system = core.system_from_dict(data)
+    assert system._permutation_index is not None
+    p, q = np.array([0.5, 0.3, 0.15, 0.05]), np.array([0.2, 0.25, 0.3, 0.25])
+    cert = mixedness.more_mixed(system.state(p), system.state(q))
+    assert cert.feasible
+    rebuilt = cert.weights @ (system.group_array @ p)
+    assert np.max(np.abs(rebuilt - q)) <= mixedness.WITNESS_TOL
+    channel = mixedness.rare_channel_from_certificate(system, cert)
+    np.testing.assert_allclose(channel.apply(system.state(p)).vec, q, atol=1e-9)
+
+
+def test_classical_more_mixed_with_a_cyclic_group_stays_on_the_lp(lp_calls):
+    # Z_3 on classical-3 reaches only cyclic shifts, so a transposition image
+    # is majorized yet outside the orbit hull
+    trit = core.make_classical(3)
+    cyclic = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
+                               pure_states=trit.pure_states,
+                               extremal_effects=trit.extremal_effects,
+                               group=(np.eye(3), np.eye(3)[[1, 2, 0]], np.eye(3)[[2, 0, 1]]))
+    assert core.validate_system(cyclic) == [] and cyclic._permutation_index is None
+    p = np.array([0.6, 0.3, 0.1])
+    q = p[[1, 0, 2]]
+    assert mixedness.majorizes(p, q)
+    assert not mixedness.more_mixed(cyclic.state(p), cyclic.state(q)).feasible
+    assert lp_calls == [3]
+    assert mixedness.more_mixed(trit.state(p), trit.state(q)).feasible
+    assert lp_calls == [3]
+
+
+def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
+    assert square_bit._permutation_index is None
+    assert core.system_from_dict(_pentagon_dict())._permutation_index is None
+    assert trit._permutation_index == {perm: k for k, perm in
+                                       enumerate(itertools.permutations(range(3)))}
+    assert core.make_classical(1)._permutation_index == {(0,): 0}
+    # a repeated element in place of one permutation is not the full group
+    doubled = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
+                                pure_states=trit.pure_states,
+                                extremal_effects=trit.extremal_effects,
+                                group=trit.group[:-1] + trit.group[:1])
+    assert doubled._permutation_index is None
+
+
 def test_rare_channel_from_certificate(square_bit):
     rho = square_bit.state([1.0, 1.0, 1.0])
     sigma = square_bit.state([0.25, 0.1, 1.0])

@@ -77,6 +77,12 @@ def test_kraus_channel_refuses_operators_of_different_output_dimension():
         KrausChannel((np.eye(2), np.zeros((3, 2))))
 
 
+def test_kraus_channel_refuses_operators_that_are_not_matrices():
+    for ops in ((np.ones(2),), (np.ones((1, 2, 2)),), (np.eye(2), np.ones(2))):
+        with pytest.raises(StructuralError):
+            KrausChannel(ops)
+
+
 def test_one_way_protocol_refuses_zero_branches():
     with pytest.raises(StructuralError, match="at least one branch"):
         OneWayProtocol((), (), [])
