@@ -181,10 +181,12 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     the weights index the system group in order.  On a classical system
     with its full permutation group (any order of the elements) the orbit
     hull is rho's permutohedron, so the verdict is ``majorizes(rho, sigma)``
-    and the permutohedron walk gives the weights, at most n of them nonzero,
-    rebuilding sigma within ``WITNESS_TOL`` (or the call raises); no LP is
-    solved.  Every other system, a simplex with a proper subgroup included,
-    solves the phase-1 LP over the orbit of rho.
+    and the permutohedron walk gives the weights, at most n of them nonzero;
+    no LP is solved.  Both run on the states clipped at zero and rescaled to
+    sum one, and the weights rebuild sigma within ``WITNESS_TOL`` plus how
+    far that moved each state, or the call raises ``RuntimeError``.  Every
+    other system, a simplex with a proper subgroup included, solves the
+    phase-1 LP over the orbit of rho.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
@@ -193,12 +195,22 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     index = rho.system._permutation_index
     if index is None:
         return feasible_convex_combination(_orbit(rho), sigma.vec)
-    if not majorizes(rho.vec, sigma.vec):
+    # the state check lets an entry sit ATOL below zero and a sum ATOL off one,
+    # so majorization and the walk take the states clipped and rescaled
+    p, q = np.maximum(rho.vec, 0.0), np.maximum(sigma.vec, 0.0)
+    p /= p.sum()
+    q /= q.sum()
+    if not majorizes(p, q):
         return FeasibilityCertificate("infeasible", None, float("inf"))
-    entries, residual = _walk_witness(rho.vec, sigma.vec, index.__getitem__)
+    entries, _ = _walk_witness(p, q, index.__getitem__)
+    ks = [k for _, k in entries]
     weights = np.zeros(len(index))
-    for w, k in entries:
-        weights[k] = w
+    weights[ks] = [w for w, _ in entries]
+    rebuilt = weights[ks] @ (rho.system.group_array[ks] @ rho.vec)
+    residual = float(np.max(np.abs(rebuilt - sigma.vec)))
+    # a mix of permutations moves no entry further than the rescaling moved rho's
+    if residual > WITNESS_TOL + np.max(np.abs(rho.vec - p)) + np.max(np.abs(sigma.vec - q)):
+        raise RuntimeError(f"mixing witness misses sigma by {residual:.2e}")
     return FeasibilityCertificate("feasible", weights, residual)
 
 

@@ -37,6 +37,13 @@ def test_more_mixed_infeasible_exit_code(capsys):
     assert payload["status"] == "infeasible"
 
 
+def test_more_mixed_takes_a_state_the_state_check_accepts(capsys):
+    # sums 5e-10 off one pass the state check and get a verdict
+    code, payload = run(capsys, "more-mixed", "--system", "classical:3",
+                        "--rho", "0.5,0.3,0.2000000005", "--sigma", "0.4,0.4,0.2000000005")
+    assert code == 0 and payload["status"] == "feasible"
+
+
 def test_solver_fault_is_not_reported_as_a_failed_check(monkeypatch):
     # the square bit's orbit LP has 8 columns and its state-space LPs 4, so only
     # more_mixed's LP fails (classical more_mixed solves no LP)
