@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,6 +137,17 @@ class LocalRelabeling:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise StructuralError("side must be 'A' or 'B'")
+        # labels are integers (numpy's too, kept as int); bools and floats are refused
+        try:
+            labels = [list(self.setting_perm), *map(list, self.outcome_perms)]
+        except TypeError:
+            raise StructuralError("setting_perm and outcome_perms must be sequences of "
+                                  "integer labels") from None
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for perm in labels for v in perm):
+            raise StructuralError("relabeling labels must be integers")
+        object.__setattr__(self, "setting_perm", tuple(map(int, labels[0])))
+        object.__setattr__(self, "outcome_perms", tuple(tuple(map(int, p)) for p in labels[1:]))
         if sorted(self.setting_perm) != list(range(len(self.setting_perm))):
             raise StructuralError("setting_perm is not a permutation")
         if len(self.outcome_perms) != len(self.setting_perm):
@@ -252,24 +264,74 @@ def is_extreme(box: BoxState) -> bool:
 
     The box is extreme iff the constraints active at it (zero entries,
     sector normalization, and the no-signalling equalities) pin it down
-    uniquely, i.e. their normals span the full table space.
+    uniquely, i.e. no nonzero direction delta on its support keeps all of
+    them.  Such a delta has well-defined margins alpha(a|x) = sum_b
+    delta(ab|xy) and beta(b|y) = sum_a delta(ab|xy).  Within one sector the
+    map from entries to row and column sums is the incidence map of the
+    sector's bipartite outcome support graph: its kernel is the cycle
+    space, and its image is "equal sums on each connected component".  So
+    the directions form a space of dimension
+
+        sum over sectors of the cycle rank
+        + dim{(alpha, beta) : sum_a alpha(a|x) = 0 for each x, and
+              sum_(a in K) alpha(a|x) = sum_(b in K) beta(b|y) for each
+              component K of each sector (x, y)},
+
+    where an isolated outcome is a component of its own, with margin 0.
+    The box is extreme iff every sector's support is a forest and that
+    small system has only the zero solution.
     """
     box.require_valid()
     return _is_vertex(box)
 
 
+def _root(parent: list[int], u: int) -> int:
+    """Union-find root of node u, halving the path on the way."""
+    while parent[u] != u:
+        parent[u] = u = parent[parent[u]]
+    return u
+
+
 def _is_vertex(box: BoxState) -> bool:
-    """``is_extreme`` without the validity check: the normalization and
-    no-signalling normals, restricted to the nonzero entries, have full rank."""
-    a_s, b_s, x_s, y_s = range(box.d_a), range(box.d_b), range(box.n_x), range(box.n_y)
-    free = [c for c in itertools.product(a_s, b_s, x_s, y_s) if box.table[c[0]][c[1]][c[2]][c[3]]]
-    rows = [[int(c[2:] == (x, y)) for c in free] for x in x_s for y in y_s]
-    # p(a|x, y) = p(a|x, y + 1) and p(b|x, y) = p(b|x + 1, y)
-    rows += [[(c[0] == a and c[2] == x) * ((c[3] == y) - (c[3] == y + 1)) for c in free]
-             for a in a_s for x in x_s for y in range(box.n_y - 1)]
-    rows += [[(c[1] == b and c[3] == y) * ((c[2] == x) - (c[2] == x + 1)) for c in free]
-             for b in b_s for y in y_s for x in range(box.n_x - 1)]
-    return _int_rank(rows) == len(free)
+    """``is_extreme`` without the validity check, by the sector-forest argument there.
+
+    A union-find over each sector's d_a + d_b outcome nodes finds the first
+    cycle.  The margins alpha(a|x) and beta(b|y) are then nodes of a second
+    union-find, in which a one-edge component merges its two.  The other
+    equations, their coefficients summed per class, must have full rank.
+    """
+    d_a, d_b = box.d_a, box.d_b
+    # node x*d_a + a is alpha(a|x), node n_x*d_a + y*d_b + b is beta(b|y)
+    merged = list(range(box.n_x * d_a + box.n_y * d_b))
+    # each equation says that its (node, sign) terms sum to zero
+    equations = [[(x * d_a + a, 1) for a in range(d_a)] for x in range(box.n_x)]
+    for x, y in itertools.product(range(box.n_x), range(box.n_y)):
+        parent = list(range(d_a + d_b))     # outcome a is local node a, outcome b is d_a + b
+        for a, b in itertools.product(range(d_a), range(d_b)):
+            if box.table[a][b][x][y]:
+                ra, rb = _root(parent, a), _root(parent, d_a + b)
+                if ra == rb:
+                    return False
+                parent[ra] = rb
+        nodes = ([x * d_a + a for a in range(d_a)]
+                 + [box.n_x * d_a + y * d_b + b for b in range(d_b)])
+        components: dict[int, list[tuple[int, int]]] = {}
+        for u, node in enumerate(nodes):
+            components.setdefault(_root(parent, u), []).append((node, 1 if u < d_a else -1))
+        for terms in components.values():
+            if len(terms) == 2:         # one edge ab: alpha(a|x) = beta(b|y)
+                merged[_root(merged, terms[0][0])] = _root(merged, terms[1][0])
+            else:                       # equal sums; an isolated outcome's margin is 0
+                equations.append(terms)
+    roots = [_root(merged, u) for u in range(len(merged))]
+    column = {r: k for k, r in enumerate(dict.fromkeys(roots))}
+    rows = []
+    for terms in equations:
+        row = [0] * len(column)
+        for node, sign in terms:
+            row[column[roots[node]]] += sign
+        rows.append(row)
+    return _int_rank(rows) == len(column)
 
 
 # ---------------------------------------------------------------------------

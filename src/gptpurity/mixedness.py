@@ -18,6 +18,7 @@ full permutation group and ``birkhoff_rare_synthesis`` both take that path.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -424,14 +425,20 @@ def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float
     return [(w, index(perm)) for perm, w in terms.items()], residual
 
 
+@functools.cache
+def _classical(n: int) -> TheorySystem:
+    """``make_classical(n)``, built once per n; the system and its arrays are read-only."""
+    return make_classical(n)
+
+
 def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
     Requires that p majorizes q.  The permutohedron walk writes q as a mix
     of at most n permutations of p, each met once; the channel weighs the
     matching permutation matrices of make_classical(n), whose group lists
-    the permutations in lexicographic order.  The channel rebuilds q within
-    ``WITNESS_TOL``, or the call raises.
+    the permutations in lexicographic order; that system is built once per
+    n.  The channel rebuilds q within ``WITNESS_TOL``, or the call raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
@@ -441,7 +448,7 @@ def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     if not majorizes(p, q):
         raise StructuralError("precondition failed: p does not majorize q")
     entries, _ = _walk_witness(p, q, _lexicographic_rank)
-    return RaReChannel(make_classical(n), tuple(sorted(entries)))
+    return RaReChannel(_classical(n), tuple(sorted(entries)))
 
 
 def validate_state(rho: GptState) -> FeasibilityCertificate:

@@ -1,5 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +168,30 @@ def test_locex_has_no_shape_bound():
     _assert_exchange_witness(_prk(4, 3), check_local_exchangeability(_prk(4, 3)))
 
 
+@pytest.mark.parametrize("setting_perm, outcome_perms", [
+    ((True, False), ((0, 1), (1, 0))),
+    ((0, 1), ((0, 1), (1.0, 0.0))),
+    ((0, 1), ((np.bool_(False), 1), (0, 1))),
+    ((0, 1), (("0", "1"), (0, 1))),
+])
+def test_relabeling_refuses_labels_that_are_not_integers(setting_perm, outcome_perms):
+    with pytest.raises(StructuralError, match="integers"):
+        LocalRelabeling("A", setting_perm, outcome_perms)
+
+
+@pytest.mark.parametrize("setting_perm, outcome_perms", [(5, ((0,),)), ((0,), 3), ((0,), (None,))])
+def test_relabeling_refuses_labels_that_are_not_sequences(setting_perm, outcome_perms):
+    with pytest.raises(StructuralError, match="sequences"):
+        LocalRelabeling("A", setting_perm, outcome_perms)
+
+
+def test_relabeling_keeps_numpy_integer_labels_as_int():
+    r = LocalRelabeling("B", np.array([1, 0]), (np.arange(2), [np.int32(1), np.int64(0)]))
+    assert r == LocalRelabeling("B", (1, 0), ((0, 1), (1, 0)))
+    assert all(type(v) is int for perm in (r.setting_perm, *r.outcome_perms) for v in perm)
+    assert r.to_dict() == {"side": "B", "setting_perm": [1, 0], "outcome_perms": [[0, 1], [1, 0]]}
+
+
 def test_box_json_roundtrip():
     box = pr_box_k(3, 4, 3)
     again = BoxState.from_dict(box.to_dict())
@@ -242,6 +269,20 @@ def _support(box: BoxState) -> tuple:
                         if box.prob(a, b, x, y) != 0))
 
 
+def _box_from_support(support, n: int, d: int) -> BoxState:
+    entries = dict(support)
+    return BoxState.from_function(n, n, d, d, lambda a, b, x, y: entries.get((a, b, x, y), 0))
+
+
+def test_support_enumeration_vertices_are_extreme_and_their_midpoints_are_not():
+    boxes = [_box_from_support(v, 2, 2) for v in sorted(no_signalling_vertices(2, 2))]
+    assert len(boxes) == 24 and all(is_extreme(box) for box in boxes)
+    midpoints = [BoxState.from_function(2, 2, 2, 2, lambda a, b, x, y: (p.prob(a, b, x, y)
+                                                                       + q.prob(a, b, x, y)) / 2)
+                 for p, q in itertools.combinations(boxes, 2)]
+    assert len(midpoints) == 276 and not any(is_extreme(box) for box in midpoints)
+
+
 def test_extreme_boxes_d2_match_support_enumeration():
     orbits = _extreme_boxes(2)
     assert [len(o) for o in orbits] == [16, 8]
@@ -313,3 +354,92 @@ def test_locex_validates_the_box_once(monkeypatch):
         calls.clear()
         check_local_exchangeability(box)
         assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the vertex test against the dense rank formulation
+# ---------------------------------------------------------------------------
+
+def _dense_is_vertex(box: BoxState) -> bool:
+    """Reference vertex test: the normalization and no-signalling normals,
+    restricted to the nonzero entries, have full column rank."""
+    a_s, b_s, x_s, y_s = range(box.d_a), range(box.d_b), range(box.n_x), range(box.n_y)
+    free = [c for c in itertools.product(a_s, b_s, x_s, y_s) if box.table[c[0]][c[1]][c[2]][c[3]]]
+    rows = [[int(c[2:] == (x, y)) for c in free] for x in x_s for y in y_s]
+    # p(a|x, y) = p(a|x, y + 1) and p(b|x, y) = p(b|x + 1, y)
+    rows += [[(c[0] == a and c[2] == x) * ((c[3] == y) - (c[3] == y + 1)) for c in free]
+             for a in a_s for x in x_s for y in range(box.n_y - 1)]
+    rows += [[(c[1] == b and c[3] == y) * ((c[2] == x) - (c[2] == x + 1)) for c in free]
+             for b in b_s for y in y_s for x in range(box.n_x - 1)]
+    return boxworld._int_rank(rows) == len(free)
+
+
+def _sweep_component(rng: random.Random, n_x: int, n_y: int, d_a: int, d_b: int):
+    """A deterministic box, a PR-k-like box (b - a = c(x, y) mod k on the
+    first k outcomes, c random), or a lopsided one (the same, but one of
+    Alice's settings always outputs 0), as a function of (a, b, x, y)."""
+    k = rng.randint(2, min(d_a, d_b))
+    shift = [[rng.randrange(k) for _ in range(n_y)] for _ in range(n_x)]
+    kind = rng.choice(("deterministic", "pr", "lopsided"))
+    if kind == "deterministic":
+        return lambda a, b, x, y: Fraction(int(a == b == 0))
+    fixed = rng.randrange(n_x) if kind == "lopsided" else -1
+
+    def fn(a, b, x, y):
+        if x == fixed:
+            return Fraction(int(a == 0 and b < k), k)
+        return Fraction(int(a < k and b < k and (b - a) % k == shift[x][y]), k)
+    return fn
+
+
+def _sweep_boxes(seed: int, count: int):
+    """Rational mixtures of one to three randomly relabeled sweep components,
+    on 1-3 settings and 2-4 outcomes per party."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_x, n_y, d_a, d_b = (rng.randint(1, 3), rng.randint(1, 3),
+                              rng.randint(2, 4), rng.randint(2, 4))
+        parts = []
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            fn = _sweep_component(rng, n_x, n_y, d_a, d_b)
+            s_a, s_b = rng.sample(range(n_x), n_x), rng.sample(range(n_y), n_y)
+            o_a = [rng.sample(range(d_a), d_a) for _ in range(n_x)]
+            o_b = [rng.sample(range(d_b), d_b) for _ in range(n_y)]
+            parts.append((Fraction(rng.randint(1, 4)), fn, s_a, s_b, o_a, o_b))
+        total = sum(part[0] for part in parts)
+        yield BoxState.from_function(
+            n_x, n_y, d_a, d_b,
+            lambda a, b, x, y: sum(w * fn(o_a[x][a], o_b[y][b], s_a[x], s_b[y])
+                                   for w, fn, s_a, s_b, o_a, o_b in parts) / total)
+
+
+def test_vertex_test_matches_dense_rank_on_a_seeded_sweep():
+    boxes = list(_sweep_boxes(seed=15, count=2000))
+    verdicts = []
+    for box in boxes:
+        assert box.validate() == []
+        verdict = boxworld._is_vertex(box)
+        assert verdict == _dense_is_vertex(box), box.to_dict()
+        verdicts.append(verdict)
+    assert min(verdicts.count(True), verdicts.count(False)) >= len(boxes) // 4
+    shapes = {(box.n_x, box.n_y, box.d_a, box.d_b) for box in boxes}
+    assert len(shapes) == 3 ** 4    # every shape, the unequal ones included
+    unused = [box for box in boxes
+              if any(not any(box.prob(a, b, x, y) for b in range(box.d_b) for y in range(box.n_y))
+                     for a in range(box.d_a) for x in range(box.n_x))]
+    assert len(unused) >= len(boxes) // 4
+
+
+def test_vertex_test_matches_dense_rank_on_random_supports():
+    # both tests read only the support, and the kernel identity holds on any
+    # support, so 0/1 tables that are not boxes check the sector-cycle step too
+    rng = random.Random(16)
+    verdicts = []
+    for _ in range(1000):
+        shape = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 4), rng.randint(2, 4))
+        density = rng.choice((0.2, 0.3, 0.5))
+        table = BoxState.from_function(*shape, lambda a, b, x, y: int(rng.random() < density))
+        verdict = boxworld._is_vertex(table)
+        assert verdict == _dense_is_vertex(table), table.to_dict()
+        verdicts.append(verdict)
+    assert min(verdicts.count(True), verdicts.count(False)) >= len(verdicts) // 4

@@ -362,6 +362,15 @@ def test_birkhoff_drops_rounding_dust():
     assert channel.entries == ((1.0, mixedness._lexicographic_rank((2, 0, 1))),)
 
 
+def test_birkhoff_builds_the_classical_system_once_per_n():
+    first = mixedness.birkhoff_rare_synthesis([0.7, 0.2, 0.1], [0.4, 0.35, 0.25])
+    again = mixedness.birkhoff_rare_synthesis([0.5, 0.5, 0.0], [0.4, 0.3, 0.3])
+    assert again.system is first.system
+    fresh = core.make_classical(3)
+    assert first.system.name == fresh.name
+    np.testing.assert_array_equal(first.system.group, fresh.group)
+
+
 def test_birkhoff_requires_majorization():
     with pytest.raises(core.StructuralError):
         mixedness.birkhoff_rare_synthesis([0.5, 0.5], [0.7, 0.3])
