@@ -119,6 +119,33 @@ class TheorySystem:
         return gram
 
     @cached_property
+    def _gram_condition(self) -> float:
+        """The 2-norm condition number of ``group_gram``."""
+        return float(np.linalg.cond(self.group_gram))
+
+    @cached_property
+    def invariant_vector(self) -> np.ndarray:
+        """The group average chi = (1/|G|) sum_g g v of a pure state v, read-only.
+
+        Checked to be the same (within ATOL) from every pure state and fixed
+        by every group element; otherwise ``StructuralError`` is raised, on
+        every access, since a property that raises stores nothing.
+        """
+        stack = self.group_array
+        averages = np.asarray(self.pure_states) @ stack.mean(axis=0).T
+        chi = averages[0]
+        seeds = np.flatnonzero(np.max(np.abs(averages - chi), axis=1) > ATOL)
+        if seeds.size:
+            raise StructuralError(
+                f"group average depends on the seed pure state (vertex {seeds[0]}); "
+                "the invariant state is not unique")
+        movers = np.flatnonzero(np.max(np.abs(stack @ chi - chi), axis=1) > ATOL)
+        if movers.size:
+            raise StructuralError(f"group[{movers[0]}] does not fix the group average")
+        chi.flags.writeable = False
+        return chi
+
+    @cached_property
     def _permutation_index(self) -> dict[tuple[int, ...], int] | None:
         """Group index of each permutation, when the system is classical with its full group.
 
@@ -341,6 +368,7 @@ def validate_system(sys: TheorySystem) -> list[str]:
     problems (mismatched dimensions) raise ``StructuralError`` instead of
     being reported, since no further check is meaningful.
 
+    Every pure state must be normalized (unit effect 1 within ``ATOL``).
     Every group element must permute the vertex list: perm[g, j] is the
     first pure state within ``ATOL`` (max-norm) of group[g] @ pure_states[j].
     When the pure states span R^dim (checked, and reported otherwise), a
@@ -374,6 +402,10 @@ def validate_system(sys: TheorySystem) -> list[str]:
         if unit_residual[i] > ATOL:
             report.append(f"group[{i}] does not preserve the unit effect "
                           f"(residual {unit_residual[i]:.3e})")
+
+    norms = verts @ sys.unit_effect
+    for j in np.flatnonzero(np.abs(norms - 1.0) > ATOL):
+        report.append(f"pure_states[{j}] is not normalized (norm {norms[j]:.6f})")
 
     base = _spanning_rows(verts)
     if len(base) < sys.dim:

@@ -252,20 +252,11 @@ def invariant_state(sys: TheorySystem) -> GptState:
     checks that every pure state has the same average (within ATOL) and
     that every group element fixes it.  The uniform channel is then the
     witness that chi is more mixed than every vertex, hence than every
-    state, so chi is the maximum of the mixedness order.
+    state, so chi is the maximum of the mixedness order.  The average and
+    its checks run once per system (``TheorySystem.invariant_vector``); the
+    returned state holds its own copy.
     """
-    stack = sys.group_array
-    averages = np.asarray(sys.pure_states) @ stack.mean(axis=0).T
-    chi = averages[0]
-    seeds = np.flatnonzero(np.max(np.abs(averages - chi), axis=1) > ATOL)
-    if seeds.size:
-        raise StructuralError(
-            f"group average depends on the seed pure state (vertex {seeds[0]}); "
-            "the invariant state is not unique")
-    movers = np.flatnonzero(np.max(np.abs(stack @ chi - chi), axis=1) > ATOL)
-    if movers.size:
-        raise StructuralError(f"group[{movers[0]}] does not fix the group average")
-    return GptState(sys, chi)
+    return GptState(sys, sys.invariant_vector)
 
 
 def _first_hits(points: np.ndarray, atol: float) -> list[int]:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import simplex
 from .core import GptState, Measurement, StructuralError, TheorySystem
-from .mixedness import RaReChannel, _require_state, invariant_state
+from .mixedness import RaReChannel, _require_state
 from .quantum import DensityMatrix, _eig_desc, _entropy_bits
 from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL, TRACE_TOL
 
@@ -127,13 +127,6 @@ def measurement_entropy(rho) -> MonotoneReport:
 # keyed weakly, so an entry goes with its system; the values hold no
 # reference to the system, which would keep the key alive
 _effect_lp_cache: weakref.WeakKeyDictionary[TheorySystem, tuple] = weakref.WeakKeyDictionary()
-_invariant_cache: weakref.WeakKeyDictionary[TheorySystem, np.ndarray] = weakref.WeakKeyDictionary()
-
-
-def _invariant_vec(system: TheorySystem) -> np.ndarray:
-    if system not in _invariant_cache:
-        _invariant_cache[system] = invariant_state(system).vec
-    return _invariant_cache[system]
 
 
 def _effect_lp(system: TheorySystem):
@@ -181,21 +174,33 @@ def _optimize_effect(system: TheorySystem, delta: np.ndarray, maximize: bool
 def op_norm_distance(rho: GptState) -> float:
     """Half the operational-norm distance from the invariant state.
 
-    The norm of delta is sup (a|delta) - inf (a|delta) with a ranging over
-    the effect polytope; both bounds are linear programs over the effect
-    constraints on the pure states.
+    The norm of delta = rho - chi is sup (a|delta) - inf (a|delta) with a
+    ranging over the effect polytope E = {a : 0 <= a(v) <= 1 on every pure
+    state v}.  The sup is one linear program over those constraints; the inf
+    follows from it (see ``op_norm_report``), so the value is
+    sup (a|delta) - (u|delta) / 2.
     """
     return op_norm_report(rho).value
 
 
 def op_norm_report(rho: GptState) -> MonotoneReport:
-    """op_norm_distance together with the optimizing effect pair."""
+    """op_norm_distance together with the optimizing effect pair.
+
+    Only the sup is solved.  The map a -> u - a (u the unit effect) sends E
+    onto itself whenever u(v) = 1 on every pure state, which
+    ``validate_system`` checks and the state check asks of every state; it
+    is its own inverse, so it is a bijection of E.  Hence inf (a|delta) =
+    (u|delta) - sup (a|delta), attained by ``inf_effect = u - sup_effect``,
+    the exact complement of the sup witness.  Pure states that do not span
+    the space leave E unbounded and raise ``UnsupportedSystemError``.
+    """
     _require_state(rho, "rho")
-    delta = rho.vec - _invariant_vec(rho.system)
-    hi, top = _optimize_effect(rho.system, delta, maximize=True)
-    lo, bottom = _optimize_effect(rho.system, delta, maximize=False)
+    system = rho.system
+    delta = rho.vec - system.invariant_vector
+    hi, top = _optimize_effect(system, delta, maximize=True)
+    lo = float(system.unit_effect @ delta) - hi
     witness = {"type": "effect-pair", "sup_effect": top.tolist(),
-               "inf_effect": bottom.tolist()}
+               "inf_effect": (system.unit_effect - top).tolist()}
     return MonotoneReport("op-norm-distance", 0.5 * (hi - lo), witness)
 
 
@@ -203,17 +208,17 @@ def purity_2norm(rho) -> float:
     """Squared invariant 2-norm of the state.
 
     Quantum: Tr(rho^2).  Classical: sum p_i^2.  Other systems: v^T Q v with
-    Q the group-averaged Gram form, provided Q is well conditioned.  A GPT
-    state outside the state space is refused.
+    Q the group-averaged Gram form, provided Q is well conditioned; its
+    condition number is computed once per system.  A GPT state outside the
+    state space is refused.
     """
     if isinstance(rho, DensityMatrix):
         return rho.purity()
     _require_state(rho, "rho")
-    q = rho.system.group_gram
-    if np.linalg.cond(q) > MAX_GRAM_CONDITION:
+    if rho.system._gram_condition > MAX_GRAM_CONDITION:
         raise UnsupportedSystemError(
             "group-averaged quadratic form is degenerate; 2-norm purity unsupported")
-    return float(rho.vec @ q @ rho.vec)
+    return float(rho.vec @ rho.system.group_gram @ rho.vec)
 
 
 @dataclass

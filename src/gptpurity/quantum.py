@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import entr
 
 from .core import StructuralError
 from .mixedness import birkhoff_rare_synthesis, majorizes
@@ -556,6 +554,18 @@ def entanglement_entropy(psi: PureBipartiteState) -> float:
     return _entropy_bits(psi._schmidt_weights)
 
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    scipy loads only when EoF runs, never on ``import gptpurity``.  The EoF
+    polish calls it through this module attribute, so a caller can rebind
+    ``quantum.minimize`` to observe it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble cost of each stack of subnormalized members (rows) and its gradient.
 
@@ -568,6 +578,8 @@ def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dC/d(conj phi) = C_q phi + C_D det (conj d, -conj c, -conj b, conj a), with
     C_q = h2 - 2 (D/q^2) g(s), C_D = g(s)/q and g(s) = 2 artanh(s)/(s ln 2).
     """
+    from scipy.special import entr
+
     q = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
     det = phi[..., 0] * phi[..., 3] - phi[..., 1] * phi[..., 2]
     good = q > EOF_WEIGHT_FLOOR

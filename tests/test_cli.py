@@ -15,6 +15,8 @@ from gptpurity.boxworld import BoxState, pr_box_k, standard_pr_box
 from gptpurity.core import make_square_bit, system_to_dict
 from gptpurity.tolerances import WITNESS_TOL
 
+from test_monotones import _non_spanning_system
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -98,6 +100,19 @@ def test_invariant_state_and_orbit_hull(capsys):
     code, payload = run(capsys, "orbit-hull", "--system", "square-bit",
                         "--rho", "0.5,0.2,1.0")
     assert code == 0 and payload["count"] == 8
+
+
+def test_monotone_verb_refuses_pure_states_that_do_not_span(capsys, tmp_path):
+    # the op-norm LP is unbounded on such a system; the loader's validation
+    # refuses the file first, with exit 2 and one line
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(system_to_dict(_non_spanning_system())))
+    for rho in ("0.5,0.5,0.3", "0.5,0.5,0"):
+        assert cli.main(["monotone", "--system", str(path),
+                         "--name", "op-norm-distance", "--rho", rho]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "do not span" in err
 
 
 def test_monotone_verb_and_grid_csv(capsys):

@@ -305,3 +305,15 @@ def test_validate_system_refuses_unkeyable_permutations():
                                   extremal_effects=tuple(eye), group=(eye,))
     with pytest.raises(core.CapacityError):
         core.validate_system(simplex16)
+
+
+def test_validate_system_refuses_unnormalized_pure_states():
+    # the effects stay in [0, 1] on the doubled vertices and the swap permutes
+    # them, so only the norm check reports this system
+    doubled = core.TheorySystem(dim=2, unit_effect=[1.0, 1.0],
+                                pure_states=([2.0, 0.0], [0.0, 2.0]),
+                                extremal_effects=([0.5, 0.0], [0.0, 0.5]),
+                                group=(np.eye(2), np.eye(2)[[1, 0]]))
+    assert core.validate_system(doubled) == [
+        "pure_states[0] is not normalized (norm 2.000000)",
+        "pure_states[1] is not normalized (norm 2.000000)"]

@@ -150,8 +150,24 @@ def test_invariant_state_nonunique_group_rejected(square_bit):
                                pure_states=square_bit.pure_states,
                                extremal_effects=square_bit.extremal_effects,
                                group=(np.eye(3),))
-    with pytest.raises(core.StructuralError):
-        mixedness.invariant_state(broken)
+    # the refusal is raised on every call, never cached as a value
+    for _ in range(3):
+        with pytest.raises(core.StructuralError, match="not unique"):
+            mixedness.invariant_state(broken)
+    assert "invariant_vector" not in vars(broken)
+
+
+def test_invariant_state_returns_an_independent_read_only_copy(square_bit):
+    first, second = (mixedness.invariant_state(square_bit) for _ in range(2))
+    cached = square_bit.invariant_vector
+    assert square_bit.invariant_vector is cached
+    for chi in (first, second):
+        assert np.array_equal(chi.vec, cached)
+        assert not np.shares_memory(chi.vec, cached)
+        assert not chi.vec.flags.writeable
+    assert not np.shares_memory(first.vec, second.vec)
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 1.0
 
 
 # -- orbit_hull ---------------------------------------------------------------

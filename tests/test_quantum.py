@@ -1,10 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gptpurity
 from gptpurity import quantum
 from gptpurity.core import ATOL, StructuralError
 from gptpurity.quantum import (DensityMatrix, PureBipartiteState,
@@ -371,6 +376,19 @@ def test_one_way_rejects_wrong_rare():
 
 
 # -- entanglement measures -----------------------------------------------------------
+
+def test_import_loads_no_scipy():
+    # scipy is imported inside the EoF functions, so the package and its CLI
+    # start without it; a fresh interpreter sees what importing them loads
+    src = str(Path(gptpurity.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, gptpurity, gptpurity.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
 
 def test_eof_bell_is_one():
     rho = DensityMatrix.pure(bell().vec)
