@@ -17,10 +17,9 @@ import numpy as np
 
 from .core import StructuralError, TheorySystem, make_classical
 from .mixedness import birkhoff_rare_synthesis, feasible_convex_combination, majorizes
-from .quantum import (DensityMatrix, PureBipartiteState, lu_equivalent, marginals,
-                      maximally_entangled, nielsen_convertible, one_way_locc_from_rare,
-                      random_density_matrix, random_pure_state, random_unitary,
-                      rare_synthesis_quantum)
+from .quantum import (PureBipartiteState, lu_equivalent, marginals, maximally_entangled,
+                      nielsen_convertible, one_way_locc_from_rare, random_density_matrix,
+                      random_pure_state, random_unitary, rare_synthesis_quantum)
 from .serialize import complex_to_pairs, pairs_to_complex
 from .tolerances import MONOTONE_TOL, MULTIPLICATIVITY_TOL, WITNESS_TOL, ZERO_TOL
 

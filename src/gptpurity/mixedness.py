@@ -422,6 +422,17 @@ def _classical(n: int) -> TheorySystem:
     return make_classical(n)
 
 
+def _birkhoff_terms(p: np.ndarray, q: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
+    """The walk core of ``birkhoff_rare_synthesis``: (weight, permutation) terms.
+
+    The caller has checked that p majorizes q; n above 6 is refused.  The
+    terms rebuild q within ``WITNESS_TOL``, or the call raises.
+    """
+    if p.shape[0] > 6:
+        raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
+    return _walk_witness(p, q, tuple)[0]
+
+
 def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
@@ -433,13 +444,10 @@ def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
-    n = p.shape[0]
-    if n > 6:
-        raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
     if not majorizes(p, q):
         raise StructuralError("precondition failed: p does not majorize q")
-    entries, _ = _walk_witness(p, q, _lexicographic_rank)
-    return RaReChannel(_classical(n), tuple(sorted(entries)))
+    entries = [(w, _lexicographic_rank(perm)) for w, perm in _birkhoff_terms(p, q)]
+    return RaReChannel(_classical(p.shape[0]), tuple(sorted(entries)))
 
 
 def validate_state(rho: GptState) -> FeasibilityCertificate:

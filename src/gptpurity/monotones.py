@@ -22,7 +22,7 @@ import numpy as np
 from . import simplex
 from .core import GptState, Measurement, StructuralError, TheorySystem
 from .mixedness import RaReChannel, _require_state
-from .quantum import DensityMatrix, _eig_desc, _entropy_bits
+from .quantum import DensityMatrix, _entropy_bits
 from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL, TRACE_TOL
 
 
@@ -116,7 +116,7 @@ def measurement_entropy(rho) -> MonotoneReport:
     if isinstance(rho, DensityMatrix):
         if abs(rho.trace - 1.0) > TRACE_TOL:
             raise StructuralError("measurement_entropy requires a normalized state")
-        vals, vecs = _eig_desc(rho.matrix)
+        vals, vecs = rho._eig_desc
         witness = {"type": "projective-eigenbasis",
                    "basis": [vecs[:, k].tolist() for k in range(vecs.shape[1])]}
         return MonotoneReport("measurement-entropy", _entropy_bits(vals), witness)

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import StructuralError
-from .mixedness import birkhoff_rare_synthesis, majorizes
+from .mixedness import _birkhoff_terms, majorizes
 from .tolerances import (DEGENERACY_TOL, DISTRIBUTION_SUM_TOL, ENTROPY_FLOOR,
                          EOF_ARTANH_CLIP, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR,
                          HERM_TOL, LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL,
@@ -67,14 +67,13 @@ def _lead_phases(vecs: np.ndarray) -> np.ndarray:
     return lead / np.hypot(lead.real, lead.imag)
 
 
-def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition sorted by descending eigenvalue, deterministically.
+def _canonical_eig(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An eigendecomposition from ``eigh`` sorted by descending eigenvalue, deterministically.
 
     Ties are broken by the lexicographic order of the rounded eigenvector
     components; every eigenvector's first significant component is made
-    real positive.
+    real positive.  The inputs are left as they are.
     """
-    vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
     vecs = vecs / _lead_phases(vecs)
@@ -92,12 +91,21 @@ def _eig_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD matrix with trace at most one.
 
-    The matrix is a read-only copy of the input, and the eigenvalues from
-    the PSD check are kept (read-only, ascending) for ``spectrum``.
+    The matrix is a read-only copy of the input.  The PSD check runs one
+    ``eigh``, and the state keeps its eigenvalues (ascending, as ``eigh``
+    returns them) and eigenvectors, read-only: ``spectrum`` reads them, and
+    the canonical descending order with fixed phases and tie order is
+    derived from them on first use.  A marginal of a pure state is built
+    from that state's SVD instead and keeps the same two arrays.
     """
 
     matrix: np.ndarray
@@ -108,15 +116,34 @@ class DensityMatrix:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
         if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
             raise StructuralError(f"matrix is not Hermitian within {_sci(HERM_TOL)}")
-        vals = np.linalg.eigvalsh(m)
+        vals, vecs = np.linalg.eigh(m)
         if vals.min() < -PSD_TOL:
             raise StructuralError(f"matrix has negative eigenvalue {vals.min():.3e}")
         tr = float(np.trace(m).real)
         if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
             raise StructuralError(f"trace {tr:.6f} outside [0, 1]")
-        vals.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        self._keep(m, vals, vecs)
+
+    def _keep(self, matrix: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+        _read_only(matrix, vals, vecs)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "_eigenvalues", vals)
+        object.__setattr__(self, "_eigenvectors", vecs)
+
+    @classmethod
+    def _factored(cls, matrix: np.ndarray, vals: np.ndarray,
+                  vecs: np.ndarray) -> "DensityMatrix":
+        """A state PSD by construction, with its ascending eigenpairs given: no checks run."""
+        rho = object.__new__(cls)
+        rho._keep(matrix, vals, vecs)
+        return rho
+
+    @cached_property
+    def _eig_desc(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues descending and their eigenvectors in canonical form, read-only."""
+        vals, vecs = _canonical_eig(self._eigenvalues, self._eigenvectors)
+        _read_only(vals, vecs)
+        return vals, vecs
 
     @property
     def dim(self) -> int:
@@ -132,7 +159,7 @@ class DensityMatrix:
     def spectrum(self) -> np.ndarray:
         """Eigenvalues, descending, clipped to be nonnegative, as a fresh array.
 
-        They come from the eigendecomposition made once by the PSD check.
+        They come from the one decomposition the state keeps.
         """
         return np.clip(self._eigenvalues[::-1], 0.0, None)
 
@@ -155,8 +182,10 @@ class DensityMatrix:
 class PureBipartiteState:
     """Unit vector on a d_A x d_B tensor product.
 
-    The vector is a read-only copy of the input.  The marginals and the
-    squared Schmidt weights are computed on first use and kept.
+    The vector is a read-only copy of the input.  The full SVD U S V^dag
+    of the coefficient matrix is computed once, on first use, and kept
+    read-only; the Schmidt weights, ``schmidt_decompose`` and both
+    marginals read it.
     """
 
     dims: tuple[int, int]
@@ -178,22 +207,38 @@ class PureBipartiteState:
         return self.vec.reshape(self.dims)
 
     @cached_property
-    def _marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, S, V^dag) of the coefficient matrix, S descending; checked to rebuild it."""
         m = self.coefficient_matrix()
-        rho_a = DensityMatrix(m @ m.conj().T)
-        rho_b = DensityMatrix((m.conj().T @ m).T)
-        r = min(self.dims)
-        sa = rho_a._eigenvalues[::-1][:r]
-        sb = rho_b._eigenvalues[::-1][:r]
-        if np.max(np.abs(sa - sb)) > SPECTRUM_TOL:
-            raise RuntimeError("marginal spectra of a pure state disagree; numerical failure")
+        u, s, vh = np.linalg.svd(m)
+        if np.max(np.abs((u[:, :s.size] * s) @ vh[:s.size] - m)) > SPECTRUM_TOL:
+            raise RuntimeError("SVD factors do not rebuild the coefficient matrix; "
+                               "numerical failure")
+        _read_only(u, s, vh)
+        return u, s, vh
+
+    @cached_property
+    def _marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
+        # rho_A = m m^dag = U S^2 U^dag and rho_B = (m^dag m)^T = conj(V) S^2 V^T,
+        # so the eigenbases are U and conj(V) = (V^dag)^T and the spectra S^2
+        # padded with zeros; kept ascending, as eigh would return them
+        m = self.coefficient_matrix()
+        u, s, vh = self._svd
+        def ascending(n):
+            vals = np.zeros(n)
+            vals[n - s.size:] = s[::-1] ** 2
+            return vals
+        da, db = self.dims
+        rho_a = DensityMatrix._factored(m @ m.conj().T, ascending(da), u[:, ::-1])
+        rho_b = DensityMatrix._factored(np.ascontiguousarray((m.conj().T @ m).T),
+                                        ascending(db), vh.T[:, ::-1])
         return rho_a, rho_b
 
     @cached_property
     def _schmidt_weights(self) -> np.ndarray:
         # descending, as the SVD returns them
-        w = np.linalg.svd(self.coefficient_matrix(), compute_uv=False) ** 2
-        w.flags.writeable = False
+        w = self._svd[1] ** 2
+        _read_only(w)
         return w
 
     @staticmethod
@@ -323,8 +368,7 @@ def schmidt_decompose(psi: PureBipartiteState) -> SchmidtData:
     The first significant component of every left vector is made real
     positive; the compensating phase is pushed into the right vector.
     """
-    m = psi.coefficient_matrix()
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = psi._svd
     r = min(psi.dims)
     u, s, vh = u[:, :r], s[:r], vh[:r, :]
     # right holds kets, as columns: psi = sum_k s_k u[:,k] (x) right[:,k]
@@ -335,10 +379,11 @@ def schmidt_decompose(psi: PureBipartiteState) -> SchmidtData:
 def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
     """Partial traces over B and over A.
 
-    The nonzero parts of the two spectra always agree for a pure state,
-    and this is asserted within ``SPECTRUM_TOL`` on the eigenvalues each
-    marginal's own PSD check computed.  The pair is built once per state
-    object and returned again on later calls.
+    Both are read off the state's one SVD U S V^dag: the matrices are
+    m m^dag and (m^dag m)^T, the spectra S^2 padded with zeros to each
+    side's dimension, and the eigenbases U and conj(V).  They are PSD by
+    construction, so no eigensolver runs.  The pair is built once per
+    state object and returned again on later calls.
     """
     return psi._marginals
 
@@ -347,7 +392,7 @@ def purify(rho: DensityMatrix) -> PureBipartiteState:
     """Standard purification sum_i sqrt(p_i) |e_i>|i> on a twin-dimension system."""
     if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("purify requires a normalized density matrix")
-    vals, vecs = _eig_desc(rho.matrix)
+    vals, vecs = rho._eig_desc
     m = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return PureBipartiteState.from_matrix(m)
 
@@ -361,7 +406,7 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     """
     if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("symmetric_purify requires a normalized density matrix")
-    vals, vecs = _eig_desc(rho.matrix)
+    vals, vecs = rho._eig_desc
     m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return PureBipartiteState.from_matrix(m)
 
@@ -447,44 +492,48 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
     """Weights and unitaries with sum_i w_i U_i source U_i^dag = rho.
 
     Requires the spectrum of ``source`` to majorize the spectrum of ``rho``.
-    The classical core runs on the two spectra; each permutation is then
-    conjugated by the pair of eigenbases.
+    The permutohedron walk of the Birkhoff synthesis runs on the two
+    spectra, and each permutation is conjugated by the pair of eigenbases
+    the states keep.  Any orthonormal eigenbasis in spectrum order serves;
+    the mixture rebuilds rho within ``WITNESS_TOL``, or the call raises.
     """
     if rho.dim != source.dim:
         raise StructuralError("dimension mismatch")
-    p = np.clip(rho.spectrum(), 0.0, None)
-    q = np.clip(source.spectrum(), 0.0, None)
+    p, q = rho.spectrum(), source.spectrum()
     if not majorizes(q, p):
         raise StructuralError("precondition failed: spectrum of source must majorize target")
-    _, v = _eig_desc(rho.matrix)
-    _, w = _eig_desc(source.matrix)
-    channel = birkhoff_rare_synthesis(q, p)
-    out = []
-    for weight, k in channel.entries:
-        perm = channel.system.group[k]
-        out.append((weight, v @ perm @ w.conj().T))
+    # eigenvectors in spectrum (descending) order
+    v, w = rho._eigenvectors[:, ::-1], source._eigenvectors[:, ::-1]
+    # sum_perm weight * q[perm] = p, so U = V P W^dag with P[i, perm[i]] = 1
+    out = [(weight, v @ w[:, list(perm)].conj().T) for weight, perm in _birkhoff_terms(q, p)]
     mix = sum(wt * u @ source.matrix @ u.conj().T for wt, u in out)
     if np.max(np.abs(mix - rho.matrix)) > WITNESS_TOL:
         raise RuntimeError("synthesized mixture misses the target density matrix")
     return out
 
 
-def _connecting_unitary(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+def _rank_split(u: np.ndarray, s: np.ndarray, vh: np.ndarray):
+    """A full SVD U S V^dag split at the rank r: (U_r, S_r, V_r, kernel basis).
+
+    r counts the singular values above ``RELATIVE_RANK_TOL`` times the
+    largest, the rule ``pinv`` uses; the columns of V after the r-th span
+    the kernel.
+    """
+    r = int(np.sum(s > s[0] * RELATIVE_RANK_TOL)) if s.size else 0
+    return u[:, :r], s[:r], vh[:r].conj().T, vh[r:].conj().T
+
+
+def _connecting_unitary(svd1: tuple, m2: np.ndarray) -> np.ndarray:
     """Unitary T with M1 T = M2, for matrices with equal row Gram M M^dag.
 
-    One full SVD per matrix, U S V^dag, splits it at the rank r: the
-    singular values above ``RELATIVE_RANK_TOL`` times the largest, the rule
-    ``pinv`` uses.  The kept part gives the pseudo-inverse
-    V_r S_r^-1 U_r^dag of M1, and the partial isometry pinv(M1) M2 does the
-    job on the row space; the remaining columns of V span the kernel, and
-    the map is completed by the isometry between the two kernels.
+    ``svd1`` is a full SVD (U, S, V^dag) of M1, and M2 takes one of its
+    own; both are split at their rank.  The kept part of M1's gives the
+    pseudo-inverse V_r S_r^-1 U_r^dag, and the partial isometry
+    pinv(M1) M2 does the job on the row space; the map is completed by the
+    isometry between the two kernels.
     """
-    def split(m):
-        u, s, vh = np.linalg.svd(m)
-        r = int(np.sum(s > s[0] * RELATIVE_RANK_TOL)) if s.size else 0
-        return u[:, :r], s[:r], vh[:r].conj().T, vh[r:].conj().T
-    u1, s1, v1, k1 = split(m1)
-    k2 = split(m2)[3]
+    u1, s1, v1, k1 = _rank_split(*svd1)
+    k2 = _rank_split(*np.linalg.svd(m2))[3]
     t = (v1 / s1) @ (u1.conj().T @ m2) + k1 @ k2.conj().T
     if np.max(np.abs(t.conj().T @ t - np.eye(t.shape[0]))) > UNITARY_TOL:
         raise RuntimeError("connecting map failed to complete to a unitary; "
@@ -497,7 +546,7 @@ def connecting_local_unitary(psi: PureBipartiteState,
     """Unitary W on B with (I x W) psi = other, for equal-marginal purifications."""
     if psi.dims != other.dims:
         raise StructuralError("purifications must share dims")
-    t = _connecting_unitary(psi.coefficient_matrix(), other.coefficient_matrix())
+    t = _connecting_unitary(psi._svd, other.coefficient_matrix())
     return t.T
 
 
@@ -527,15 +576,19 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
                               "to source marginal within tolerance")
 
     n = len(rare)
-    m_psi = psi.coefficient_matrix()
     m_tgt = target.coefficient_matrix()
-    # coefficient matrices on A x (B x C), register index fastest
-    m1 = np.zeros((da, db * n), dtype=complex)
-    m1[:, 0::n] = m_psi
+    # coefficient matrices on A x (B x C), register index fastest; psi x |0>
+    # has psi's SVD, with the columns of V^dag moved to the register-0 slots
+    # and completed by the unit vectors of the other slots
+    u_psi, s_psi, vh_psi = psi._svd
+    vh1 = np.zeros((db * n, db * n), dtype=complex)
+    vh1[:db, 0::n] = vh_psi
+    others = np.flatnonzero(np.arange(db * n) % n)
+    vh1[db + np.arange(others.size), others] = 1.0
     m2 = np.zeros((da, db * n), dtype=complex)
     for i, (w, u) in enumerate(rare):
         m2[:, i::n] = np.sqrt(w) * (u @ m_tgt)
-    t = _connecting_unitary(m1, m2)
+    t = _connecting_unitary((u_psi, s_psi, vh1), m2)
     w_unitary = t.T  # acts on the B x C factor
     bob = []
     for i in range(n):
@@ -651,7 +704,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
     if abs(rho.trace - 1.0) > TRACE_TOL:
         raise StructuralError("state must be normalized")
-    vals, vecs = _eig_desc(rho.matrix)
+    vals, vecs = rho._eig_desc
     keep = vals > RANK_TOL
     lam, v = vals[keep], vecs[:, keep]
     r = int(lam.size)

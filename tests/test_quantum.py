@@ -503,7 +503,7 @@ def test_eof_separable_mixtures_are_zero():
 
 
 def _eig_desc_loop(mat):
-    """The column-by-column form of quantum._eig_desc, kept as its reference."""
+    """The column-by-column form of quantum._canonical_eig on eigh(mat), kept as its reference."""
     vals, vecs = np.linalg.eigh(mat)
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
@@ -538,11 +538,26 @@ def _eig_desc_cases():
 
 def test_eig_desc_matches_column_loop_bit_for_bit():
     for mat in _eig_desc_cases():
-        vals, vecs = quantum._eig_desc(mat)
+        vals, vecs = quantum._canonical_eig(*np.linalg.eigh(mat))
         ref_vals, ref_vecs = _eig_desc_loop(mat)
         assert vals.tobytes() == ref_vals.tobytes()
         assert vecs.dtype == ref_vecs.dtype
         assert vecs.tobytes() == ref_vecs.tobytes()
+
+
+def test_eof_reads_the_eigen_ensemble_of_a_fresh_eigh_bit_for_bit():
+    # the states of acceptance criterion 6: EoF is a function of the canonical
+    # eigendecomposition, and the one each state keeps from its PSD check
+    # equals the column-loop reference on a fresh eigh of the matrix
+    rng = np.random.Generator(np.random.Philox(key=606060))
+    for _ in range(200):
+        rho = random_density_matrix(4, rng, rank=int(rng.integers(1, 5)))
+        vals, vecs = rho._eig_desc
+        ref_vals, ref_vecs = _eig_desc_loop(rho.matrix)
+        assert vals.tobytes() == ref_vals.tobytes()
+        assert vecs.tobytes() == ref_vecs.tobytes()
+        assert rho._eig_desc is rho._eig_desc
+        assert not vals.flags.writeable and not vecs.flags.writeable
 
 
 def test_eof_is_bit_identical_between_calls():

@@ -1,8 +1,9 @@
 """Quantum state objects: copied input, factorizations made once and kept.
 
-A ``DensityMatrix`` keeps the eigenvalues of its own PSD check and a
-``PureBipartiteState`` keeps its marginals and squared Schmidt weights, so
-each state is factored once however many functions read it.
+A ``DensityMatrix`` keeps the eigenpairs of its own PSD check and a
+``PureBipartiteState`` keeps one SVD of its coefficient matrix, from which
+its marginals (spectra and eigenbases included) and Schmidt weights are
+read, so each state is factored once however many functions read it.
 """
 
 from collections import Counter
@@ -15,10 +16,12 @@ from gptpurity.mixedness import majorizes
 from gptpurity.core import StructuralError
 from gptpurity.quantum import (DensityMatrix, KrausChannel, OneWayProtocol,
                                PureBipartiteState, SchmidtData, marginals,
-                               nielsen_convertible, one_way_locc_from_rare,
-                               random_density_matrix, random_pure_state, random_unitary,
-                               rare_synthesis_quantum, schmidt_squared)
-from gptpurity.tolerances import RELATIVE_RANK_TOL, UNITARY_TOL
+                               maximally_entangled, nielsen_convertible,
+                               one_way_locc_from_rare, random_density_matrix,
+                               random_pure_state, random_unitary, rare_synthesis_quantum,
+                               schmidt_squared)
+from gptpurity.tolerances import (ORTHONORMAL_TOL, RELATIVE_RANK_TOL, SPECTRUM_TOL,
+                                  TRACE_TOL, UNITARY_TOL, WITNESS_TOL)
 
 
 # -- input aliasing ---------------------------------------------------------------
@@ -103,7 +106,7 @@ def test_returned_spectra_and_weights_are_fresh_arrays():
 
 def test_duality_pair_factors_each_state_once(monkeypatch):
     counts = Counter()
-    for name in ("eigvalsh", "svd", "pinv"):
+    for name in ("eigh", "eigvalsh", "svd", "pinv"):
         def counted(*args, _call=getattr(np.linalg, name), _name=name, **kwargs):
             counts[_name] += 1
             return _call(*args, **kwargs)
@@ -121,22 +124,96 @@ def test_duality_pair_factors_each_state_once(monkeypatch):
             assert one_way_locc_from_rare(a, b, rare).verify(a, b)
             convertible += 1
     assert convertible == 1
-    # two states, two marginals each; one Schmidt SVD per state and one
-    # SVD per matrix in the connecting unitary of each protocol
-    assert counts["pinv"] == 0
-    assert counts == Counter(eigvalsh=4, svd=2 + 2 * convertible)
+    # one SVD per state gives its Schmidt weights, both marginals and their
+    # eigenbases; the connecting unitary of each protocol takes psi's and one
+    # SVD of the target side; no eigensolver runs
+    assert counts == Counter(svd=2 + convertible)
 
 
-def test_spectrum_is_the_eigvalsh_of_the_matrix_bit_for_bit():
+def test_spectrum_is_the_kept_decomposition_bit_for_bit():
     rng = np.random.default_rng(7)
     for d in range(1, 6):
         for rank in range(1, d + 1):
             m = random_density_matrix(d, rng, rank).matrix.copy()
-            expected = np.clip(np.linalg.eigvalsh(m)[::-1], 0.0, None)
+            expected = np.clip(np.linalg.eigh(m)[0][::-1], 0.0, None)
             assert DensityMatrix(m).spectrum().tobytes() == expected.tobytes()
-        for rho in marginals(random_pure_state((d, d + 1), rng)):
-            expected = np.clip(np.linalg.eigvalsh(rho.matrix)[::-1], 0.0, None)
+        psi = random_pure_state((d, d + 1), rng)
+        for rho in marginals(psi):
+            weights = schmidt_squared(psi)
+            expected = np.pad(weights, (0, rho.dim - weights.size))
             assert rho.spectrum().tobytes() == expected.tobytes()
+
+
+# -- factored marginals ---------------------------------------------------------
+
+def _partial_traces(psi):
+    """Marginals by an explicit partial trace of |psi><psi|, as the reference."""
+    t = np.einsum("ij,kl->ijkl", psi.coefficient_matrix(), psi.coefficient_matrix().conj())
+    return np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+
+
+def _rank_deficient(dims, rank, rng):
+    """A pure state on dims of Schmidt rank ``rank``."""
+    da, db = dims
+    coeffs = np.zeros(min(da, db))
+    coeffs[:rank] = np.sqrt(rng.dirichlet(np.ones(rank)))
+    u, v = random_unitary(da, rng), random_unitary(db, rng)
+    return PureBipartiteState.from_matrix((u[:, :coeffs.size] * coeffs) @ v[:, :coeffs.size].T)
+
+
+def _factored_cases():
+    rng = np.random.default_rng(31)
+    cases = [random_pure_state(dims, rng) for dims in ((2, 3), (3, 2), (1, 4), (4, 1), (3, 3))]
+    cases += [_rank_deficient(dims, rank, rng)
+              for dims, rank in (((3, 3), 1), ((3, 3), 2), ((4, 4), 2), ((2, 4), 1), ((4, 3), 2))]
+    cases += [maximally_entangled(d) for d in (1, 2, 3, 4)]
+    cases += [PureBipartiteState.from_matrix(np.eye(3, 2) / np.sqrt(2)),
+              PureBipartiteState.from_matrix(random_unitary(3, rng) / np.sqrt(3))]
+    return cases
+
+
+@pytest.mark.parametrize("psi", _factored_cases(), ids=lambda psi: f"{psi.dims[0]}x{psi.dims[1]}")
+def test_factored_marginals_are_the_partial_traces_and_their_eigenbases(psi):
+    weights = schmidt_squared(psi)
+    for rho, reference in zip(marginals(psi), _partial_traces(psi)):
+        assert rho.matrix.shape == (rho.dim, rho.dim)
+        assert np.max(np.abs(rho.matrix - reference)) <= TRACE_TOL
+        vecs = rho._eigenvectors
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(rho.dim))) <= ORTHONORMAL_TOL
+        # the kept eigenbasis diagonalizes the matrix, with the kept eigenvalues
+        assert np.max(np.abs(vecs.conj().T @ rho.matrix @ vecs
+                             - np.diag(rho._eigenvalues))) <= SPECTRUM_TOL
+        np.testing.assert_array_equal(rho.spectrum(),
+                                      np.pad(weights, (0, rho.dim - weights.size)))
+        assert not any(a.flags.writeable for a in (rho.matrix, rho._eigenvalues, vecs))
+
+
+def test_factored_marginals_give_witnesses_on_degenerate_pairs():
+    rng = np.random.default_rng(32)
+    for d in (2, 3, 4):
+        states = [maximally_entangled(d), _rank_deficient((d, d), 1, rng),
+                  random_pure_state((d, d), rng)]
+        if d > 2:
+            states.append(_rank_deficient((d, d), d - 1, rng))
+        for a in states:
+            for b in states:
+                if not nielsen_convertible(a, b):
+                    continue
+                rho, rho_t = marginals(a)[0], marginals(b)[0]
+                rare = rare_synthesis_quantum(rho, rho_t)
+                for _, u in rare:
+                    assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= UNITARY_TOL
+                mix = sum(w * u @ rho_t.matrix @ u.conj().T for w, u in rare)
+                assert np.max(np.abs(mix - rho.matrix)) <= WITNESS_TOL
+                assert one_way_locc_from_rare(a, b, rare).verify(a, b)
+
+
+def test_pure_state_svd_is_kept_read_only():
+    psi = random_pure_state((2, 3), np.random.default_rng(33))
+    u, s, vh = psi._svd
+    assert psi._svd is psi._svd
+    assert not any(a.flags.writeable for a in (u, s, vh))
+    assert (u.shape, s.shape, vh.shape) == ((2, 2), (2,), (3, 3))
 
 
 # -- the connecting unitary -------------------------------------------------------
@@ -163,7 +240,7 @@ def test_connecting_unitary_matches_the_pinv_construction():
                 m1 = np.zeros((d, d * branches), dtype=complex)
                 m1[:, 0::branches] = m_psi
                 m2 = m1 @ random_unitary(d * branches, rng)
-                t = quantum._connecting_unitary(m1, m2)
+                t = quantum._connecting_unitary(np.linalg.svd(m1), m2)
                 assert np.max(np.abs(m1 @ t - m2)) <= UNITARY_TOL
                 reference = _connecting_unitary_by_pinv(m1, m2)
                 assert np.max(np.abs(t - reference)) <= UNITARY_TOL
