@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tolerances import ATOL, SINGULAR_DET_TOL
+from .tolerances import ATOL, SINGULAR_DET_TOL, SUM_TOL
 
 
 class StructuralError(ValueError):
@@ -209,6 +209,14 @@ class TheorySystem:
         return GptState(self, vec)
 
 
+def sums_to_one(weights) -> bool:
+    """The one sum-to-one check: weights (or one total: a norm, a trace) non-empty, none below
+    -SUM_TOL, summing to one within SUM_TOL.  Compared as Python floats; NaN and inf fail."""
+    w = np.asarray(weights, dtype=float).ravel().tolist()
+    total = sum(w)
+    return bool(w) and min(w) >= -SUM_TOL and abs(total - 1.0) <= SUM_TOL
+
+
 @dataclass(frozen=True, eq=False)
 class GptState:
     """A state of a system, as coefficients against the system basis."""
@@ -224,7 +232,7 @@ class GptState:
         return float(self.system.unit_effect @ self.vec)
 
     def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) <= ATOL
+        return sums_to_one(self.norm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +375,7 @@ def validate_system(sys: TheorySystem) -> list[str]:
     problems (mismatched dimensions) raise ``StructuralError`` instead of
     being reported, since no further check is meaningful.
 
-    Every pure state must be normalized (unit effect 1 within ``ATOL``).
+    Every pure state must be normalized (``sums_to_one`` of its norm).
     Every group element must permute the vertex list: perm[g, j] is the
     first pure state within ``ATOL`` (max-norm) of group[g] @ pure_states[j].
     When the pure states span R^dim (checked, and reported otherwise), a
@@ -402,9 +410,9 @@ def validate_system(sys: TheorySystem) -> list[str]:
             report.append(f"group[{i}] does not preserve the unit effect "
                           f"(residual {unit_residual[i]:.3e})")
 
-    norms = verts @ sys.unit_effect
-    for j in np.flatnonzero(np.abs(norms - 1.0) > ATOL):
-        report.append(f"pure_states[{j}] is not normalized (norm {norms[j]:.6f})")
+    for j, norm in enumerate(verts @ sys.unit_effect):
+        if not sums_to_one(norm):
+            report.append(f"pure_states[{j}] is not normalized (norm {norm:.6f})")
 
     base = _spanning_rows(verts)
     if len(base) < sys.dim:

@@ -27,10 +27,10 @@ import numpy as np
 
 from . import simplex
 from .core import (CapacityError, GptState, StructuralError, TheorySystem,
-                   make_classical)
+                   make_classical, sums_to_one)
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
-                         MAJORIZATION_TOL, MAX_SCALE, RARE_SUM_TOL, RESIDUAL_TOL,
-                         VERTEX_MARGIN, WITNESS_TOL, ZERO_TOL)
+                         MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, VERTEX_MARGIN,
+                         WITNESS_TOL, ZERO_TOL)
 
 
 class IllConditionedError(ValueError):
@@ -45,10 +45,7 @@ class RaReChannel:
     entries: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
-        weights = np.array([w for w, _ in self.entries])
-        if weights.size == 0:
-            raise StructuralError("RaRe channel needs at least one entry")
-        if weights.min() < -ZERO_TOL or abs(weights.sum() - 1.0) > RARE_SUM_TOL:
+        if not sums_to_one([w for w, _ in self.entries]):
             raise StructuralError("RaRe weights must be nonnegative and sum to 1")
         for _, k in self.entries:
             if not 0 <= k < len(self.system.group):
@@ -183,11 +180,11 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     with its full permutation group (any order of the elements) the orbit
     hull is rho's permutohedron, so the verdict is ``majorizes(rho, sigma)``
     and the permutohedron walk gives the weights, at most n of them nonzero;
-    no LP is solved.  Both run on the states clipped at zero and rescaled to
-    sum one, and the weights rebuild sigma within ``WITNESS_TOL`` plus how
-    far that moved each state, or the call raises ``RuntimeError``.  Every
-    other system, a simplex with a proper subgroup included, solves the
-    phase-1 LP over the orbit of rho.
+    no LP is solved.  Both run on the state vectors as given, which the
+    state check lets sum to one within ``SUM_TOL``; the weights rebuild
+    sigma within ``WITNESS_TOL`` plus the gap between the two sums, or the
+    call raises ``RuntimeError``.  Every other system, a simplex with a
+    proper subgroup included, solves the phase-1 LP over the orbit of rho.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
@@ -196,22 +193,11 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     index = rho.system._permutation_index
     if index is None:
         return feasible_convex_combination(_orbit(rho), sigma.vec)
-    # the state check lets an entry sit ATOL below zero and a sum ATOL off one,
-    # so majorization and the walk take the states clipped and rescaled
-    p, q = np.maximum(rho.vec, 0.0), np.maximum(sigma.vec, 0.0)
-    p /= p.sum()
-    q /= q.sum()
-    if not majorizes(p, q):
+    if not majorizes(rho.vec, sigma.vec):
         return FeasibilityCertificate("infeasible", None, float("inf"))
-    entries, _ = _walk_witness(p, q, index.__getitem__)
-    ks = [k for _, k in entries]
+    entries, residual = _walk_witness(rho.vec, sigma.vec, index.__getitem__)
     weights = np.zeros(len(index))
-    weights[ks] = [w for w, _ in entries]
-    rebuilt = weights[ks] @ (rho.system.group_array[ks] @ rho.vec)
-    residual = float(np.max(np.abs(rebuilt - sigma.vec)))
-    # a mix of permutations moves no entry further than the rescaling moved rho's
-    if residual > WITNESS_TOL + np.max(np.abs(rho.vec - p)) + np.max(np.abs(sigma.vec - q)):
-        raise RuntimeError(f"mixing witness misses sigma by {residual:.2e}")
+    weights[[k for _, k in entries]] = [w for w, _ in entries]
     return FeasibilityCertificate("feasible", weights, residual)
 
 
@@ -338,20 +324,21 @@ def orbit_hull(rho: GptState) -> list[np.ndarray]:
 def majorizes(p, q) -> bool:
     """Partial-sum majorization test: p majorizes q.
 
-    Vectors are sorted descending (ties broken by index); both must be
-    probability vectors, and every partial sum of p must reach q's, within
-    ``MAJORIZATION_TOL``.
+    Both must be probability vectors (``sums_to_one``).  Each is sorted
+    descending, and q's partial sums are scaled to p's total, so a sum off
+    one by up to ``SUM_TOL`` moves no verdict; every partial sum of p must
+    then reach q's within ``MAJORIZATION_TOL``.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if p.shape != q.shape:
         raise StructuralError("majorization needs equal-length vectors")
     for name, v in (("p", p), ("q", q)):
-        if v.min() < -MAJORIZATION_TOL or abs(v.sum() - 1.0) > MAJORIZATION_TOL:
+        if not sums_to_one(v):
             raise StructuralError(f"{name} is not a probability vector")
     ps = np.cumsum(np.sort(p)[::-1])
     qs = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(ps >= qs - MAJORIZATION_TOL))
+    return bool(np.all(ps >= qs * (ps[-1] / qs[-1]) - MAJORIZATION_TOL))
 
 
 def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -405,13 +392,16 @@ def _lexicographic_rank(perm: tuple[int, ...]) -> int:
 def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float, int]], float]:
     """The permutohedron walk's terms as (weight, index(perm)) pairs, and their rebuild residual.
 
-    ``index`` maps a permutation tuple to its group index.  The terms
-    rebuild q within ``WITNESS_TOL``, or the call raises ``RuntimeError``.
+    ``index`` maps a permutation tuple to its group index.  The walk aims at
+    q scaled to p's sum, the plane of p's permutohedron (as ``majorizes``
+    compares them); the terms rebuild q within ``WITNESS_TOL`` plus
+    |sum p - sum q|, or the call raises ``RuntimeError``.
     """
-    terms = _permutohedron_walk(p, q)
+    p_sum, q_sum = p.sum(), q.sum()
+    terms = _permutohedron_walk(p, q * (p_sum / q_sum))
     weights = np.fromiter(terms.values(), dtype=float, count=len(terms))
     residual = float(np.max(np.abs(weights @ p[np.array(list(terms))] - q)))
-    if residual > WITNESS_TOL:
+    if not residual <= WITNESS_TOL + abs(p_sum - q_sum):
         raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
     return [(w, index(perm)) for perm, w in terms.items()], residual
 
@@ -426,7 +416,7 @@ def _birkhoff_terms(p: np.ndarray, q: np.ndarray) -> list[tuple[float, tuple[int
     """The walk core of ``birkhoff_rare_synthesis``: (weight, permutation) terms.
 
     The caller has checked that p majorizes q; n above 6 is refused.  The
-    terms rebuild q within ``WITNESS_TOL``, or the call raises.
+    terms pass ``_walk_witness``'s rebuild check, or the call raises.
     """
     if p.shape[0] > 6:
         raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
@@ -440,7 +430,7 @@ def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     of at most n permutations of p, each met once; the channel weighs the
     matching permutation matrices of make_classical(n), whose group lists
     the permutations in lexicographic order; that system is built once per
-    n.  The channel rebuilds q within ``WITNESS_TOL``, or the call raises.
+    n.  It rebuilds q within ``WITNESS_TOL`` + |sum p - sum q|, or raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)

@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from . import simplex
-from .core import GptState, Measurement, StructuralError, TheorySystem
+from .core import GptState, Measurement, StructuralError, TheorySystem, sums_to_one
 from .mixedness import RaReChannel, _require_state
 from .quantum import DensityMatrix, _entropy_bits
-from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL, TRACE_TOL
+from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL
 
 
 class UnsupportedSystemError(ValueError):
@@ -114,7 +114,7 @@ def measurement_entropy(rho) -> MonotoneReport:
     fine-grained distribution).
     """
     if isinstance(rho, DensityMatrix):
-        if abs(rho.trace - 1.0) > TRACE_TOL:
+        if not sums_to_one(rho.trace):
             raise StructuralError("measurement_entropy requires a normalized state")
         vals, vecs = rho._eig_desc
         witness = {"type": "projective-eigenbasis",

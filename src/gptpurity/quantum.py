@@ -18,15 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import StructuralError
+from .core import StructuralError, sums_to_one
 from .mixedness import _birkhoff_terms, majorizes
-from .tolerances import (DEGENERACY_TOL, DISTRIBUTION_SUM_TOL, ENTROPY_FLOOR,
-                         EOF_ARTANH_CLIP, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR,
-                         HERM_TOL, LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL,
-                         PHASE_FLOOR, PROTOCOL_TOL, PSD_TOL, RANK_TOL,
-                         RELATIVE_RANK_TOL, SPECTRUM_TOL, TIE_DECIMALS,
-                         TRACE_PRESERVING_TOL, TRACE_TOL, UNITARY_TOL, WITNESS_TOL,
-                         ZERO_TOL)
+from .tolerances import (DEGENERACY_TOL, ENTROPY_FLOOR, EOF_ARTANH_CLIP, EOF_FTOL,
+                         EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL, LEAD_TOL, MONOTONE_TOL,
+                         ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL, PSD_TOL, RANK_TOL,
+                         RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL, TIE_DECIMALS,
+                         TRACE_PRESERVING_TOL, UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
 
 #: pure members of an EoF ensemble (at least the rank of the state)
 EOF_MEMBERS = 6
@@ -114,13 +112,14 @@ class DensityMatrix:
         m = _frozen(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
             raise StructuralError(f"matrix is not Hermitian within {_sci(HERM_TOL)}")
         vals, vecs = np.linalg.eigh(m)
         if vals.min() < -PSD_TOL:
             raise StructuralError(f"matrix has negative eigenvalue {vals.min():.3e}")
         tr = float(np.trace(m).real)
-        if not -TRACE_TOL <= tr <= 1.0 + TRACE_TOL:
+        # the trace and the weight it misses form a two-outcome distribution
+        if not sums_to_one((tr, 1.0 - tr)):
             raise StructuralError(f"trace {tr:.6f} outside [0, 1]")
         self._keep(m, vals, vecs)
 
@@ -198,8 +197,8 @@ class PureBipartiteState:
         v = _frozen(self.vec, complex).reshape(-1)
         if v.shape[0] != da * db:
             raise StructuralError(f"vector length {v.shape[0]} != {da}*{db}")
-        if abs(np.linalg.norm(v) - 1.0) > TRACE_TOL:
-            raise StructuralError(f"state vector is not normalized within {_sci(TRACE_TOL)}")
+        if not sums_to_one(np.vdot(v, v).real):
+            raise StructuralError(f"state vector is not normalized within {_sci(SUM_TOL)}")
         object.__setattr__(self, "vec", v)
         object.__setattr__(self, "dims", (int(da), int(db)))
 
@@ -262,10 +261,10 @@ class SchmidtData:
 
     def __post_init__(self):
         c = _frozen(self.coefficients, float)
+        if not sums_to_one(c ** 2):
+            raise StructuralError("squared Schmidt coefficients must sum to 1")
         if np.any(np.diff(c) > ZERO_TOL) or c.min() < -ZERO_TOL:
             raise StructuralError("Schmidt coefficients must be nonnegative descending")
-        if abs(np.sum(c ** 2) - 1.0) > DISTRIBUTION_SUM_TOL:
-            raise StructuralError("squared Schmidt coefficients must sum to 1")
         object.__setattr__(self, "coefficients", c)
         for name in ("left_basis", "right_basis"):
             b = _frozen(getattr(self, name), complex)
@@ -304,7 +303,7 @@ class KrausChannel:
             if k.shape != ops[0].shape:
                 raise StructuralError(f"Kraus operator shapes differ: {k.shape}, {ops[0].shape}")
             total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(din))) > TRACE_PRESERVING_TOL:
+        if not np.max(np.abs(total - np.eye(din))) <= TRACE_PRESERVING_TOL:
             raise StructuralError("Kraus operators do not preserve the trace within "
                                   f"{_sci(TRACE_PRESERVING_TOL)}")
         object.__setattr__(self, "operators", ops)
@@ -353,9 +352,8 @@ class OneWayProtocol:
 
     def verify(self, psi: "PureBipartiteState", target: "PureBipartiteState") -> bool:
         """Bob's branches are complete and every branch hits its target."""
-        if self.completeness_residual() > TRACE_PRESERVING_TOL:
-            return False
-        return bool(np.all(self.outcome_residuals(psi, target) <= PROTOCOL_TOL))
+        return bool(self.completeness_residual() <= TRACE_PRESERVING_TOL
+                    and np.all(self.outcome_residuals(psi, target) <= PROTOCOL_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +388,7 @@ def marginals(psi: PureBipartiteState) -> tuple[DensityMatrix, DensityMatrix]:
 
 def purify(rho: DensityMatrix) -> PureBipartiteState:
     """Standard purification sum_i sqrt(p_i) |e_i>|i> on a twin-dimension system."""
-    if abs(rho.trace - 1.0) > TRACE_TOL:
+    if not sums_to_one(rho.trace):
         raise StructuralError("purify requires a normalized density matrix")
     vals, vecs = rho._eig_desc
     m = vecs * np.sqrt(np.clip(vals, 0.0, None))
@@ -404,7 +402,7 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     factor carried as coordinates, so the coefficient matrix is the
     symmetric matrix E sqrt(diag p) E^T.
     """
-    if abs(rho.trace - 1.0) > TRACE_TOL:
+    if not sums_to_one(rho.trace):
         raise StructuralError("symmetric_purify requires a normalized density matrix")
     vals, vecs = rho._eig_desc
     m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
@@ -420,13 +418,13 @@ def nielsen_convertible(psi: PureBipartiteState, target: PureBipartiteState) -> 
     """LOCC convertibility test for pure states: majorization of Schmidt weights.
 
     True iff the squared-Schmidt vector of ``psi`` is majorized by that of
-    ``target`` (vectors zero-padded to a common length).
+    ``target`` (vectors zero-padded to a common length).  Each sums to its
+    state's |v|^2, which ``majorizes`` scales out.
     """
     p, q = psi._schmidt_weights, target._schmidt_weights
     if p.size != q.size:
         n = max(p.size, q.size)
         p, q = np.pad(p, (0, n - p.size)), np.pad(q, (0, n - q.size))
-    p, q = p / p.sum(), q / q.sum()
     return majorizes(q, p)
 
 
@@ -555,7 +553,8 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     """One-way protocol converting psi into target, from a RaRe witness.
 
     ``rare`` must satisfy sum_i w_i U_i rho' U_i^dag = rho, where rho and
-    rho' are the A-marginals of psi and target, within ``PROTOCOL_TOL``.
+    rho' are the A-marginals of psi and target, within ``WITNESS_TOL``, with
+    weights that pass ``sums_to_one``.
     The construction purifies
     the mixture sum_i w_i (U_i x I)|target> with a register of one dimension
     per branch, connects it to psi x |0> by a unitary on B x register, and
@@ -568,10 +567,10 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     rho = marginals(psi)[0].matrix
     rho_p = marginals(target)[0].matrix
     weights = np.array([w for w, _ in rare])
-    if weights.min() < -ZERO_TOL or abs(weights.sum() - 1.0) > DISTRIBUTION_SUM_TOL:
+    if not sums_to_one(weights):
         raise StructuralError("rare weights must be a probability distribution")
     mix = sum(w * u @ rho_p @ u.conj().T for w, u in rare)
-    if np.max(np.abs(mix - rho)) > PROTOCOL_TOL:
+    if not np.max(np.abs(mix - rho)) <= WITNESS_TOL:
         raise StructuralError("rare decomposition does not map target marginal "
                               "to source marginal within tolerance")
 
@@ -586,8 +585,8 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     others = np.flatnonzero(np.arange(db * n) % n)
     vh1[db + np.arange(others.size), others] = 1.0
     m2 = np.zeros((da, db * n), dtype=complex)
-    for i, (w, u) in enumerate(rare):
-        m2[:, i::n] = np.sqrt(w) * (u @ m_tgt)
+    for i, (w, u) in enumerate(rare):    # a weight SUM_TOL below zero adds no branch
+        m2[:, i::n] = np.sqrt(max(w, 0.0)) * (u @ m_tgt)
     t = _connecting_unitary((u_psi, s_psi, vh1), m2)
     w_unitary = t.T  # acts on the B x C factor
     bob = []
@@ -595,7 +594,7 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
         # B_i = (I_B x <i|_C) W (I_B x |0>_C)
         bob.append(w_unitary[i::n, 0::n])
     alice = [u.conj().T for _, u in rare]
-    return OneWayProtocol(tuple(bob), tuple(alice), weights)
+    return OneWayProtocol(tuple(bob), tuple(alice), np.maximum(weights, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +701,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
-    if abs(rho.trace - 1.0) > TRACE_TOL:
+    if not sums_to_one(rho.trace):
         raise StructuralError("state must be normalized")
     vals, vecs = rho._eig_desc
     keep = vals > RANK_TOL
@@ -749,7 +748,7 @@ def catalytic_erasure_possible(rho: DensityMatrix) -> ErasureCertificate:
     state would; the certificate reports Tr(rho^2) and the strict-inequality
     margin 1 - Tr(rho^2).
     """
-    if abs(rho.trace - 1.0) > TRACE_TOL:
+    if not sums_to_one(rho.trace):
         raise StructuralError("state must be normalized")
     purity = rho.purity()
     margin = max(0.0, 1.0 - purity)

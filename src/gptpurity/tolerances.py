@@ -8,23 +8,26 @@ so on) stay importable from that module.  Iteration caps and other work
 budgets are not tolerances and live with the code they bound.  Box world
 is exact and needs none of them.
 
-Where one meaning carries different values in different checks, each
-value has its own name saying what it guards.  These are:
+Each meaning has one value: whether weights, a state's norm or a trace
+sum to one is decided by ``core.sums_to_one`` against ``SUM_TOL``.  Names
+that look alike guard different quantities:
 
-* sums of weights to one: ``RARE_SUM_TOL``, ``DISTRIBUTION_SUM_TOL`` and
-  ``MAJORIZATION_TOL`` (and ``ATOL`` for a GPT state's norm, ``TRACE_TOL``
-  for a quantum state's);
-* a witness rebuilding its target: ``RESIDUAL_TOL`` for the weights of a
-  feasibility certificate, ``WITNESS_TOL`` for a synthesized channel;
-* weights too small to count in an entropy: ``ENTROPY_FLOOR``,
-  ``EOF_WEIGHT_FLOOR``.
+* ``MAJORIZATION_TOL``: partial sums of two vectors ``SUM_TOL`` accepted;
+* ``RESIDUAL_TOL``: the rebuild by LP weights, which pivots on scaled data
+  leave past 1e-9 near a hull boundary (45000 orbit LPs on classical-3..6,
+  square bit, pentagon, gaps 0..1e-9: up to 1.14e-9, one would raise at
+  1e-9); a synthesized witness, built in closed form, holds ``WITNESS_TOL``;
+* ``PROTOCOL_TOL``: each branch of a one-way protocol, which takes square
+  roots of the weights past the RaRe mixture ``WITNESS_TOL`` bounds;
+* ``EOF_WEIGHT_FLOOR`` drops EoF members, whose gradient divides by the
+  weight and its square, sooner than ``ENTROPY_FLOOR`` drops entropy terms.
 """
 
 # ---------------------------------------------------------------------------
 # GPT systems, mixedness and the simplex
 # ---------------------------------------------------------------------------
 
-#: polytope and group identities: vertex and unit-effect matches, normalization, effect ranges
+#: polytope and group identities: vertex and unit-effect matches, effect ranges
 ATOL = 1e-9
 #: a group element with |det| below this is singular
 SINGULAR_DET_TOL = 1e-12
@@ -32,7 +35,7 @@ SINGULAR_DET_TOL = 1e-12
 PIVOT_TOL = 1e-10
 #: largest phase-1 optimum (sum of artificials) still reported as feasible
 FEASIBILITY_TOL = 1e-9
-#: largest reconstruction error of a feasible certificate's weights
+#: largest reconstruction error of a feasible certificate's weights (not WITNESS_TOL: see above)
 RESIDUAL_TOL = 1e-8
 #: inputs whose largest entry exceeds this are refused as ill-conditioned
 MAX_SCALE = 1e12
@@ -50,15 +53,14 @@ FARKAS_MIN_SEPARATION = 1e-9
 #: an entry this close to zero is zero: weights, margins, and the permutohedron walk's
 #: weighted rises and slacks
 ZERO_TOL = 1e-12
-#: RaRe channel weights sum to one within this
-RARE_SUM_TOL = 1e-12
-#: one-way protocol weights and squared Schmidt coefficients sum to one within this
-DISTRIBUTION_SUM_TOL = 1e-9
-#: majorization slack, on the inputs' signs and sums and on every partial sum
+#: weights (or a state's norm, a trace, |v|^2) sum to one within this; no weight below -SUM_TOL
+SUM_TOL = 1e-9
+#: majorization slack on every partial sum, with q's scaled to p's total
 MAJORIZATION_TOL = 1e-10
-#: a synthesized witness (Birkhoff, quantum RaRe, swap channels) rebuilds its target within this
+#: a synthesized witness (Birkhoff, quantum RaRe, swap channels) and the RaRe
+#: mixture a one-way protocol is built from rebuild their targets within this
 WITNESS_TOL = 1e-9
-#: a one-way protocol and the RaRe witness it is built from hit their targets within this
+#: every branch of a one-way protocol hits its target within this
 PROTOCOL_TOL = 1e-8
 #: the sum of K^dag K over Kraus operators or instrument branches is I within this
 TRACE_PRESERVING_TOL = 1e-9
@@ -71,8 +73,6 @@ TRACE_PRESERVING_TOL = 1e-9
 HERM_TOL = 1e-10
 #: most negative eigenvalue accepted in a density matrix
 PSD_TOL = 1e-10
-#: slack on a density matrix's trace and on "normalized" (unit trace or unit norm)
-TRACE_TOL = 1e-10
 #: largest entry of B^dag B - I in a basis accepted as orthonormal
 ORTHONORMAL_TOL = 1e-10
 #: eigenvalues and Schmidt coefficients at or below this are outside the support

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gptpurity import cli, quantum, simplex
@@ -366,7 +366,8 @@ _garbage = {
                | st.text(alphabet="xyz:-", max_size=4).map(lambda t: f"missing{t}.json")),
     "vector": (st.text(max_size=8).filter(lambda t: not _finite_floats(t))
                | st.lists(st.floats(-2, 2), min_size=4, max_size=6).map(
-                   lambda v: ",".join(map(repr, v)))),
+                   lambda v: ",".join(map(repr, v)))
+               | st.just("@empty.json")),      # a file holding [], made by the test
     "name": st.text(max_size=8).filter(lambda t: not t.startswith("-")).map(lambda t: t + "?"),
     # JSON without a number in it, or no JSON at all
     "complex": (st.recursive(st.none() | _no_number,
@@ -397,9 +398,15 @@ def _garbage_command_lines(draw):
     return argv
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_garbage_command_lines())
-def test_non_box_verbs_map_garbage_to_exit_2(argv):
+@example(["majorizes", "--p=@empty.json", "--q=@empty.json"])
+@example(["birkhoff", "--p=@empty.json", "--q=@empty.json"])
+def test_non_box_verbs_map_garbage_to_exit_2(tmp_path, monkeypatch, argv):
+    # every example runs in one directory holding the same empty.json
+    (tmp_path / "empty.json").write_text("[]")
+    monkeypatch.chdir(tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gptpurity import core
+from gptpurity import core, mixedness, monotones, quantum
 
 
 def _match_vertex(sys, vec, atol):
@@ -317,3 +317,85 @@ def test_validate_system_refuses_unnormalized_pure_states():
     assert core.validate_system(doubled) == [
         "pure_states[0] is not normalized (norm 2.000000)",
         "pure_states[1] is not normalized (norm 2.000000)"]
+
+
+# -- the one sum-to-one check ---------------------------------------------------
+
+def _sum_sites():
+    """Every check routed through ``core.sums_to_one``, each on a two-entry weight vector w.
+
+    A site refuses w by raising ``StructuralError`` or by returning False.
+    """
+    bit, eye = core.make_classical(2), np.eye(2, dtype=complex)
+    bell = quantum.maximally_entangled(2)
+
+    def density(w):
+        return quantum.DensityMatrix.diagonal([np.sum(w), 0, 0, 0])
+
+    return {
+        "GptState.is_normalized": lambda w: bit.state(w).is_normalized(),
+        "RaReChannel": lambda w: mixedness.RaReChannel(bit, ((w[0], 0), (w[1], 1))),
+        "majorizes-p": lambda w: mixedness.majorizes(w, [0.5, 0.5]),
+        "majorizes-q": lambda w: mixedness.majorizes([1.0, 0.0], w),
+        "more_mixed": lambda w: mixedness.more_mixed(bit.state(w), bit.state([0.5, 0.5])),
+        "SchmidtData": lambda w: quantum.SchmidtData(np.sqrt(w), eye, eye),
+        "PureBipartiteState": lambda w: quantum.PureBipartiteState((1, 2), np.sqrt(w)),
+        "one_way_locc_from_rare": lambda w: quantum.one_way_locc_from_rare(
+            bell, bell, [(w[0], eye), (w[1], eye)]),
+        "purify": lambda w: quantum.purify(density(w)),
+        "symmetric_purify": lambda w: quantum.symmetric_purify(density(w)),
+        "entanglement_of_formation": lambda w: quantum.entanglement_of_formation(density(w)),
+        "catalytic_erasure_possible": lambda w: quantum.catalytic_erasure_possible(density(w)),
+        "measurement_entropy": lambda w: monotones.measurement_entropy(density(w)),
+    }
+
+
+def _refused(site, w) -> bool:
+    try:
+        return site(w) is False
+    except core.StructuralError:
+        return True
+
+
+@pytest.mark.parametrize("name", sorted(_sum_sites()))
+def test_every_sum_to_one_site_shares_one_boundary(name):
+    # 1 +- 0.5 SUM_TOL passes and 1 +- 2 SUM_TOL fails at every site, and a
+    # NaN entry, which fails any comparison, is refused rather than scored
+    site = _sum_sites()[name]
+    for sign in (1, -1):
+        assert not _refused(site, [0.7 + 0.5 * sign * core.SUM_TOL, 0.3])
+        assert _refused(site, [0.7 + 2 * sign * core.SUM_TOL, 0.3])
+    assert _refused(site, [float("nan"), 1.0])
+
+
+def test_validate_system_and_density_matrix_share_the_sum_boundary():
+    def report(w):
+        return core.validate_system(core.TheorySystem(
+            2, np.ones(2), (np.asarray(w), np.asarray(w)[::-1]), tuple(np.eye(2)),
+            (np.eye(2),)))
+
+    assert report([0.7 + 0.5 * core.SUM_TOL, 0.3]) == []
+    assert len(report([0.7 + 2 * core.SUM_TOL, 0.3])) == 2
+    # a density matrix may be subnormalized: its trace lies in [0, 1] within SUM_TOL
+    for trace in (1 + 0.5 * core.SUM_TOL, 0.5, 0.0):
+        quantum.DensityMatrix.diagonal([trace, 0])
+    for trace in (1 + 2 * core.SUM_TOL, float("nan")):
+        with pytest.raises(core.StructuralError):
+            quantum.DensityMatrix.diagonal([trace, 0])
+
+
+def test_sum_checks_refuse_empty_and_non_finite_weights():
+    eye = np.eye(2, dtype=complex)
+    bell = quantum.maximally_entangled(2)
+    inf = float("inf")
+    for weights in ([], float("nan"), [inf, 0], [inf, -inf], [-inf, 2]):
+        assert not core.sums_to_one(weights)
+    cases = [
+        lambda: mixedness.RaReChannel(core.make_classical(2), ()),
+        lambda: mixedness.majorizes([], []),
+        lambda: quantum.SchmidtData([], eye, eye),
+        lambda: quantum.one_way_locc_from_rare(bell, bell, []),
+    ]
+    for case in cases:
+        with pytest.raises(core.StructuralError):
+            case()

@@ -605,6 +605,27 @@ def test_classical_more_mixed_takes_states_the_state_check_accepts():
             assert np.max(np.abs(rebuilt - q)) <= cert.residual + 1e-15 <= 4 * core.ATOL
 
 
+def test_classical_walk_aims_at_sigma_on_rhos_plane():
+    # sums 2.7e-10 below and 9.4e-10 above one: the permutohedron of rho lies in
+    # the plane of rho's sum, and a walk aimed at the given sigma, off that
+    # plane, missed it by 3.2e-9, more than WITNESS_TOL + |sum rho - sum sigma|
+    quart = core.make_classical(4)
+    p = np.array([0.11161604414354723, 0.2266806922163896, 0.10263378615132596,
+                  0.5590694772160836])
+    q = np.array([0.5156215190757876, 0.1040379919876619, 0.21046599118523726,
+                  0.16987449869130064])
+    cert = mixedness.more_mixed(quart.state(p), quart.state(q))
+    assert cert.feasible
+    assert cert.residual <= mixedness.WITNESS_TOL + abs(p.sum() - q.sum())
+    # a state against its own copy at a sum 1.8 SUM_TOL higher: the identity
+    # alone misses the top entry by 1.6e-9, above WITNESS_TOL by itself
+    bit, top = core.make_classical(2), np.array([0.9, 0.1])
+    p, q = top * (1 - 0.9 * core.SUM_TOL), top * (1 + 0.9 * core.SUM_TOL)
+    cert = mixedness.more_mixed(bit.state(p), bit.state(q))
+    assert cert.feasible and mixedness.WITNESS_TOL < cert.residual
+    assert cert.residual <= mixedness.WITNESS_TOL + abs(p.sum() - q.sum())
+
+
 def test_classical_more_mixed_weights_index_a_shuffled_group():
     data = core.system_to_dict(core.make_classical(4))
     order = np.random.default_rng(4).permutation(24)

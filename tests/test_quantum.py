@@ -373,6 +373,10 @@ def test_one_way_rejects_wrong_rare():
     target = purify(DensityMatrix.diagonal([0.7, 0.3]))
     with pytest.raises(StructuralError):
         one_way_locc_from_rare(psi, target, [(1.0, np.eye(2, dtype=complex))])
+    # a mixture 5e-9 off is refused too: the bound is WITNESS_TOL, not PROTOCOL_TOL
+    near = purify(DensityMatrix.diagonal([0.7 + 5e-9, 0.3 - 5e-9]))
+    with pytest.raises(StructuralError):
+        one_way_locc_from_rare(target, near, [(1.0, np.eye(2, dtype=complex))])
 
 
 # -- entanglement measures -----------------------------------------------------------
