@@ -67,9 +67,12 @@ def _parse_vector(text: str) -> np.ndarray:
 def _parse_complex_array(text: str) -> np.ndarray:
     data = _read_json(text[1:]) if text.startswith("@") else json.loads(text)
     try:
-        return pairs_to_complex(data)
+        arr = pairs_to_complex(data)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"cannot parse complex array: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise UsageError("complex array has a non-finite entry")
+    return arr
 
 
 def _parse_pure_state(text: str, dims: str) -> quantum.PureBipartiteState:

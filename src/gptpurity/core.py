@@ -32,8 +32,19 @@ class CapacityError(ValueError):
     """Requested construction exceeds the supported finite size."""
 
 
+def _finite_array(x, name: str) -> np.ndarray:
+    """A float copy of ``x``; entries that are not finite numbers are refused, naming ``name``."""
+    try:
+        a = np.array(x, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise StructuralError(f"{name} is not an array of numbers: {exc}") from exc
+    if not np.isfinite(a).all():
+        raise StructuralError(f"{name} has a non-finite entry")
+    return a
+
+
 def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
-    v = np.array(x, dtype=float).reshape(-1)
+    v = _finite_array(x, name).reshape(-1)
     if n is not None and v.shape[0] != n:
         raise StructuralError(f"{name} has length {v.shape[0]}, expected {n}")
     v.flags.writeable = False
@@ -41,7 +52,7 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
 
 
 def _as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
-    m = np.array(x, dtype=float)
+    m = _finite_array(x, name)
     if m.ndim != 2:
         raise StructuralError(f"{name} must be 2-dimensional, got shape {m.shape}")
     if shape is not None and m.shape != shape:
@@ -56,9 +67,9 @@ def _as_matrices(xs, n: int, name: str) -> np.ndarray:
         xs = list(xs)
     try:
         stack = np.array(xs, dtype=float)
-    except ValueError:
+    except (ValueError, TypeError):
         stack = np.empty(0)
-    if stack.shape != (len(xs), n, n):
+    if stack.shape != (len(xs), n, n) or not np.isfinite(stack).all():
         for i, x in enumerate(xs):       # name the entry at fault
             _as_matrix(x, (n, n), f"{name}[{i}]")
     stack.flags.writeable = False

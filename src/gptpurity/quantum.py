@@ -696,20 +696,23 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     ``EOF_STARTS`` starts run side by side as one problem, whose cost is the
     sum of theirs; the first is the eigen-ensemble itself and the others
     rotate it by random unitaries drawn from the fixed ``EOF_SEED``, so the
-    value is a function of rho alone.  It is the lowest single start's cost
-    at the end.
+    value is a function of rho alone.  The run stops when a step lowers the
+    summed cost by less than ``EOF_FTOL`` relatively, or when no gradient
+    entry exceeds ``EOF_GTOL``; the value is the lowest single start's cost
+    at the end.  A rank-1 state (rank counted on the eigenvalues the state
+    keeps) is pure: its value is the cost of its top eigenpair, whose phase
+    does not change it, and neither the optimizer nor the canonical sort runs.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
     if not sums_to_one(rho.trace):
         raise StructuralError("state must be normalized")
-    vals, vecs = rho._eig_desc
-    keep = vals > RANK_TOL
-    lam, v = vals[keep], vecs[:, keep]
-    r = int(lam.size)
-    roots = (v * np.sqrt(lam)).T            # (r, 4) subnormalized eigen-members
+    r = int(np.count_nonzero(rho._eigenvalues > RANK_TOL))
     if r == 1:
-        return float(_roof_cost(roots)[0])
+        top = rho._eigenvectors[:, -1] * np.sqrt(rho._eigenvalues[-1])
+        return float(_roof_cost(top[None, :])[0])
+    vals, vecs = rho._eig_desc
+    roots = (vecs[:, :r] * np.sqrt(vals[:r])).T     # (r, 4) subnormalized eigen-members
     m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(EOF_SEED)
     z0 = np.stack([np.eye(m, r)] + [

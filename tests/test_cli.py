@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from gptpurity import cli, quantum, simplex
 from gptpurity.boxworld import BoxState, pr_box_k, standard_pr_box
-from gptpurity.core import make_square_bit, system_to_dict
+from gptpurity.core import make_classical, make_square_bit, system_to_dict
 from gptpurity.tolerances import WITNESS_TOL
 
 from test_monotones import _non_spanning_system
@@ -508,6 +509,29 @@ def test_malformed_vectors_and_systems_exit_2(capsys, argv):
 def test_state_outside_state_space_exits_2(capsys, flag, argv):
     err = _one_line_error(capsys, *argv)
     assert f"{flag} lies outside the state space" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate-system",),
+    ("more-mixed", "--rho", "1,0", "--sigma", "0.5,0.5"),
+], ids=["validate-system", "more-mixed"])
+def test_theory_file_with_a_nan_coordinate_exits_2(capsys, tmp_path, argv):
+    # Python's json reads and writes NaN, so the file reaches the system checks
+    data = system_to_dict(make_classical(2))
+    data["pure_states"] = [[float("nan"), 1.0], [1.0, 0.0]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    err = _one_line_error(capsys, *argv, "--system", str(path))
+    assert "pure_states[0] has a non-finite entry" in err
+
+
+def test_infinite_density_matrix_exits_2_without_a_warning(capsys):
+    rho = json.dumps([[[float("inf"), 0], [0, 0]], [[0, 0], [0, 0]]])
+    assert rho.startswith("[[[Infinity")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _one_line_error(capsys, "purify", "--rho", rho)
+    assert "non-finite" in err
 
 
 def test_inputs_not_mutated(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,34 @@ def test_validate_system_and_density_matrix_share_the_sum_boundary():
     for trace in (1 + 2 * core.SUM_TOL, float("nan")):
         with pytest.raises(core.StructuralError):
             quantum.DensityMatrix.diagonal([trace, 0])
+
+
+def test_array_fields_refuse_non_finite_entries_by_name():
+    c2 = core.make_classical(2)
+    nan, inf = float("nan"), float("inf")
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    cases = {
+        "unit_effect": lambda: core.TheorySystem(2, [1, nan], tuple(np.eye(2)), tuple(np.eye(2)),
+                                                 (np.eye(2),)),
+        "pure_states[1]": lambda: core.TheorySystem(2, np.ones(2), ([1, 0], [0, inf]),
+                                                    tuple(np.eye(2)), (np.eye(2),)),
+        "extremal_effects[0]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)),
+                                                         ([nan, 0], [0, 1]), (np.eye(2),)),
+        "group[1]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)),
+                                              (np.eye(2), [[0, inf], [1, 0]])),
+        "state vec": lambda: c2.state([nan, 1]),
+        "channel matrix": lambda: core.GptChannel(c2, c2, [[0, nan], [1, 0]]),
+        "branches[0]": lambda: core.Instrument(c2, c2, ([[0, -inf], [1, 0]], swap)),
+    }
+    for name, case in cases.items():
+        with pytest.raises(core.StructuralError, match=rf"^{re.escape(name)} has a non-finite"):
+            case()
+    # entries that are not numbers at all are refused by name too
+    for group in ((np.eye(2), [[0, "x"], [1, 0]]), (np.eye(2), [[0, {}], [1, 0]])):
+        with pytest.raises(core.StructuralError, match=r"^group\[1\] is not an array of numbers"):
+            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), group)
+    with pytest.raises(core.StructuralError, match=r"^pure_states\[0\] is not an array of numbers"):
+        core.TheorySystem(2, np.ones(2), ([[1], 0], [0, 1]), tuple(np.eye(2)), (np.eye(2),))
 
 
 def test_sum_checks_refuse_empty_and_non_finite_weights():

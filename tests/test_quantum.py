@@ -506,6 +506,34 @@ def test_eof_separable_mixtures_are_zero():
         assert abs(entanglement_of_formation(rho) - wootters_eof(rho.matrix)) < 1e-6
 
 
+def test_eof_keeps_its_accuracy_on_a_seeded_sweep():
+    # the polish stops at EOF_FTOL; the value it stops at must still sit on
+    # the Wootters value, and never below it (the members decompose rho)
+    rng = np.random.Generator(np.random.Philox(key=191919))
+    mats = [random_density_matrix(4, rng, rank=rank).matrix
+            for rank in (2, 3, 4) for _ in range(100)]
+    mats += [werner(p).matrix for p in np.linspace(0.0, 1.0, 11)]
+    for _ in range(20):
+        members = [np.kron(random_pure_state((2, 1), rng).vec, random_pure_state((2, 1), rng).vec)
+                   for _ in range(3)]
+        weights = rng.dirichlet(np.ones(3))
+        mats.append(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, members)))
+    gaps = np.array([entanglement_of_formation(DensityMatrix(m)) - wootters_eof(m) for m in mats])
+    assert np.abs(gaps).max() <= 5e-8
+    assert gaps.min() >= -1e-12
+
+
+def test_eof_of_a_rank1_state_is_the_entropy_of_its_top_eigenvector():
+    rng = np.random.Generator(np.random.Philox(key=191920))
+    for _ in range(50):
+        rho = random_density_matrix(4, rng, rank=1)
+        top = np.linalg.eigh(rho.matrix)[1][:, -1]
+        value = entanglement_of_formation(rho)
+        assert abs(value - entanglement_entropy(PureBipartiteState((2, 2), top))) <= 1e-12
+        # read off the eigenpair the state keeps, without the canonical sort
+        assert "_eig_desc" not in vars(rho)
+
+
 def _eig_desc_loop(mat):
     """The column-by-column form of quantum._canonical_eig on eigh(mat), kept as its reference."""
     vals, vecs = np.linalg.eigh(mat)
