@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -94,8 +95,9 @@ class TheorySystem:
     name: str = "custom"
 
     def __post_init__(self):
-        if self.dim <= 0:
-            raise StructuralError("dim must be a positive integer")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim <= 0:
+            raise StructuralError(f"dim must be a positive integer, got {self.dim!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "unit_effect", _as_vector(self.unit_effect, self.dim, "unit_effect"))
         object.__setattr__(
             self, "pure_states",
@@ -180,6 +182,11 @@ class TheorySystem:
         return index if len(index) == len(self.group) else None
 
     @cached_property
+    def _spans(self) -> bool:
+        """Whether the pure states span R^dim, decided as ``validate_system`` decides it."""
+        return len(_spanning_rows(np.asarray(self.pure_states))) == self.dim
+
+    @cached_property
     def _effect_array(self) -> np.ndarray:
         """The extremal effects as the rows of one ``(K, dim)`` array."""
         return np.reshape(self.extremal_effects, (-1, self.dim))
@@ -215,6 +222,18 @@ class TheorySystem:
                 found.append(Measurement(tuple(Effect(self, w * a)
                                                for w, a in zip(weights, support))))
         return tuple(found)
+
+    @cached_property
+    def _measurement_stack(self) -> np.ndarray:
+        """``pure_measurements`` as one read-only ``(M, K, dim)`` array of effect covectors,
+        each measurement padded with zero effects to the largest size K."""
+        measurements = self.pure_measurements
+        stack = np.zeros((len(measurements),
+                          max((len(m.effects) for m in measurements), default=0), self.dim))
+        for row, m in zip(stack, measurements):
+            row[:len(m.effects)] = [a.covec for a in m.effects]
+        stack.flags.writeable = False
+        return stack
 
     def state(self, vec) -> "GptState":
         return GptState(self, vec)
@@ -522,9 +541,14 @@ def system_to_dict(sys: TheorySystem) -> dict:
 
 
 def system_from_dict(data: dict, validate: bool = True) -> TheorySystem:
+    if not isinstance(data, dict):
+        raise StructuralError(f"theory definition must be an object, got {type(data).__name__}")
     try:
+        for key in ("pure_states", "extremal_effects", "group"):
+            if not isinstance(data[key], list):
+                raise StructuralError(f"{key} must be a list, got {type(data[key]).__name__}")
         sys = TheorySystem(
-            dim=int(data["dim"]),
+            dim=data["dim"],
             unit_effect=data["unit_effect"],
             pure_states=tuple(data["pure_states"]),
             extremal_effects=tuple(data["extremal_effects"]),

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from . import simplex
 from .core import GptState, Measurement, StructuralError, TheorySystem, sums_to_one
 from .mixedness import RaReChannel, _require_state
 from .quantum import DensityMatrix, _entropy_bits
@@ -124,61 +122,14 @@ def measurement_entropy(rho) -> MonotoneReport:
     return MonotoneReport("measurement-entropy", -report.value, report.witness)
 
 
-# keyed weakly, so an entry goes with its system; the values hold no
-# reference to the system, which would keep the key alive
-_effect_lp_cache: weakref.WeakKeyDictionary[TheorySystem, tuple] = weakref.WeakKeyDictionary()
-
-
-def _effect_lp(system: TheorySystem):
-    """Equality form of the effect-polytope constraints 0 <= a(v) <= 1.
-
-    Variables are [a+, a-, s, t] with a = a+ - a-; the slack columns give a
-    feasible starting basis for phase-2 directly.
-    """
-    if system in _effect_lp_cache:
-        return _effect_lp_cache[system]
-    d = system.dim
-    verts = np.column_stack(system.pure_states)   # d x V
-    nv = verts.shape[1]
-    a = np.zeros((2 * nv, 2 * d + 2 * nv))
-    a[:nv, :d] = verts.T
-    a[:nv, d:2 * d] = -verts.T
-    a[:nv, 2 * d:2 * d + nv] = np.eye(nv)
-    a[nv:, :d] = -verts.T
-    a[nv:, d:2 * d] = verts.T
-    a[nv:, 2 * d + nv:] = np.eye(nv)
-    b = np.concatenate([np.ones(nv), np.zeros(nv)])
-    basis = list(range(2 * d, 2 * d + 2 * nv))
-    _effect_lp_cache[system] = (a, b, basis)
-    return a, b, basis
-
-
-def _optimize_effect(system: TheorySystem, delta: np.ndarray, maximize: bool
-                     ) -> tuple[float, np.ndarray]:
-    a, b, basis = _effect_lp(system)
-    d = system.dim
-    c = np.zeros(a.shape[1])
-    c[:d] = -delta if maximize else delta
-    c[d:2 * d] = delta if maximize else -delta
-    try:
-        x, objective = simplex.solve(a, b, c, basis)
-    except simplex.UnboundedError as exc:
-        raise UnsupportedSystemError(
-            "effect polytope is unbounded; pure states do not span the state space"
-        ) from exc
-    covec = x[:d] - x[d:2 * d]
-    value = float(delta @ covec)
-    return value, covec
-
-
 def op_norm_distance(rho: GptState) -> float:
     """Half the operational-norm distance from the invariant state.
 
-    The norm of delta = rho - chi is sup (a|delta) - inf (a|delta) with a
-    ranging over the effect polytope E = {a : 0 <= a(v) <= 1 on every pure
-    state v}.  The sup is one linear program over those constraints; the inf
-    follows from it (see ``op_norm_report``), so the value is
-    sup (a|delta) - (u|delta) / 2.
+    The operational norm of delta = rho - chi is sup (a|delta) - inf (a|delta)
+    with a ranging over the effect polytope E, so half of it is the largest
+    total-variation distance that any measurement finds between rho and chi
+    (Kimura, Nuida & Imai, Rep. Math. Phys. 66, 175 (2010)).  It is computed
+    from the pure measurements; see ``op_norm_report``.
     """
     return op_norm_report(rho).value
 
@@ -186,18 +137,34 @@ def op_norm_distance(rho: GptState) -> float:
 def op_norm_report(rho: GptState) -> MonotoneReport:
     """op_norm_distance together with the optimizing effect pair.
 
-    Only the sup is solved.  The map a -> u - a (u the unit effect) sends E
-    onto itself whenever u(v) = 1 on every pure state, which
-    ``validate_system`` checks and the state check asks of every state; it
-    is its own inverse, so it is a bijection of E.  Hence inf (a|delta) =
-    (u|delta) - sup (a|delta), attained by ``inf_effect = u - sup_effect``,
-    the exact complement of the sup witness.  Pure states that do not span
-    the space leave E unbounded and raise ``UnsupportedSystemError``.
+    The sup of (a|delta) over E is the maximum over the pure measurements M
+    (``system.pure_measurements``) of sum_{a in M} max(0, (a|delta)).  Any
+    a in E and u - a (u the unit effect) split into pure effects, which
+    together form a measurement, so (a|delta) is at most that sum over it;
+    the sum is linear in the measurement's weights, so a vertex of the
+    measurement polytope does at least as well.  Conversely the effects of a
+    measurement with (a|delta) > 0 add up to an effect in E: for the best
+    vertex this is the witness ``sup_effect``.  This is exact when
+    ``extremal_effects`` lists every ray-extremal effect, the contract the
+    f-purities and the state check rest on.  The map a -> u - a sends E onto
+    itself when u(v) = 1 on every pure state, so inf (a|delta) = (u|delta) -
+    sup (a|delta), attained by ``inf_effect = u - sup_effect``.  Pure states
+    that do not span the space leave E unbounded, and a system with no pure
+    measurement has no witness; both raise ``UnsupportedSystemError``.
     """
     _require_state(rho, "rho")
     system = rho.system
+    if not system._spans:
+        raise UnsupportedSystemError(
+            "effect polytope is unbounded; pure states do not span the state space")
+    stack = system._measurement_stack
+    if not len(stack):
+        raise UnsupportedSystemError("no pure measurements available for this system")
     delta = rho.vec - system.invariant_vector
-    hi, top = _optimize_effect(system, delta, maximize=True)
+    gains = stack @ delta
+    best = int(np.argmax(np.maximum(gains, 0.0).sum(axis=1)))
+    top = stack[best][gains[best] > 0.0].sum(axis=0)
+    hi = float(top @ delta)
     lo = float(system.unit_effect @ delta) - hi
     witness = {"type": "effect-pair", "sup_effect": top.tolist(),
                "inf_effect": (system.unit_effect - top).tolist()}

@@ -1,8 +1,9 @@
-"""Dense simplex solver for small equality-form linear programs.
+"""Dense phase-1 simplex for small feasibility problems.
 
-Solves   min c.x   s.t.   A x = b,  x >= 0   with a tableau simplex using
-Bland's anti-cycling rule, so the pivot sequence (and hence the returned
-vertex) is deterministic.  Problems here have a few dozen rows and up to
+Decides whether   A x = b,  x >= 0   has a solution by minimizing the sum
+of artificial variables with a tableau simplex using Bland's anti-cycling
+rule, so the pivot sequence (and hence the returned vertex) is
+deterministic.  Problems here have a few dozen rows and up to
 about a thousand columns (the 720-point classical-6 orbit), so every step
 is a whole-array operation on the dense tableau: the entering column is
 the first index with a negative reduced cost, the ratio test and its Bland
@@ -11,10 +12,9 @@ a nonzero pivot-column entry in one rank-one step.  Each tableau entry sees
 the same multiply-then-subtract as in a row-by-row update, so the pivots
 and the returned vertex do not depend on the vectorization.
 
-``phase1`` answers pure feasibility questions (the convex-combination
-certificates); ``solve`` runs phase 2 from a caller-supplied starting basis
-(used for optimizing over the effect polytope, where the slack basis is
-feasible by construction).
+``phase1`` is the one entry point: it answers the convex-combination
+feasibility questions of ``mixedness``, with a Farkas certificate when the
+answer is no.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ class SimplexError(RuntimeError):
     """Iteration cap exceeded or an internally inconsistent tableau."""
 
 
-class UnboundedError(SimplexError):
-    """The objective is unbounded below on the feasible region."""
-
-
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     rows = np.flatnonzero(np.abs(tableau[:, col]) > 0.0)
@@ -46,7 +42,9 @@ def _run(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     """Drive the tableau to optimality in place (Bland's rule).
 
     ``tableau`` is m x (n+1) with the right-hand side in the last column and
-    a feasible basis installed (identity columns).
+    a feasible basis installed (identity columns).  The phase-1 objective is
+    bounded below by zero, so an entering column always has a leaving row;
+    finding none means the tableau is inconsistent.
     """
     m = tableau.shape[0]
     for _ in range(MAX_ITER):
@@ -63,7 +61,7 @@ def _run(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
         ratios[ok] = tableau[ok, -1] / col[ok]
         best = np.min(ratios)
         if not np.isfinite(best):
-            raise UnboundedError("objective unbounded along entering column")
+            raise SimplexError("no leaving row for the entering column")
         # Bland tie-break: among minimizing rows, leave the smallest basis index
         rows = np.flatnonzero(np.abs(ratios - best) <= PIVOT_TOL)
         leave = rows[np.argmin(np.asarray(basis)[rows])]
@@ -96,26 +94,3 @@ def phase1(a: np.ndarray, b: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
     # simplex multipliers: the artificial block of the tableau is B^-1
     y = (cost[basis] @ tableau[:, n:n + m]) * sign
     return objective <= FEASIBILITY_TOL, x[:n], y
-
-
-def solve(a: np.ndarray, b: np.ndarray, c: np.ndarray,
-          basis: list[int]) -> tuple[np.ndarray, float]:
-    """Phase-2 simplex: min c.x from a given feasible basis.
-
-    ``basis`` must index an identity submatrix of ``a`` with b >= 0 (e.g. a
-    full set of slack columns).  Returns the optimal x and objective.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if np.any(b < -PIVOT_TOL):
-        raise SimplexError("starting basis is not feasible (negative rhs)")
-    m, n = a.shape
-    tableau = np.empty((m, n + 1))
-    tableau[:, :n] = a
-    tableau[:, -1] = np.maximum(b, 0.0)
-    cost = np.concatenate([np.asarray(c, dtype=float), [0.0]])
-    basis = list(basis)
-    _run(tableau, basis, cost)
-    x = np.zeros(n)
-    x[basis] = tableau[:, -1]
-    return x, float(cost[:-1] @ x)

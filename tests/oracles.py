@@ -45,8 +45,10 @@ def hull_membership_scipy(generators, target) -> bool:
 def effect_polytope_vertices(system) -> list[np.ndarray]:
     """Enumerate the vertices of {a : 0 <= a(v) <= 1 on all pure states}.
 
-    Brute force over dim-subsets of the active hyperplanes; independent of
-    the simplex code path used in production.
+    Brute force over dim-subsets of the active hyperplanes, from the pure
+    states alone.  Production takes the other route: it maximizes over the
+    pure measurements built from the listed extremal effects, so agreement
+    also checks that the effect list is complete.
     """
     dim = system.dim
     rows, rhs = [], []

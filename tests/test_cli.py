@@ -104,8 +104,8 @@ def test_invariant_state_and_orbit_hull(capsys):
 
 
 def test_monotone_verb_refuses_pure_states_that_do_not_span(capsys, tmp_path):
-    # the op-norm LP is unbounded on such a system; the loader's validation
-    # refuses the file first, with exit 2 and one line
+    # the effect polytope is unbounded on such a system; the loader's
+    # validation refuses the file first, with exit 2 and one line
     path = tmp_path / "flat.json"
     path.write_text(json.dumps(system_to_dict(_non_spanning_system())))
     for rho in ("0.5,0.5,0.3", "0.5,0.5,0"):
@@ -509,6 +509,28 @@ def test_malformed_vectors_and_systems_exit_2(capsys, argv):
 def test_state_outside_state_space_exits_2(capsys, flag, argv):
     err = _one_line_error(capsys, *argv)
     assert f"{flag} lies outside the state space" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", "two", "dim must be a positive integer"),
+    ("dim", 2.5, "dim must be a positive integer"),
+    ("dim", True, "dim must be a positive integer"),
+    ("pure_states", 3, "pure_states must be a list"),
+    ("group", 5, "group must be a list"),
+    ("extremal_effects", None, "extremal_effects must be a list"),
+    (None, None, "theory definition must be an object"),
+], ids=["dim-string", "dim-float", "dim-bool", "pure-states-number", "group-number",
+        "effects-null", "top-level-list"])
+def test_malformed_theory_file_exits_2(capsys, tmp_path, field, value, message):
+    data = system_to_dict(make_classical(2))
+    if field is None:
+        data = [data]
+    else:
+        data[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    err = _one_line_error(capsys, "validate-system", "--system", str(path))
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

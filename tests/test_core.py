@@ -429,3 +429,13 @@ def test_sum_checks_refuse_empty_and_non_finite_weights():
     for case in cases:
         with pytest.raises(core.StructuralError):
             case()
+
+
+def test_dim_must_be_a_positive_integer():
+    for dim in (2.5, 2.0, "2", True, None, 0, -1):
+        with pytest.raises(core.StructuralError, match="dim must be a positive integer"):
+            core.TheorySystem(dim, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), (np.eye(2),))
+    # a numpy integer is an integer, stored as a Python int
+    system = core.TheorySystem(np.int64(2), np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)),
+                               (np.eye(2),))
+    assert type(system.dim) is int

@@ -164,9 +164,9 @@ def test_op_norm_matches_bruteforce(square_bit, trit):
         chi = mixedness.invariant_state(sys)
         for _ in range(10):
             rho = _random_state(sys, rng)
-            lp_val = monotones.op_norm_distance(rho)
+            value = monotones.op_norm_distance(rho)
             brute = 0.5 * op_norm_bruteforce(sys, rho.vec - chi.vec)
-            assert abs(lp_val - brute) < 1e-9
+            assert abs(value - brute) < 1e-9
 
 
 def test_op_norm_report_witness(bit):
@@ -177,47 +177,27 @@ def test_op_norm_report_witness(bit):
     assert abs(0.5 * (sup_val - inf_val) - report.value) < 1e-10
 
 
-def _two_lp_op_norm(rho):
-    """The op-norm by its definition: one LP for the sup and one for the inf."""
-    delta = rho.vec - mixedness.invariant_state(rho.system).vec
-    hi, _ = monotones._optimize_effect(rho.system, delta, maximize=True)
-    lo, _ = monotones._optimize_effect(rho.system, delta, maximize=False)
-    return 0.5 * (hi - lo), lo
-
-
 @pytest.mark.parametrize("system", [core.make_classical(n) for n in range(2, 7)]
                          + [core.make_square_bit(), core.system_from_dict(_pentagon_dict())],
                          ids=lambda s: s.name)
-def test_op_norm_by_one_lp_matches_two_lps(system, monkeypatch):
+def test_op_norm_matches_the_bruteforce_oracle(system):
     rng = np.random.default_rng(41)
     verts = list(system.pure_states)
     # vertices, midpoints of adjacent vertices (facet midpoints on the
     # polygons and edge midpoints on the simplices) and random mixtures
     states = verts + [(v + w) / 2 for v, w in zip(verts, verts[1:] + verts[:1])]
     states += [rng.dirichlet(np.ones(len(verts))) @ np.asarray(verts) for _ in range(40)]
-    solves = []
-    solve = monotones.simplex.solve
-
-    def counted(*args):
-        solves.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(monotones.simplex, "solve", counted)
     u = system.unit_effect
     for vec in states:
-        rho = system.state(vec)
-        solves.clear()
-        report = monotones.op_norm_report(rho)
-        assert len(solves) == 1
-        expected, lo = _two_lp_op_norm(rho)
-        assert abs(report.value - expected) <= 1e-12
+        report = monotones.op_norm_report(system.state(vec))
+        delta = vec - mixedness.invariant_state(system).vec
+        assert abs(report.value - 0.5 * op_norm_bruteforce(system, delta)) <= 1e-12
         top = np.array(report.witness["sup_effect"])
         bottom = np.array(report.witness["inf_effect"])
-        assert np.array_equal(bottom, u - top)
-        values = np.asarray(verts) @ bottom
+        values = np.asarray(verts) @ top
         assert values.min() >= -core.ATOL and values.max() <= 1.0 + core.ATOL
-        # the complement attains the inf that the second LP finds
-        assert abs(bottom @ (vec - mixedness.invariant_state(system).vec) - lo) <= 1e-12
+        assert np.array_equal(bottom, u - top)
+        assert abs(0.5 * (top @ delta - bottom @ delta) - report.value) <= 1e-12
 
 
 def _non_spanning_system():
@@ -231,9 +211,17 @@ def _non_spanning_system():
 def test_op_norm_refuses_pure_states_that_do_not_span():
     rho = _non_spanning_system().state([0.5, 0.5, 0.3])
     for fn in (monotones.op_norm_report, monotones.op_norm_distance):
-        with pytest.raises(monotones.UnsupportedSystemError, match="do not span") as info:
+        with pytest.raises(monotones.UnsupportedSystemError, match="do not span"):
             fn(rho)
-        assert isinstance(info.value.__cause__, monotones.simplex.UnboundedError)
+
+
+def test_op_norm_refuses_a_system_with_no_pure_effect():
+    # classical-1 lists only the unit effect, so it has no pure measurement
+    rho = core.make_classical(1).state([1.0])
+    for fn in (monotones.op_norm_report, monotones.op_norm_distance,
+               lambda s: monotones.f_purity(s, ConvexScalarFn.square())):
+        with pytest.raises(monotones.UnsupportedSystemError, match="no pure measurements"):
+            fn(rho)
 
 
 def test_op_norm_report_refuses_an_unnormalized_state(bit):
@@ -296,10 +284,9 @@ def test_monotone_caches_die_with_their_system():
     system = core.make_classical(3)
     monotones.op_norm_distance(system.state([0.5, 0.3, 0.2]))
     monotones.purity_2norm(system.state([0.5, 0.3, 0.2]))
-    # the effect LP is cached here; the invariant vector and the Gram
-    # condition number are cached on the system itself
-    assert system in monotones._effect_lp_cache
-    assert {"invariant_vector", "_gram_condition"} <= set(vars(system))
+    # the pure measurements, the invariant vector and the Gram condition
+    # number are cached on the system itself
+    assert {"pure_measurements", "invariant_vector", "_gram_condition"} <= set(vars(system))
     ref = weakref.ref(system)
     del system
     gc.collect()

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -45,25 +47,6 @@ def test_phase1_agrees_with_scipy_on_random_hulls():
             np.testing.assert_allclose(a @ x, b, atol=1e-8)
 
 
-def test_solve_runs_phase2_from_slack_basis():
-    # maximize x1 + x2 over the unit square via slack form
-    a = np.array([[1.0, 0.0, 1.0, 0.0],
-                  [0.0, 1.0, 0.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    c = np.array([-1.0, -1.0, 0.0, 0.0])
-    x, val = simplex.solve(a, b, c, basis=[2, 3])
-    assert abs(val + 2.0) < 1e-10
-    np.testing.assert_allclose(x[:2], [1.0, 1.0], atol=1e-10)
-
-
-def test_solve_detects_unbounded():
-    a = np.array([[1.0, -1.0, 1.0]])
-    b = np.array([1.0])
-    c = np.array([0.0, -1.0, 0.0])
-    with pytest.raises(simplex.UnboundedError):
-        simplex.solve(a, b, c, basis=[2])
-
-
 def test_degenerate_pivoting_terminates():
     # many redundant constraints through the origin; Bland's rule must not cycle
     rng = np.random.default_rng(1)
@@ -88,8 +71,10 @@ def _pivot_loop(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_loop(tableau, basis, cost):
-    """Reference Bland run: column scan for the entering index, isclose ties."""
+def _run_loop(tableau, basis, cost, ties=None):
+    """Reference Bland run: column scan for the entering index, isclose ties.
+
+    Each ratio test with more than one minimizing row is appended to ``ties``."""
     m = tableau.shape[0]
     for _ in range(simplex.MAX_ITER):
         cb = cost[basis]
@@ -107,22 +92,24 @@ def _run_loop(tableau, basis, cost):
         ratios[ok] = tableau[ok, -1] / col[ok]
         best = np.min(ratios)
         if not np.isfinite(best):
-            raise simplex.UnboundedError("objective unbounded along entering column")
+            raise simplex.SimplexError("no leaving row for the entering column")
         rows = np.flatnonzero(np.isclose(ratios, best, rtol=0.0, atol=simplex.PIVOT_TOL))
+        if ties is not None and rows.size > 1:
+            ties.append(rows.size)
         leave = rows[np.argmin([basis[r] for r in rows])]
         _pivot_loop(tableau, basis, int(leave), int(entering))
     raise simplex.SimplexError("simplex iteration cap exceeded")
 
 
-def _with_reference(monkeypatch, fn, *args):
+def _with_reference(monkeypatch, fn, *args, ties=None):
     with monkeypatch.context() as patch:
-        patch.setattr(simplex, "_run", _run_loop)
+        patch.setattr(simplex, "_run", functools.partial(_run_loop, ties=ties))
         return fn(*args)
 
 
-def _assert_phase1_matches_reference(monkeypatch, a, b):
+def _assert_phase1_matches_reference(monkeypatch, a, b, ties=None):
     feasible, x, y = simplex.phase1(a, b)
-    ref_feasible, ref_x, ref_y = _with_reference(monkeypatch, simplex.phase1, a, b)
+    ref_feasible, ref_x, ref_y = _with_reference(monkeypatch, simplex.phase1, a, b, ties=ties)
     assert feasible == ref_feasible
     assert x.tobytes() == ref_x.tobytes()
     assert y.tobytes() == ref_y.tobytes()
@@ -194,31 +181,47 @@ def test_phase1_matches_reference_on_random_and_degenerate_lps(monkeypatch):
         _assert_phase1_matches_reference(monkeypatch, a, np.zeros(5))
 
 
+def _effect_lp(system, delta, target):
+    """Phase-1 form of {a : 0 <= a(v) <= 1 on every pure state v, a(delta) = target}.
+
+    Variables are [a+, a-, s, t] with a = a+ - a-; the right-hand sides are
+    ones and zeros, so the ratio test meets exact ties.
+    """
+    verts = np.asarray(system.pure_states)
+    nv, d = verts.shape
+    a = np.zeros((2 * nv + 1, 2 * d + 2 * nv))
+    a[:nv, :d], a[:nv, d:2 * d], a[:nv, 2 * d:2 * d + nv] = verts, -verts, np.eye(nv)
+    a[nv:2 * nv, :d], a[nv:2 * nv, d:2 * d], a[nv:2 * nv, 2 * d + nv:] = -verts, verts, np.eye(nv)
+    a[-1, :d], a[-1, d:2 * d] = delta, -delta
+    return a, np.concatenate([np.ones(nv), np.zeros(nv), [target]])
+
+
 @pytest.mark.parametrize("system", _orbit_systems(), ids=lambda s: s.name)
 def test_solve_matches_reference_on_effect_lps(system, monkeypatch):
+    # phase 1 on the effect polytope cut by a(delta) = target, for targets
+    # inside, on and beyond the largest value sup_effect(delta)
     rng = np.random.default_rng(72)
-    a, b, basis = monotones._effect_lp(system)
     verts = np.asarray(system.pure_states)
-    d = system.dim
+    verdicts, ties = {0.5: [], 1.0: [], 2.0: []}, []
     for _ in range(6):
-        delta = rng.dirichlet(np.ones(len(verts))) @ verts - verts.mean(axis=0)
-        for sign in (1.0, -1.0):                   # maximize and minimize a(delta)
-            c = np.zeros(a.shape[1])
-            c[:d], c[d:2 * d] = -sign * delta, sign * delta
-            x, objective = simplex.solve(a, b, c, basis)
-            ref_x, ref_objective = _with_reference(monkeypatch, simplex.solve, a, b, c, basis)
-            assert x.tobytes() == ref_x.tobytes()
-            assert objective == ref_objective
+        rho = system.state(rng.dirichlet(np.ones(len(verts))) @ verts)
+        delta = rho.vec - system.invariant_vector
+        top = np.array(monotones.op_norm_report(rho).witness["sup_effect"]) @ delta
+        for scale, seen in verdicts.items():
+            seen.append(_assert_phase1_matches_reference(
+                monkeypatch, *_effect_lp(system, delta, scale * top), ties=ties))
+    assert all(verdicts[0.5]) and not any(verdicts[2.0])
+    assert ties                                    # the Bland tie-break was exercised
 
 
 @pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-11, 1e-9, 1e-8, 1e-6])
 def test_ratio_near_ties_match_reference(gap, monkeypatch):
-    # min -x0 with x0 + s1 = 1 + gap and x0 + s2 = 1: the two ratios tie
-    # within PIVOT_TOL only for the small gaps, and then s1 leaves (Bland)
-    a = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    # x0 + x1 = 1 + gap and x0 = 1: x0 enters first, and its two ratios tie
+    # within PIVOT_TOL only for the small gaps.  Then the first artificial
+    # leaves (Bland) and x1 stays at zero; otherwise x1 enters and takes the gap
+    a = np.array([[1.0, 1.0], [1.0, 0.0]])
     b = np.array([1.0 + gap, 1.0])
-    c = np.array([-1.0, 0.0, 0.0])
-    x, objective = simplex.solve(a, b, c, [1, 2])
-    ref_x, ref_objective = _with_reference(monkeypatch, simplex.solve, a, b, c, [1, 2])
-    assert x.tobytes() == ref_x.tobytes() and objective == ref_objective
-    assert (x[1] == 0.0) == (gap <= simplex.PIVOT_TOL)
+    ties = []
+    _assert_phase1_matches_reference(monkeypatch, a, b, ties=ties)
+    _, x, _ = simplex.phase1(a, b)
+    assert (x[1] == 0.0) == (gap <= simplex.PIVOT_TOL) == bool(ties)
