@@ -341,6 +341,19 @@ def majorizes(p, q) -> bool:
     return bool(np.all(ps >= qs * (ps[-1] / qs[-1]) - MAJORIZATION_TOL))
 
 
+@functools.cache
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The proper nonempty subsets of range(n) as 0/1 float rows, and each size less one.
+
+    Built once per n for the permutohedron walk; both arrays are read-only.
+    """
+    rows = ((np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1).astype(float)
+    size_index = rows.sum(axis=1).astype(np.intp) - 1
+    rows.flags.writeable = False
+    size_index.flags.writeable = False
+    return rows, size_index
+
+
 def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], float]:
     """Weights w_perm with sum_perm w_perm p[perm] = q, over at most n permutations.
 
@@ -360,8 +373,8 @@ def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], f
     entry.
     """
     n = p.shape[0]
-    rows = (np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1
-    bound = np.cumsum(np.sort(p)[::-1])[rows.sum(axis=1) - 1]
+    rows, size_index = _subsets(n)
+    bound = np.cumsum(np.sort(p)[::-1])[size_index]
     by_size = np.argsort(-p, kind="stable")
     x, left = q.copy(), 1.0
     weights: defaultdict[tuple[int, ...], float] = defaultdict(float)

@@ -20,18 +20,22 @@ import numpy as np
 
 from .core import StructuralError, sums_to_one
 from .mixedness import _birkhoff_terms, majorizes
-from .tolerances import (DEGENERACY_TOL, ENTROPY_FLOOR, EOF_ARTANH_CLIP, EOF_FTOL,
-                         EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL, LEAD_TOL, MONOTONE_TOL,
-                         ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL, PSD_TOL, RANK_TOL,
-                         RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL, TIE_DECIMALS,
-                         TRACE_PRESERVING_TOL, UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
+from .tolerances import (DEGENERACY_TOL, ENTROPY_FLOOR, EOF_ARMIJO, EOF_ARTANH_CLIP,
+                         EOF_CURVATURE_FLOOR, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL,
+                         LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL,
+                         PSD_TOL, RANK_TOL, RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL,
+                         TIE_DECIMALS, TRACE_PRESERVING_TOL, UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
 
 #: pure members of an EoF ensemble (at least the rank of the state)
 EOF_MEMBERS = 6
-#: L-BFGS starts of the EoF optimizer: the eigen-ensemble, then random rotations
+#: BFGS starts of the EoF optimizer: the eigen-ensemble, then random rotations
 EOF_STARTS = 3
 #: seed of the random rotations that make the EoF starts after the first
 EOF_SEED = 11
+#: iterations after which a start of ``minimize`` stops: a work budget that ends every
+#: run, far above the iterations an EoF start takes (at most 75 on the Tier-1 sweep's
+#: 300 random states)
+EOF_MAX_ITER = 300
 
 
 def _sci(tol: float) -> str:
@@ -606,16 +610,100 @@ def entanglement_entropy(psi: PureBipartiteState) -> float:
     return _entropy_bits(psi._schmidt_weights)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+@dataclass(frozen=True)
+class BatchMinimum:
+    """What ``minimize`` returns: each start's point and cost at its stop, and the work done.
 
-    scipy loads only when EoF runs, never on ``import gptpurity``.  The EoF
-    polish calls it through this module attribute, so a caller can rebind
+    ``nfev`` counts objective calls, each of which evaluates every start
+    still running; ``nit`` counts the iterations of the start that ran longest.
+    """
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    nit: int
+
+
+def minimize(fun, x0) -> BatchMinimum:
+    """Minimize each row (start) of ``x0`` on its own by BFGS, evaluating the running starts together.
+
+    ``fun`` maps an ``(L, n)`` stack of points to their ``(L,)`` costs and
+    ``(L, n)`` gradients, row by row.  Each start keeps its own dense inverse
+    Hessian H and its own step.  Its first step has length 1 along -g, each
+    later one starts at t = 1 along -H g, and a trial that misses the Armijo
+    condition (``EOF_ARMIJO``) is cut back to the minimum of the quadratic
+    through the cost and slope at 0 and the trial cost, kept within a tenth
+    and a half of the step.  H is scaled by s^T y / y^T y before its first
+    update, and an update whose curvature s^T y does not exceed
+    ``EOF_CURVATURE_FLOOR`` |s| |y| is skipped, which keeps H positive
+    definite.  A start stops on the rule of L-BFGS-B: a step lowers its cost
+    by at most ``EOF_FTOL`` relatively, or leaves none of its gradient
+    entries above ``EOF_GTOL``.  It also stops when a cut-back step no longer
+    moves it, and after ``EOF_MAX_ITER`` iterations.  A stopped start is not
+    evaluated again, and every start ends where it would end if run alone.
+    The EoF calls this through the module attribute, so a caller can rebind
     ``quantum.minimize`` to observe it.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+    x = np.array(x0, dtype=float)
+    f, g = (np.array(a, dtype=float) for a in fun(x))
+    out_x, out_f = x.copy(), f.copy()
+    starts, n = x.shape
+    rows, nit = np.arange(starts), np.zeros(starts, dtype=int)
+    h = np.tile(np.eye(n), (starts, 1, 1))
+    d = -g
+    slope = -(g * g).sum(axis=1)
+    t = 1.0 / np.sqrt(-slope, out=np.ones(starts), where=slope < 0)
+    nfev, most = 1, 0
+    stop = np.abs(g).max(axis=1) <= EOF_GTOL
+    while True:
+        if stop.any():
+            out_x[rows[stop]], out_f[rows[stop]] = x[stop], f[stop]
+            most = max(most, int(nit[stop].max()))
+            keep = ~stop
+            rows, x, f, g, h, d, slope, t, nit = (
+                a[keep] for a in (rows, x, f, g, h, d, slope, t, nit))
+            if rows.size == 0:
+                return BatchMinimum(out_x, out_f, nfev, most)
+        trial = x + t[:, None] * d
+        f_new, g_new = fun(trial)
+        nfev += 1
+        ok = f_new <= f + EOF_ARMIJO * t * slope
+        stop = np.zeros(ok.shape, dtype=bool)
+        if ok.all():
+            a = slice(None)
+        else:
+            # cut each rejected step back to the minimum of the quadratic through
+            # the cost and slope at 0 and the trial cost, kept in [t/10, t/2]
+            no, tn = ~ok, t[~ok]
+            rise = 2.0 * (f_new[no] - f[no] - slope[no] * tn)
+            t[no] = np.fmax(np.fmin(-slope[no] * tn * tn / rise, 0.5 * tn), 0.1 * tn)
+            stop[no] = np.all(x[no] + t[no, None] * d[no] == x[no], axis=1)
+            if not ok.any():
+                continue
+            a = ok
+        s, y = trial[a] - x[a], g_new[a] - g[a]
+        sy, yy = (s * y).sum(axis=1), (y * y).sum(axis=1)
+        curved = sy > EOF_CURVATURE_FLOOR * np.sqrt((s * s).sum(axis=1) * yy)
+        if not nit.all():
+            # H is still the identity at a start's first update: scale it by s^T y / y^T y
+            first = curved & (nit[a] == 0)
+            h[np.flatnonzero(ok)[first]] *= (sy[first] / yy[first])[:, None, None]
+        # rho = 0 skips the update where the curvature would not keep H positive definite
+        rho = 1.0 / np.where(curved, sy, np.inf)
+        u = rho[:, None] * (h[a] @ y[..., None])[..., 0]
+        w = (rho * (1.0 + (y * u).sum(axis=1)))[:, None] * s - u
+        # H += rho (1 + rho y^T H y) s s^T - rho (s (Hy)^T + Hy s^T) = s w^T - u s^T
+        h[a] += (np.concatenate([s[..., None], u[..., None]], axis=2)
+                 @ np.concatenate([w[:, None], -s[:, None]], axis=1))
+        scale = np.maximum(np.maximum(np.abs(f[a]), np.abs(f_new[a])), 1.0)
+        stop[a] |= ((f[a] - f_new[a] <= EOF_FTOL * scale)
+                    | (np.abs(g_new[a]).max(axis=1) <= EOF_GTOL))
+        x[a], f[a], g[a] = trial[a], f_new[a], g_new[a]
+        nit[a] += 1
+        d[a] = -(h[a] @ g[a][..., None])[..., 0]
+        slope[a] = (g[a] * d[a]).sum(axis=1)
+        t[a] = 1.0
+        stop |= nit >= EOF_MAX_ITER
 
 
 def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -630,20 +718,21 @@ def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dC/d(conj phi) = C_q phi + C_D det (conj d, -conj c, -conj b, conj a), with
     C_q = h2 - 2 (D/q^2) g(s), C_D = g(s)/q and g(s) = 2 artanh(s)/(s ln 2).
     """
-    from scipy.special import entr
-
     q = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
     det = phi[..., 0] * phi[..., 3] - phi[..., 1] * phi[..., 2]
     good = q > EOF_WEIGHT_FLOOR
     q_safe = np.where(good, q, 1.0)
     ratio = (det.real ** 2 + det.imag ** 2) / q_safe ** 2
-    s = np.sqrt(np.clip(1.0 - 4.0 * ratio, 0.0, 1.0))
-    h = (entr((1.0 - s) / 2.0) + entr((1.0 + s) / 2.0)) / np.log(2.0)
+    s = np.sqrt(np.maximum(1.0 - 4.0 * ratio, 0.0))     # ratio >= 0, so s <= 1
+    # binary entropy of the marginal spectrum ((1 - s)/2, (1 + s)/2); 0 log 0 = 0
+    low, high = (1.0 - s) / 2.0, (1.0 + s) / 2.0
+    h = -(low * np.log(low, out=np.zeros(low.shape), where=low > 0)
+          + high * np.log(high)) / np.log(2.0)
     # g(s) diverges at product members (s = 1) and tends to 2/ln 2 at s = 0;
     # s is either 0 or at least the square root of the machine epsilon, since
     # 1 - 4 ratio is, so the division is safe
     sc = np.minimum(s, EOF_ARTANH_CLIP)
-    g = np.divide(np.arctanh(sc), sc, out=np.ones_like(sc), where=sc > 0) * (2.0 / np.log(2.0))
+    g = np.divide(np.arctanh(sc), sc, out=np.ones(sc.shape), where=sc > 0) * (2.0 / np.log(2.0))
     c_q = np.where(good, h - 2.0 * ratio * g, 0.0)
     c_d = np.where(good, g / q_safe, 0.0)
     swapped = phi[..., ::-1].conj() * np.array([1.0, -1.0, -1.0, 1.0])
@@ -659,20 +748,19 @@ def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * d[..., None, :], r * d.conj()[..., :, None]
 
 
-def _roof_objective(params: np.ndarray, roots: np.ndarray, starts: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble cost of Q(Z_k) @ roots for each start k, and the stacked gradient.
+def _roof_objective(params: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ensemble cost of Q(Z_k) @ roots for each start k, and each start's gradient.
 
-    The ``starts`` matrices Z_k (m x r each) are packed as the real parts of
-    the whole stack, then its imaginary parts; Q(Z) is the isometry of the
-    positive-diagonal QR.  The starts share no parameter, so the gradient of
-    the summed cost is each start's own gradient, pulled back through QR:
-    with G_Q = G_phi roots^H and B = Q^H G_Q,
+    Row k of ``params`` is start k: the real parts of its m x r matrix Z_k,
+    then the imaginary parts; Q(Z) is the isometry of the positive-diagonal
+    QR.  The costs come back one per row, the gradients in the shape of
+    ``params``, each pulled back through QR: with G_Q = G_phi roots^H and
+    B = Q^H G_Q,
     G_Z = [(I - Q Q^H) G_Q + Q (tril(B - B^H, -1) + i diag(Im B))] R^{-H}.
     """
-    r = roots.shape[0]
-    half = params.size // 2
-    z = (params[:half] + 1j * params[half:]).reshape(starts, -1, r)
+    starts, r = params.shape[0], roots.shape[0]
+    half = params.shape[1] // 2
+    z = (params[:, :half] + 1j * params[:, half:]).reshape(starts, -1, r)
     q_mat, r_mat = _orthonormalize(z)
     costs, g_phi = _roof_cost(q_mat @ roots)
     g_q = g_phi @ roots.conj().T
@@ -682,7 +770,8 @@ def _roof_objective(params: np.ndarray, roots: np.ndarray, starts: int
     inner[:, diag, diag] = 1j * b[:, diag, diag].imag
     y = g_q - q_mat @ (b - inner)
     g_z = np.linalg.solve(r_mat, y.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    return costs, 2.0 * np.concatenate([g_z.real.ravel(), g_z.imag.ravel()])
+    return costs, 2.0 * np.concatenate([g_z.real.reshape(starts, half),
+                                        g_z.imag.reshape(starts, half)], axis=1)
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
@@ -690,18 +779,19 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 
     Minimizes the ensemble-average marginal entropy over decompositions of
     rho into ``max(EOF_MEMBERS, rank)`` pure members, parameterized by
-    isometries applied to the eigen-ensemble: L-BFGS with the closed-form
+    isometries applied to the eigen-ensemble: BFGS with the closed-form
     convex-roof gradient over QR-parametrised isometries (the variational
     method of Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
-    ``EOF_STARTS`` starts run side by side as one problem, whose cost is the
-    sum of theirs; the first is the eigen-ensemble itself and the others
-    rotate it by random unitaries drawn from the fixed ``EOF_SEED``, so the
-    value is a function of rho alone.  The run stops when a step lowers the
-    summed cost by less than ``EOF_FTOL`` relatively, or when no gradient
-    entry exceeds ``EOF_GTOL``; the value is the lowest single start's cost
-    at the end.  A rank-1 state (rank counted on the eigenvalues the state
-    keeps) is pure: its value is the cost of its top eigenpair, whose phase
-    does not change it, and neither the optimizer nor the canonical sort runs.
+    ``EOF_STARTS`` starts run side by side in one call of ``minimize``, each
+    with its own inverse Hessian, step and stop; the first is the
+    eigen-ensemble itself and the others rotate it by random unitaries drawn
+    from the fixed ``EOF_SEED``, so the value is a function of rho alone.  A
+    start stops when a step lowers its own cost by less than ``EOF_FTOL``
+    relatively, or when none of its gradient entries exceeds ``EOF_GTOL``;
+    the value is the lowest start's cost at its stop.  A rank-1 state (rank
+    counted on the eigenvalues the state keeps) is pure: its value is the
+    cost of its top eigenpair, whose phase does not change it, and neither
+    the optimizer nor the canonical sort runs.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
@@ -718,15 +808,8 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     z0 = np.stack([np.eye(m, r)] + [
         np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0][:, :r]
         for _ in range(EOF_STARTS - 1)])
-    p0 = np.concatenate([z0.real.ravel(), z0.imag.ravel()])
-
-    def total(params):
-        costs, grad = _roof_objective(params, roots, EOF_STARTS)
-        return costs.sum(), grad
-
-    res = minimize(total, p0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 300 * EOF_STARTS, "ftol": EOF_FTOL, "gtol": EOF_GTOL})
-    return float(_roof_objective(res.x, roots, EOF_STARTS)[0].min())
+    p0 = np.concatenate([z0.real.reshape(EOF_STARTS, -1), z0.imag.reshape(EOF_STARTS, -1)], axis=1)
+    return float(minimize(lambda params: _roof_objective(params, roots), p0).fun.min())
 
 
 @dataclass(frozen=True)

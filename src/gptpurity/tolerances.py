@@ -110,12 +110,19 @@ ENTROPY_FLOOR = 1e-15
 EOF_WEIGHT_FLOOR = 1e-14
 #: largest s fed to artanh in the EoF gradient, which diverges at product members (s = 1)
 EOF_ARTANH_CLIP = 1.0 - 1e-15
-#: the EoF L-BFGS polish stops when a step lowers the cost by less than this, relatively.
-#: The stop only ends the run, so the iterates up to it are those of any tighter stop,
-#: and a tighter one gains no digit: on 1741 seeded states (ranks 2-4, Werner states,
-#: separable mixtures) the worst gap to the closed-form concurrence value is 3.2e-8 here
-#: and at 1e-14, and no value moves by more than 2.0e-8; rank-3 calls average 41
-#: objective evaluations, not 58
+#: a start of the EoF BFGS stops when a step lowers its cost by less than this, relatively
+#: (the stop rule of L-BFGS-B, applied to each start). The stop only ends a start's run, so
+#: its iterates up to it are those of any tighter stop, and a tighter one gains no digit: on
+#: 1741 seeded states (ranks 2-4, Werner states, separable mixtures) the worst gap to the
+#: closed-form concurrence value was 3.2e-8 here and at 1e-14 under the joint L-BFGS-B run
+#: that came before, and the per-start BFGS keeps the Tier-1 sweep's worst gap at 2.27e-8,
+#: as that run did, in 30 objective evaluations per call on average (47 before)
 EOF_FTOL = 1e-10
-#: the EoF L-BFGS polish stops when no projected gradient entry exceeds this
+#: a start of the EoF BFGS stops when no gradient entry exceeds this
 EOF_GTOL = 1e-11
+#: an EoF BFGS step is accepted when it lowers the cost by this share of the
+#: decrease the slope at its start predicts (the Armijo condition)
+EOF_ARMIJO = 1e-4
+#: an EoF BFGS update is skipped unless s^T y exceeds this multiple of |s| |y|,
+#: which keeps each start's inverse Hessian positive definite
+EOF_CURVATURE_FLOOR = 1e-10

@@ -467,6 +467,52 @@ def _pushed_face_points(rng, count):
             yield p, q
 
 
+def _walk_reference(p, q):
+    """The permutohedron walk with its subset rows rebuilt on every call, kept as the cache's reference."""
+    n = p.shape[0]
+    rows = (np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1
+    bound = np.cumsum(np.sort(p)[::-1])[rows.sum(axis=1) - 1]
+    by_size = np.argsort(-p, kind="stable")
+    x, left = q.copy(), 1.0
+    weights = {}
+    for step in range(n):
+        perm = np.empty(n, dtype=np.intp)
+        perm[np.argsort(-x, kind="stable")] = by_size
+        v = p[perm]
+        rise = rows @ (x - v)
+        slack = bound - rows @ x
+        limits = (left * rise > mixedness.ZERO_TOL) & (left * slack > mixedness.ZERO_TOL)
+        if step == n - 1 or not limits.any():
+            break
+        lam = 1.0 + np.min(slack[limits] / rise[limits])
+        key = tuple(perm.tolist())
+        weights[key] = weights.get(key, 0.0) + left * (1.0 - 1.0 / lam)
+        left /= lam
+        x = v + lam * (x - v)
+    key = tuple(perm.tolist())
+    weights[key] = weights.get(key, 0.0) + left
+    return weights
+
+
+def test_walk_with_cached_subsets_matches_the_uncached_walk_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=4242))
+    pairs = list(_pushed_face_points(rng, 100))
+    for n in range(2, 7):
+        for _ in range(40):
+            perms = [rng.permutation(n) for _ in range(int(rng.integers(1, 2 * n)))]
+            d = sum(w * np.eye(n)[perm] for w, perm in zip(rng.dirichlet(np.ones(len(perms))), perms))
+            p = rng.dirichlet(np.ones(n))
+            pairs.append((p, d @ p))
+    assert {len(p) for p, _ in pairs} == set(range(2, 7))
+    for p, q in pairs:
+        terms, ref = mixedness._permutohedron_walk(p, q), _walk_reference(p, q)
+        assert list(terms) == list(ref)
+        assert np.array(list(terms.values())).tobytes() == np.array(list(ref.values())).tobytes()
+    rows, size_index = mixedness._subsets(4)
+    assert mixedness._subsets(4) is mixedness._subsets(4)
+    assert not rows.flags.writeable and not size_index.flags.writeable
+
+
 def test_birkhoff_never_raises_near_the_boundary():
     rng = np.random.default_rng(2)
     for p, q in _pushed_face_points(rng, 1500):

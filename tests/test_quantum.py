@@ -382,16 +382,21 @@ def test_one_way_rejects_wrong_rare():
 # -- entanglement measures -----------------------------------------------------------
 
 def test_import_loads_no_scipy():
-    # scipy is imported inside the EoF functions, so the package and its CLI
-    # start without it; a fresh interpreter sees what importing them loads
+    # the package imports no scipy anywhere: a fresh interpreter that imports
+    # it and its CLI, runs EoF on a rank-3 state and runs the eof verb loads none
     src = str(Path(gptpurity.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = ("import sys, gptpurity, gptpurity.cli; "
+    code = ("import sys, numpy as np, gptpurity, gptpurity.cli\n"
+            "from gptpurity.quantum import entanglement_of_formation, random_density_matrix\n"
+            "rho = random_density_matrix(4, np.random.default_rng(3), rank=3)\n"
+            "assert 0 <= entanglement_of_formation(rho) <= 1\n"
+            "rho = [[[0.25 if i == j else 0, 0] for j in range(4)] for i in range(4)]\n"
+            "assert gptpurity.cli.main(['eof', '--rho', repr(rho)]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout
-    assert out.strip() == "[]"
+    assert out.strip().splitlines()[-1] == "[]"
 
 
 def test_eof_bell_is_one():
@@ -429,17 +434,18 @@ def _central_gradient(fun, x, h=1e-6):
 
 
 def _stacked_sum(roots, starts):
-    return lambda p: quantum._roof_objective(p, roots, starts)[0].sum()
+    return lambda p: quantum._roof_objective(p.reshape(starts, -1), roots)[0].sum()
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_eof_objective_gradient_matches_central_differences(rank):
     rng = np.random.default_rng(40 + rank)
     roots = (rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))) / 3
-    params = rng.normal(size=2 * 3 * 6 * rank)
-    _, grad = quantum._roof_objective(params, roots, 3)
-    numeric = _central_gradient(_stacked_sum(roots, 3), params)
-    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+    params = rng.normal(size=(3, 2 * 6 * rank))
+    _, grad = quantum._roof_objective(params, roots)
+    assert grad.shape == params.shape
+    numeric = _central_gradient(_stacked_sum(roots, 3), params.ravel())
+    np.testing.assert_allclose(grad.ravel(), numeric, rtol=0, atol=1e-7)
 
 
 def test_eof_objective_gradient_at_singular_members():
@@ -447,33 +453,83 @@ def test_eof_objective_gradient_at_singular_members():
     other = (rng.normal(size=4) + 1j * rng.normal(size=4)) / 3
     # at the identity isometry the members are the roots themselves, and the
     # rows beyond the rank are empty (below the member-weight floor); all
-    # three stacked starts sit there
-    identity = np.concatenate([np.tile(np.eye(6, 2).ravel(), 3), np.zeros(36)])
+    # three starts sit there
+    identity = np.tile(np.concatenate([np.eye(6, 2).ravel(), np.zeros(12)]), (3, 1))
     entangled = np.array([np.array([1, 0, 0, 1]) / 2, other])      # s = 0 member
-    _, grad = quantum._roof_objective(identity, entangled, 3)
+    _, grad = quantum._roof_objective(identity, entangled)
     assert np.all(np.isfinite(grad))
-    numeric = _central_gradient(_stacked_sum(entangled, 3), identity)
-    np.testing.assert_allclose(grad, numeric, rtol=0, atol=1e-7)
+    numeric = _central_gradient(_stacked_sum(entangled, 3), identity.ravel())
+    np.testing.assert_allclose(grad.ravel(), numeric, rtol=0, atol=1e-7)
     product = np.array([np.array([0.6, 0, 0, 0]), other])           # D = 0 member
-    cost, grad = quantum._roof_objective(identity, product, 3)
+    cost, grad = quantum._roof_objective(identity, product)
     assert np.all(np.isfinite(cost)) and np.all(np.isfinite(grad))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_eof_objective_starts_do_not_mix(rank):
-    # each start's cost and gradient block is what that start gives alone
+    # each start's cost and gradient row is what that start gives alone
     rng = np.random.default_rng(50 + rank)
     roots = (rng.normal(size=(rank, 4)) + 1j * rng.normal(size=(rank, 4))) / 3
-    starts, size = 3, 6 * rank
-    params = rng.normal(size=2 * starts * size)
-    costs, grad = quantum._roof_objective(params, roots, starts)
+    starts = 3
+    params = rng.normal(size=(starts, 2 * 6 * rank))
+    costs, grad = quantum._roof_objective(params, roots)
     assert costs.shape == (starts,)
-    half = starts * size
     for k in range(starts):
-        block = np.r_[k * size:(k + 1) * size, half + k * size:half + (k + 1) * size]
-        alone, alone_grad = quantum._roof_objective(params[block], roots, 1)
+        alone, alone_grad = quantum._roof_objective(params[k:k + 1], roots)
         assert abs(costs[k] - alone[0]) <= 1e-14
-        np.testing.assert_allclose(grad[block], alone_grad, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grad[k], alone_grad[0], rtol=0, atol=1e-14)
+
+
+def _eof_problems(rank, count, seed, monkeypatch):
+    """The objective and starts that entanglement_of_formation hands to minimize."""
+    seen, batched = [], quantum.minimize
+
+    def spy(fun, x0):
+        seen.append((fun, x0.copy()))
+        return batched(fun, x0)
+
+    monkeypatch.setattr(quantum, "minimize", spy)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        entanglement_of_formation(random_density_matrix(4, rng, rank=rank))
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_eof_minimize_runs_each_start_as_if_alone(rank, monkeypatch):
+    # the batched run evaluates, at each call, the next point of every start
+    # still running, in start order; a stopped start is not evaluated again,
+    # and it ends where the same start run alone ends
+    for fun, x0 in _eof_problems(rank, 4, 70 + rank, monkeypatch):
+        calls = []
+
+        def logged(p, fun=fun, log=calls):
+            log.append(p.copy())
+            return fun(p)
+
+        res = quantum.minimize(logged, x0)
+        assert res.x.shape == x0.shape and res.fun.shape == (x0.shape[0],)
+        assert type(res.nfev) is int and type(res.nit) is int
+        assert res.nfev == len(calls) and 0 < res.nit < res.nfev
+        alone_runs = []
+        for k in range(x0.shape[0]):
+            points = []
+
+            def logged_alone(p, fun=fun, log=points):
+                log.append(p[0].copy())
+                return fun(p)
+
+            alone = quantum.minimize(logged_alone, x0[k:k + 1])
+            assert abs(res.fun[k] - alone.fun[0]) <= 1e-12
+            np.testing.assert_allclose(res.x[k], alone.x[0], rtol=0, atol=1e-12)
+            assert 0 < alone.nit <= res.nit and alone.nfev <= res.nfev
+            alone_runs.append(points)
+        for j, batch in enumerate(calls):
+            expected = [points[j] for points in alone_runs if j < len(points)]
+            assert len(batch) == len(expected)
+            np.testing.assert_allclose(batch, np.array(expected), rtol=0, atol=1e-12)
+        assert res.nfev == max(len(points) for points in alone_runs)
 
 
 def test_eof_never_below_wootters():
@@ -507,7 +563,7 @@ def test_eof_separable_mixtures_are_zero():
 
 
 def test_eof_keeps_its_accuracy_on_a_seeded_sweep():
-    # the polish stops at EOF_FTOL; the value it stops at must still sit on
+    # each start stops at EOF_FTOL; the value they stop at must still sit on
     # the Wootters value, and never below it (the members decompose rho)
     rng = np.random.Generator(np.random.Philox(key=191919))
     mats = [random_density_matrix(4, rng, rank=rank).matrix
