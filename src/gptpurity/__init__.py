@@ -8,15 +8,13 @@ and seeded cross-validation suites for the duality between the two
 resource theories.
 """
 
-from .core import (CapacityError, Effect, GptChannel, GptState, Instrument,
-                   Measurement, StructuralError, TheorySystem, apply_channel,
-                   load_system, make_classical, make_square_bit, save_system,
-                   system_from_dict, system_to_dict, validate_system)
+from .core import (CapacityError, Effect, GptState, Measurement, StructuralError,
+                   TheorySystem, load_system, make_classical, make_square_bit,
+                   save_system, system_from_dict, system_to_dict, validate_system)
 from .mixedness import (FeasibilityCertificate, IllConditionedError, RaReChannel,
                         birkhoff_rare_synthesis, equally_mixed,
                         feasible_convex_combination, invariant_state, majorizes,
-                        more_mixed, orbit_hull, rare_channel_from_certificate,
-                        validate_channel, validate_instrument, validate_state)
+                        more_mixed, orbit_hull, validate_state)
 from .monotones import (ConvexScalarFn, MonotoneReport, UnsupportedSystemError,
                         builtin_monotones, f_purity, measurement_entropy,
                         op_norm_distance, op_norm_report, purity_2norm,
@@ -33,7 +31,8 @@ from .quantum import (DensityMatrix, ErasureCertificate, KrausChannel,
 from .boxworld import (BoxInvariantError, BoxState, LocalRelabeling,
                        apply_relabeling, check_local_exchangeability, is_extreme,
                        pr_box_k, standard_pr_box, swap_parties)
-from .harness import (SuiteReport, TrialConfig, run_catalyst_suite,
+from .harness import (SuiteReport, TrialConfig, replay_classical_counterexample,
+                      replay_duality_counterexample, run_catalyst_suite,
                       run_classical_agreement_suite, run_duality_suite,
                       run_maximal_entanglement_suite)
 

@@ -3,12 +3,12 @@
 A system is described by a real vector space of dimension ``dim`` holding
 state vectors, together with the unit (deterministic) effect, the vertices
 of the normalized state polytope, a list of extremal effects, and a finite
-group of reversible transformations given as explicit matrices.  Channels,
-effects, and measurements all act linearly on state vectors, so composition
-is plain matrix algebra.
+group of reversible transformations given as explicit matrices.  Group
+elements, effects and measurements all act linearly on state vectors, so
+composition is plain matrix algebra.
 
 States carry an explicit normalization coordinate (the value of the unit
-effect), which keeps channels linear instead of affine.
+effect), which keeps the group action linear instead of affine.
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _as_matrix(x, shape: tuple[int, int] | None = None, name: str = "matrix") -> np.ndarray:
-    m = _finite_array(x, name)
-    if m.ndim != 2:
-        raise StructuralError(f"{name} must be 2-dimensional, got shape {m.shape}")
-    if shape is not None and m.shape != shape:
-        raise StructuralError(f"{name} has shape {m.shape}, expected {shape}")
-    m.flags.writeable = False
-    return m
-
-
 def _as_matrices(xs, n: int, name: str) -> np.ndarray:
     """Read-only ``(len(xs), n, n)`` copy of a sequence of n x n matrices, in one array."""
     if not isinstance(xs, np.ndarray):
@@ -72,7 +62,12 @@ def _as_matrices(xs, n: int, name: str) -> np.ndarray:
         stack = np.empty(0)
     if stack.shape != (len(xs), n, n) or not np.isfinite(stack).all():
         for i, x in enumerate(xs):       # name the entry at fault
-            _as_matrix(x, (n, n), f"{name}[{i}]")
+            entry = f"{name}[{i}]"
+            m = _finite_array(x, entry)
+            if m.ndim != 2:
+                raise StructuralError(f"{entry} must be 2-dimensional, got shape {m.shape}")
+            if m.shape != (n, n):
+                raise StructuralError(f"{entry} has shape {m.shape}, expected {(n, n)}")
     stack.flags.writeable = False
     return stack
 
@@ -306,46 +301,6 @@ class Measurement:
         return np.array([a(state) for a in self.effects])
 
 
-@dataclass(frozen=True, eq=False)
-class GptChannel:
-    """A deterministic transformation between systems, as a matrix."""
-
-    input_system: TheorySystem
-    output_system: TheorySystem
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrix",
-            _as_matrix(self.matrix, (self.output_system.dim, self.input_system.dim), "channel matrix"))
-
-    def preserves_unit(self) -> bool:
-        # deterministic transformations are exactly those with u_out . M = u_in
-        return bool(np.allclose(self.output_system.unit_effect @ self.matrix,
-                                self.input_system.unit_effect, rtol=0.0, atol=ATOL))
-
-
-@dataclass(frozen=True, eq=False)
-class Instrument:
-    """The branches of a test: matrices whose sum is a channel."""
-
-    input_system: TheorySystem
-    output_system: TheorySystem
-    branches: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "branches",
-            tuple(_as_matrix(b, (self.output_system.dim, self.input_system.dim), f"branches[{i}]")
-                  for i, b in enumerate(self.branches)))
-        if not self.branches:
-            raise StructuralError("instrument needs at least one branch")
-
-    def coarse_grained(self) -> GptChannel:
-        total = np.sum(self.branches, axis=0)
-        return GptChannel(self.input_system, self.output_system, total)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -512,17 +467,6 @@ def make_square_bit() -> TheorySystem:
         group=tuple(group),
         name="square-bit",
     )
-
-
-def apply_channel(ch: GptChannel, rho: GptState) -> GptState:
-    """Apply a channel matrix to a state; linearity does the rest."""
-    if rho.system is not ch.input_system and rho.system.dim != ch.input_system.dim:
-        raise StructuralError("state dimension does not match channel input")
-    return GptState(ch.output_system, ch.matrix @ rho.vec)
-
-
-def group_channel(sys: TheorySystem, index: int) -> GptChannel:
-    return GptChannel(sys, sys, sys.group[index])
 
 
 # ---------------------------------------------------------------------------

@@ -201,20 +201,6 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     return FeasibilityCertificate("feasible", weights, residual)
 
 
-def rare_channel_from_certificate(system: TheorySystem,
-                                  cert: FeasibilityCertificate) -> RaReChannel:
-    """Turn a feasible more_mixed certificate into an explicit RaRe channel.
-
-    Weights at or below ``ZERO_TOL`` are pruned and the rest renormalised.
-    """
-    if not cert.feasible or cert.weights is None:
-        raise StructuralError("certificate is not feasible")
-    entries = [(float(w), k) for k, w in enumerate(cert.weights) if w > ZERO_TOL]
-    total = sum(w for w, _ in entries)
-    entries = [(w / total, k) for w, k in entries]
-    return RaReChannel(system, tuple(entries))
-
-
 def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | None]:
     """Two-way mixedness comparison, with a reversible witness when found.
 
@@ -458,34 +444,3 @@ def validate_state(rho: GptState) -> FeasibilityCertificate:
     if not rho.is_normalized():
         raise StructuralError(f"state is not normalized (norm {rho.norm:.6f})")
     return feasible_convex_combination(rho.system.pure_states, rho.vec)
-
-
-def validate_channel(ch) -> list[str]:
-    """Channel invariants: unit-effect preservation plus polytope mapping.
-
-    Every pure input state must land inside the output state polytope; the
-    membership certificates come from the feasibility solver.
-    """
-    report: list[str] = []
-    if not ch.preserves_unit():
-        residual = np.max(np.abs(ch.output_system.unit_effect @ ch.matrix
-                                 - ch.input_system.unit_effect))
-        report.append(f"unit effect not preserved (residual {residual:.3e})")
-    targets = np.asarray(ch.output_system.pure_states)
-    for j, v in enumerate(ch.input_system.pure_states):
-        image = ch.matrix @ v
-        if not feasible_convex_combination(targets, image).feasible:
-            report.append(f"image of pure_states[{j}] leaves the output polytope")
-    return report
-
-
-def validate_instrument(inst) -> list[str]:
-    """Instrument invariants: the branch sum is a channel, branches subnormalize."""
-    report = validate_channel(inst.coarse_grained())
-    u_out = inst.output_system.unit_effect
-    for i, branch in enumerate(inst.branches):
-        for j, v in enumerate(inst.input_system.pure_states):
-            norm = float(u_out @ (branch @ v))
-            if not -ATOL <= norm <= 1.0 + ATOL:
-                report.append(f"branch {i} gives norm {norm:.6f} on pure_states[{j}]")
-    return report

@@ -413,11 +413,6 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     return PureBipartiteState.from_matrix(m)
 
 
-def schmidt_squared(psi: PureBipartiteState) -> np.ndarray:
-    """Squared Schmidt coefficients, descending, as a fresh array."""
-    return psi._schmidt_weights.copy()
-
-
 def nielsen_convertible(psi: PureBipartiteState, target: PureBipartiteState) -> bool:
     """LOCC convertibility test for pure states: majorization of Schmidt weights.
 

@@ -50,8 +50,8 @@ FARKAS_MIN_SEPARATION = 1e-9
 # weights, distributions and witnesses
 # ---------------------------------------------------------------------------
 
-#: an entry this close to zero is zero: weights, margins, and the permutohedron walk's
-#: weighted rises and slacks
+#: an entry this close to zero is zero: margins, steps between Schmidt coefficients, and
+#: the permutohedron walk's weighted rises and slacks
 ZERO_TOL = 1e-12
 #: weights (or a state's norm, a trace, |v|^2) sum to one within this; no weight below -SUM_TOL
 SUM_TOL = 1e-9

@@ -63,36 +63,6 @@ def test_make_classical_sizes():
         core.make_classical(7)
 
 
-def test_apply_channel_identity(square_bit):
-    ident = core.group_channel(square_bit, 0)
-    rho = square_bit.state([0.3, -0.2, 1.0])
-    out = core.apply_channel(ident, rho)
-    np.testing.assert_allclose(out.vec, rho.vec, atol=1e-12)
-
-
-def test_apply_channel_reflection_moves_vertex(square_bit):
-    # find the x-reflection and check it maps (1,1) to (-1,1)
-    target = None
-    for u in square_bit.group:
-        if np.allclose(u[:2, :2], np.diag([-1.0, 1.0])):
-            target = u
-    assert target is not None
-    ch = core.GptChannel(square_bit, square_bit, target)
-    out = core.apply_channel(ch, square_bit.state([1.0, 1.0, 1.0]))
-    np.testing.assert_allclose(out.vec, [-1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_instrument_coarse_graining_preserves_norm(square_bit):
-    # split the identity channel into two halves: a valid two-branch test
-    ident = np.eye(3)
-    inst = core.Instrument(square_bit, square_bit, (0.5 * ident, 0.5 * ident))
-    ch = inst.coarse_grained()
-    assert ch.preserves_unit()
-    for v in square_bit.pure_states:
-        out = core.apply_channel(ch, square_bit.state(v))
-        assert abs(out.norm - 1.0) < 1e-10
-
-
 def test_group_acts_as_bijection_on_vertices(square_bit):
     for sys in (square_bit, core.make_classical(4)):
         for u in sys.group:
@@ -122,15 +92,6 @@ def test_measurement_must_sum_to_unit(square_bit):
         core.Measurement((core.Effect(square_bit, square_bit.extremal_effects[0]),))
 
 
-def test_channel_norm_preservation_on_vertices():
-    trit = core.make_classical(3)
-    for u in trit.group:
-        ch = core.GptChannel(trit, trit, u)
-        for v in trit.pure_states:
-            out = core.apply_channel(ch, trit.state(v))
-            assert abs(out.norm - 1.0) < 1e-10
-
-
 def test_system_json_roundtrip(tmp_path, square_bit):
     path = tmp_path / "square.json"
     core.save_system(square_bit, str(path))
@@ -152,16 +113,13 @@ def test_loader_rejects_invalid_theory(tmp_path, square_bit):
 
 
 def test_constructors_copy_caller_arrays(square_bit):
-    u, unit, m = np.eye(3), np.array([0.0, 0.0, 1.0]), np.eye(3)
+    u, unit = np.eye(3), np.array([0.0, 0.0, 1.0])
     system = core.TheorySystem(dim=3, unit_effect=unit, pure_states=square_bit.pure_states,
                                extremal_effects=square_bit.extremal_effects, group=(u,))
-    channel = core.GptChannel(system, system, m)
     u[0, 0] = 2.0          # the caller's arrays stay writeable ...
     unit[2] = 5.0
-    m[1, 1] = 3.0
-    assert system.group[0][0, 0] == 1.0    # ... and the objects keep their own copy
+    assert system.group[0][0, 0] == 1.0    # ... and the system keeps its own copy
     assert system.unit_effect[2] == 1.0
-    assert channel.matrix[1, 1] == 1.0
     with pytest.raises(ValueError):
         system.group[0][0, 0] = 2.0
 
@@ -389,7 +347,6 @@ def test_validate_system_and_density_matrix_share_the_sum_boundary():
 def test_array_fields_refuse_non_finite_entries_by_name():
     c2 = core.make_classical(2)
     nan, inf = float("nan"), float("inf")
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     cases = {
         "unit_effect": lambda: core.TheorySystem(2, [1, nan], tuple(np.eye(2)), tuple(np.eye(2)),
                                                  (np.eye(2),)),
@@ -400,8 +357,6 @@ def test_array_fields_refuse_non_finite_entries_by_name():
         "group[1]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)),
                                               (np.eye(2), [[0, inf], [1, 0]])),
         "state vec": lambda: c2.state([nan, 1]),
-        "channel matrix": lambda: core.GptChannel(c2, c2, [[0, nan], [1, 0]]),
-        "branches[0]": lambda: core.Instrument(c2, c2, ([[0, -inf], [1, 0]], swap)),
     }
     for name, case in cases.items():
         with pytest.raises(core.StructuralError, match=rf"^{re.escape(name)} has a non-finite"):
@@ -412,6 +367,12 @@ def test_array_fields_refuse_non_finite_entries_by_name():
             core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), group)
     with pytest.raises(core.StructuralError, match=r"^pure_states\[0\] is not an array of numbers"):
         core.TheorySystem(2, np.ones(2), ([[1], 0], [0, 1]), tuple(np.eye(2)), (np.eye(2),))
+    # and so are group entries of the wrong shape
+    for group, message in (
+            ((np.eye(2), [1, 0]), r"^group\[1\] must be 2-dimensional, got shape \(2,\)$"),
+            ((np.eye(3),), r"^group\[0\] has shape \(3, 3\), expected \(2, 2\)$")):
+        with pytest.raises(core.StructuralError, match=message):
+            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), group)
 
 
 def test_sum_checks_refuse_empty_and_non_finite_weights():

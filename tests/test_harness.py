@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from gptpurity import harness
+from gptpurity import harness, replay_classical_counterexample, replay_duality_counterexample
 from gptpurity.core import StructuralError
-from gptpurity.harness import (SuiteReport, TrialConfig,
-                               replay_classical_counterexample,
-                               replay_duality_counterexample,
-                               run_catalyst_suite, run_classical_agreement_suite,
-                               run_duality_suite, run_maximal_entanglement_suite)
+from gptpurity.harness import (SuiteReport, TrialConfig, run_catalyst_suite,
+                               run_classical_agreement_suite, run_duality_suite,
+                               run_maximal_entanglement_suite)
 from gptpurity.serialize import complex_to_pairs, dump_json
 
 

@@ -19,7 +19,7 @@ from gptpurity.quantum import (DensityMatrix, KrausChannel, OneWayProtocol,
                                maximally_entangled, nielsen_convertible,
                                one_way_locc_from_rare, random_density_matrix,
                                random_pure_state, random_unitary, rare_synthesis_quantum,
-                               schmidt_squared)
+                               schmidt_decompose)
 from gptpurity.tolerances import (ORTHONORMAL_TOL, RELATIVE_RANK_TOL, SPECTRUM_TOL,
                                   UNITARY_TOL, WITNESS_TOL)
 
@@ -37,7 +37,7 @@ def test_pure_state_copies_its_input():
     assert marginals(psi)[0] is rho_a
     np.testing.assert_array_equal(rho_a.matrix, [[1, 0], [0, 0]])
     # computed after the caller's write, so it must still see the copy
-    np.testing.assert_array_equal(schmidt_squared(psi), [1, 0])
+    np.testing.assert_array_equal(schmidt_decompose(psi).squared(), [1, 0])
 
 
 def test_density_matrix_copies_its_input():
@@ -95,9 +95,9 @@ def test_one_way_protocol_refuses_zero_branches():
 
 def test_returned_spectra_and_weights_are_fresh_arrays():
     psi = random_pure_state((3, 3), np.random.default_rng(1))
-    weights = schmidt_squared(psi)
+    weights = schmidt_decompose(psi).squared()
     weights[:] = 0
-    assert schmidt_squared(psi).sum() == pytest.approx(1.0)
+    assert schmidt_decompose(psi).squared().sum() == pytest.approx(1.0)
     rho = marginals(psi)[0]
     spectrum = rho.spectrum()
     spectrum[:] = 0
@@ -141,7 +141,7 @@ def test_spectrum_is_the_kept_decomposition_bit_for_bit():
             assert DensityMatrix(m).spectrum().tobytes() == expected.tobytes()
         psi = random_pure_state((d, d + 1), rng)
         for rho in marginals(psi):
-            weights = schmidt_squared(psi)
+            weights = schmidt_decompose(psi).squared()
             expected = np.pad(weights, (0, rho.dim - weights.size))
             assert rho.spectrum().tobytes() == expected.tobytes()
 
@@ -176,7 +176,9 @@ def _factored_cases():
 
 @pytest.mark.parametrize("psi", _factored_cases(), ids=lambda psi: f"{psi.dims[0]}x{psi.dims[1]}")
 def test_factored_marginals_are_the_partial_traces_and_their_eigenbases(psi):
-    weights = schmidt_squared(psi)
+    weights = schmidt_decompose(psi).squared()
+    # the Schmidt form and the state's kept weights both square the one SVD's values
+    assert weights.tobytes() == psi._schmidt_weights.tobytes()
     for rho, reference in zip(marginals(psi), _partial_traces(psi)):
         assert rho.matrix.shape == (rho.dim, rho.dim)
         assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
