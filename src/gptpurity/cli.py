@@ -307,10 +307,9 @@ def _cmd_rare_quantum(args):
     rho = _parse_density(args.rho)
     source = _parse_density(args.source)
     rare = quantum.rare_synthesis_quantum(rho, source)
-    mix = sum(w * u @ source.matrix @ u.conj().T for w, u in rare)
     return 0, {"weights": [w for w, _ in rare],
                "unitaries": [complex_to_pairs(u) for _, u in rare],
-               "residual": float(np.max(np.abs(mix - rho.matrix)))}
+               "residual": quantum._rare_residual(rare, source.matrix, rho.matrix)}
 
 
 def _cmd_one_way(args):

@@ -13,13 +13,13 @@ The classical case reduces to majorization and needs no LP: q lies in
 the permutohedron of p (the hull of p's permutations) exactly when p
 majorizes q, and a Caratheodory walk on that polytope writes q as a mix of
 at most n permutations of p.  ``more_mixed`` on a classical system with its
-full permutation group and ``birkhoff_rare_synthesis`` both take that path.
+full permutation group, ``birkhoff_rare_synthesis`` and, on two spectra,
+``quantum.rare_synthesis_quantum`` all take that path, for n <= ``WALK_MAX_N``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -31,6 +31,10 @@ from .core import (CapacityError, GptState, StructuralError, TheorySystem,
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
                          MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, VERTEX_MARGIN,
                          WITNESS_TOL, ZERO_TOL)
+
+#: the largest n the permutohedron walk takes; its subset table has 2^n - 2 rows
+#: (8 MB at n = 16), and both its size and a walk's time double with each step in n
+WALK_MAX_N = 16
 
 
 class IllConditionedError(ValueError):
@@ -332,7 +336,10 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The proper nonempty subsets of range(n) as 0/1 float rows, and each size less one.
 
     Built once per n for the permutohedron walk; both arrays are read-only.
+    n above ``WALK_MAX_N`` is refused (``CapacityError``) before anything is built.
     """
+    if n > WALK_MAX_N:
+        raise CapacityError(f"the permutohedron walk supports n <= {WALK_MAX_N}, got n={n}")
     rows = ((np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1).astype(float)
     size_index = rows.sum(axis=1).astype(np.intp) - 1
     rows.flags.writeable = False
@@ -381,17 +388,13 @@ def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], f
     return weights
 
 
-def _lexicographic_rank(perm: tuple[int, ...]) -> int:
-    """Position of perm in itertools.permutations(range(n)) order (Lehmer code)."""
-    n = len(perm)
-    return sum(sum(later < first for later in perm[i + 1:]) * math.factorial(n - 1 - i)
-               for i, first in enumerate(perm))
-
-
 def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float, int]], float]:
     """The permutohedron walk's terms as (weight, index(perm)) pairs, and their rebuild residual.
 
-    ``index`` maps a permutation tuple to its group index.  The walk aims at
+    ``index`` maps a permutation tuple to its group index: the system's
+    ``_permutation_index`` for classical ``more_mixed`` and
+    ``birkhoff_rare_synthesis``, ``tuple`` (the permutation itself) for
+    ``quantum.rare_synthesis_quantum``.  The walk aims at
     q scaled to p's sum, the plane of p's permutohedron (as ``majorizes``
     compares them); the terms rebuild q within ``WITNESS_TOL`` plus
     |sum p - sum q|, or the call raises ``RuntimeError``.
@@ -411,32 +414,23 @@ def _classical(n: int) -> TheorySystem:
     return make_classical(n)
 
 
-def _birkhoff_terms(p: np.ndarray, q: np.ndarray) -> list[tuple[float, tuple[int, ...]]]:
-    """The walk core of ``birkhoff_rare_synthesis``: (weight, permutation) terms.
-
-    The caller has checked that p majorizes q; n above 6 is refused.  The
-    terms pass ``_walk_witness``'s rebuild check, or the call raises.
-    """
-    if p.shape[0] > 6:
-        raise CapacityError("birkhoff_rare_synthesis supports n <= 6")
-    return _walk_witness(p, q, tuple)[0]
-
-
 def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
     Requires that p majorizes q.  The permutohedron walk writes q as a mix
     of at most n permutations of p, each met once; the channel weighs the
-    matching permutation matrices of make_classical(n), whose group lists
-    the permutations in lexicographic order; that system is built once per
-    n.  It rebuilds q within ``WITNESS_TOL`` + |sum p - sum q|, or raises.
+    matching permutation matrices of make_classical(n), found by the index
+    classical ``more_mixed`` uses; that system is built once per n, and
+    refuses n > 6 (it stores the n! matrices).  It rebuilds q within
+    ``WITNESS_TOL`` + |sum p - sum q|, or raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)
     q = np.asarray(q, dtype=float).reshape(-1)
     if not majorizes(p, q):
         raise StructuralError("precondition failed: p does not majorize q")
-    entries = [(w, _lexicographic_rank(perm)) for w, perm in _birkhoff_terms(p, q)]
-    return RaReChannel(_classical(p.shape[0]), tuple(sorted(entries)))
+    system = _classical(p.shape[0])
+    entries, _ = _walk_witness(p, q, system._permutation_index.__getitem__)
+    return RaReChannel(system, tuple(sorted(entries)))
 
 
 def validate_state(rho: GptState) -> FeasibilityCertificate:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import StructuralError, sums_to_one
-from .mixedness import _birkhoff_terms, majorizes
+from .mixedness import _walk_witness, majorizes
 from .tolerances import (DEGENERACY_TOL, ENTROPY_FLOOR, EOF_ARMIJO, EOF_ARTANH_CLIP,
                          EOF_CURVATURE_FLOOR, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL,
                          LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL,
@@ -493,6 +493,7 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
     spectra, and each permutation is conjugated by the pair of eigenbases
     the states keep.  Any orthonormal eigenbasis in spectrum order serves;
     the mixture rebuilds rho within ``WITNESS_TOL``, or the call raises.
+    Dimensions above ``mixedness.WALK_MAX_N`` raise ``CapacityError``.
     """
     if rho.dim != source.dim:
         raise StructuralError("dimension mismatch")
@@ -502,11 +503,18 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
     # eigenvectors in spectrum (descending) order
     v, w = rho._eigenvectors[:, ::-1], source._eigenvectors[:, ::-1]
     # sum_perm weight * q[perm] = p, so U = V P W^dag with P[i, perm[i]] = 1
-    out = [(weight, v @ w[:, list(perm)].conj().T) for weight, perm in _birkhoff_terms(q, p)]
-    mix = sum(wt * u @ source.matrix @ u.conj().T for wt, u in out)
-    if np.max(np.abs(mix - rho.matrix)) > WITNESS_TOL:
+    terms, _ = _walk_witness(q, p, tuple)
+    out = [(weight, v @ w[:, list(perm)].conj().T) for weight, perm in terms]
+    if _rare_residual(out, source.matrix, rho.matrix) > WITNESS_TOL:
         raise RuntimeError("synthesized mixture misses the target density matrix")
     return out
+
+
+def _rare_residual(rare: list[tuple[float, np.ndarray]], source: np.ndarray,
+                   target: np.ndarray) -> float:
+    """Largest entry of sum_i w_i U_i source U_i^dag - target, in magnitude: a RaRe witness's miss."""
+    mix = sum(w * u @ source @ u.conj().T for w, u in rare)
+    return float(np.max(np.abs(mix - target)))
 
 
 def _rank_split(u: np.ndarray, s: np.ndarray, vh: np.ndarray):
@@ -568,8 +576,7 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
     weights = np.array([w for w, _ in rare])
     if not sums_to_one(weights):
         raise StructuralError("rare weights must be a probability distribution")
-    mix = sum(w * u @ rho_p @ u.conj().T for w, u in rare)
-    if not np.max(np.abs(mix - rho)) <= WITNESS_TOL:
+    if not _rare_residual(rare, rho_p, rho) <= WITNESS_TOL:
         raise StructuralError("rare decomposition does not map target marginal "
                               "to source marginal within tolerance")
 

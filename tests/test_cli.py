@@ -446,6 +446,14 @@ def test_suite_verbs_and_exit(capsys):
     assert code == 0 and payload["agreements"] == 20
 
 
+def test_duality_suite_runs_past_the_classical_limit(capsys):
+    # the RaRe witnesses come from the permutohedron walk, which takes d = 7
+    # although make_classical(7) is refused
+    code, payload = run(capsys, "duality", "--dim", "7", "--trials", "20", "--no-timing")
+    assert code == 0
+    assert payload["trials"] == 20 and payload["agreements"] == 20
+
+
 def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-verb"])

@@ -142,6 +142,34 @@ def test_duality_suite_holds_completeness_to_the_verify_tolerance(monkeypatch):
     assert not one_way_locc_from_rare(psi, target, rare).verify(psi, target)
 
 
+def test_duality_suite_checks_nielsen_against_an_independent_marginal_spectrum(monkeypatch):
+    # Nielsen reads the Schmidt weights off each state's SVD.  Give every state
+    # the singular values of a maximally entangled one, its coefficient matrix
+    # m unchanged: Nielsen then calls every direction convertible, and the
+    # marginal side, eigvalsh of m m^dag, must disagree
+    from gptpurity.quantum import PureBipartiteState
+    true_svd = PureBipartiteState._svd.func
+
+    def corrupted(self):
+        u, s, vh = true_svd(self)
+        return u, np.full_like(s, 1.0 / np.sqrt(s.size)), vh
+
+    monkeypatch.setattr(PureBipartiteState, "_svd", property(corrupted))
+    report = run_duality_suite(TrialConfig(seed=2, trials=20, dims=(3,)))
+    directions = [detail[side] for detail in report.counterexamples
+                  for side in ("forward", "backward")]
+    assert any(d["convertible"] and not d["spectra_majorize"] for d in directions)
+
+
+def test_catalyst_suite_names_both_margins_in_a_counterexample(monkeypatch):
+    monkeypatch.setattr(harness, "ZERO_TOL", 1.0)
+    report = run_catalyst_suite(TrialConfig(seed=3, trials=5))
+    assert len(report.counterexamples) == 5
+    for detail in report.counterexamples:
+        assert 0.0 < detail["purity_margin"] < 1.0 and 0.0 < detail["ky_fan_margin"] < 1.0
+        assert detail["product_ok"]
+
+
 def test_classical_replay_reproduces_a_recorded_counterexample(monkeypatch):
     # the suite and its replay share one trial check, so a patched-in
     # disagreement replays as a failure, and replays clean once removed

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gptpurity import core, mixedness, simplex
+from gptpurity.tolerances import WITNESS_TOL
 
 from oracles import hull_membership_scipy
 from test_user_system import _pentagon_dict
@@ -375,7 +377,8 @@ def test_birkhoff_noop():
 def test_birkhoff_drops_rounding_dust():
     # q is a permutation of p up to 1e-15, which the walk takes as the vertex itself
     channel = mixedness.birkhoff_rare_synthesis([0.5, 0.3, 0.2], [0.2 + 1e-15, 0.5 - 1e-15, 0.3])
-    assert channel.entries == ((1.0, mixedness._lexicographic_rank((2, 0, 1))),)
+    assert core.make_classical(3)._permutation_index[(2, 0, 1)] == 4
+    assert channel.entries == ((1.0, 4),)
 
 
 def test_birkhoff_builds_the_classical_system_once_per_n():
@@ -410,10 +413,42 @@ def test_birkhoff_random_instances_support_and_residual():
         assert len(channel.entries) <= n
 
 
-def test_lexicographic_rank_is_the_classical_group_order():
+def test_classical_permutation_index_is_the_lexicographic_order():
+    # Birkhoff witnesses index make_classical(n)'s group by this map; readers of
+    # a channel (the benchmark's checker among them) take index k to be the
+    # k-th permutation of itertools.permutations(range(n))
     for n in range(1, 7):
+        index = core.make_classical(n)._permutation_index
         perms = list(itertools.permutations(range(n)))
-        assert [mixedness._lexicographic_rank(perm) for perm in perms] == list(range(len(perms)))
+        assert [index[perm] for perm in perms] == list(range(len(perms)))
+
+
+def test_birkhoff_still_refuses_n_7_after_its_majorization_check():
+    # make_classical stores the n! matrices and refuses n > 6; a pair that
+    # fails majorization is refused as such first
+    uniform, vertex = np.full(7, 1.0 / 7.0), np.eye(7)[0]
+    with pytest.raises(core.StructuralError):
+        mixedness.birkhoff_rare_synthesis(uniform, vertex)
+    with pytest.raises(core.CapacityError):
+        mixedness.birkhoff_rare_synthesis(vertex, uniform)
+
+
+def test_walk_refuses_n_above_its_bound_before_building_a_subset_table():
+    n = mixedness.WALK_MAX_N
+    vertex, uniform = np.eye(n)[0], np.full(n, 1.0 / n)
+    terms, residual = mixedness._walk_witness(vertex, uniform, tuple)
+    assert len(terms) <= n and residual <= WITNESS_TOL
+    cached = mixedness._subsets.cache_info().currsize
+    tracemalloc.start()
+    try:
+        with pytest.raises(core.CapacityError):
+            mixedness._walk_witness(np.eye(n + 1)[0], np.full(n + 1, 1.0 / (n + 1)), tuple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table at n + 1 holds (n + 1)(2^(n+1) - 2) floats, about 18 MB
+    assert peak < 2 ** 16
+    assert mixedness._subsets.cache_info().currsize == cached
 
 
 def test_birkhoff_witness_has_at_most_n_distinct_terms():

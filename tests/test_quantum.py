@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gptpurity
-from gptpurity import quantum
-from gptpurity.core import ATOL, StructuralError
+from gptpurity import mixedness, quantum
+from gptpurity.core import ATOL, CapacityError, StructuralError
 from gptpurity.quantum import (DensityMatrix, PureBipartiteState,
                                catalytic_erasure_possible, connecting_local_unitary,
                                entanglement_entropy, entanglement_of_formation,
@@ -21,6 +21,7 @@ from gptpurity.quantum import (DensityMatrix, PureBipartiteState,
                                random_density_matrix, random_pure_state, random_unitary,
                                rare_synthesis_quantum, schmidt_decompose, swap_operator,
                                symmetric_purify)
+from gptpurity.tolerances import WITNESS_TOL
 
 from oracles import wootters_eof
 
@@ -377,6 +378,56 @@ def test_one_way_rejects_wrong_rare():
     near = purify(DensityMatrix.diagonal([0.7 + 5e-9, 0.3 - 5e-9]))
     with pytest.raises(StructuralError):
         one_way_locc_from_rare(target, near, [(1.0, np.eye(2, dtype=complex))])
+
+
+def _convertible_pair(d: int, rng) -> tuple[PureBipartiteState, PureBipartiteState]:
+    """A seeded d x d pair (psi, target) that LOCC converts: psi's Schmidt weights
+    mix permutations of target's, so target's majorize them (random local bases)."""
+    t = rng.dirichlet(np.ones(d))
+    s = sum(w * t[rng.permutation(d)] for w in rng.dirichlet(np.ones(3)))
+
+    def state(weights):
+        m = random_unitary(d, rng) @ np.diag(np.sqrt(weights)) @ random_unitary(d, rng)
+        return PureBipartiteState.from_matrix(m)
+    return state(s), state(t)
+
+
+def _check_conversion(psi: PureBipartiteState, target: PureBipartiteState) -> int:
+    """Build and check the RaRe witness and one-way protocol for psi -> target; its term count."""
+    rho, rho_t = marginals(psi)[0], marginals(target)[0]
+    rare = rare_synthesis_quantum(rho, rho_t)
+    assert quantum._rare_residual(rare, rho_t.matrix, rho.matrix) <= WITNESS_TOL
+    assert one_way_locc_from_rare(psi, target, rare).verify(psi, target)
+    return len(rare)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_rare_witness_and_protocol_verify_past_the_classical_limit(d):
+    # the walk needs no n! group, so the quantum route runs where make_classical stops
+    rng = np.random.default_rng(40 + d)
+    for _ in range(10):
+        psi, target = _convertible_pair(d, rng)
+        assert nielsen_convertible(psi, target)
+        assert _check_conversion(psi, target) <= d
+
+
+def test_jonathan_plenio_catalysis_has_a_checked_rare_witness():
+    # (0.4, 0.4, 0.1, 0.1) cannot reach (0.5, 0.25, 0.25, 0) by LOCC, but with the
+    # catalyst (0.6, 0.4) it can (Jonathan & Plenio, PRL 83, 3566, 1999): an
+    # 8-dimensional walk
+    def pure(weights):
+        return PureBipartiteState.from_matrix(np.diag(np.sqrt(weights)))
+    source, target, catalyst = [0.4, 0.4, 0.1, 0.1], [0.5, 0.25, 0.25, 0.0], [0.6, 0.4]
+    assert not nielsen_convertible(pure(source), pure(target))
+    psi, phi = pure(np.kron(source, catalyst)), pure(np.kron(target, catalyst))
+    assert nielsen_convertible(psi, phi)
+    assert _check_conversion(psi, phi) <= 8
+
+
+def test_rare_synthesis_refuses_dimensions_above_the_walk_bound():
+    d = mixedness.WALK_MAX_N + 1
+    with pytest.raises(CapacityError):
+        rare_synthesis_quantum(DensityMatrix.maximally_mixed(d), DensityMatrix.pure(np.eye(d)[0]))
 
 
 # -- entanglement measures -----------------------------------------------------------
