@@ -118,12 +118,21 @@ class TheorySystem:
         """The group-averaged Gram form M = mean_g g^T g, a ``dim x dim`` matrix.
 
         For a group, h^T M h = M for every element h, so every element is
-        orthogonal for the inner product <x, y>_M = x^T M y.
+        orthogonal for the inner product <x, y>_M = x^T M y, and every orbit
+        lies on one M-sphere; ``_isometric`` checks the identity.
         """
         rows = self.group_array.reshape(-1, self.dim)
         gram = rows.T @ rows / len(self.group)
         gram.flags.writeable = False
         return gram
+
+    @cached_property
+    def _isometric(self) -> bool:
+        """Whether every element h satisfies h^T M h = M (``group_gram``) within
+        ATOL, scaled by max(1, max|M|)."""
+        gram, stack = self.group_gram, self.group_array
+        moved = stack.transpose(0, 2, 1) @ gram @ stack
+        return bool(np.max(np.abs(moved - gram)) <= ATOL * max(1.0, np.abs(gram).max()))
 
     @cached_property
     def _gram_condition(self) -> float:

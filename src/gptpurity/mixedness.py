@@ -5,9 +5,10 @@ group images of rho, i.e. when some random-reversible channel degrades rho
 to sigma.  Deciding the relation is a small linear feasibility problem over
 the orbit, solved by the in-repo simplex; every feasible verdict comes with
 an explicit weight witness.  Orbits are computed in one batched product
-with the system's stacked group; the orbit hull and the invariant state
-need no LP on a genuine group, since the group action itself supplies
-their certificates.
+with the system's stacked group.  The orbit hull, the equally-mixed test
+and the invariant state solve no LP: every group element preserves the
+averaged Gram form M, so an orbit lies on one M-sphere, and the orbit
+itself answers them.
 
 The classical case reduces to majorization and needs no LP: q lies in
 the permutohedron of p (the hull of p's permutations) exactly when p
@@ -29,8 +30,8 @@ from . import simplex
 from .core import (CapacityError, GptState, StructuralError, TheorySystem,
                    make_classical, sums_to_one)
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
-                         MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, VERTEX_MARGIN,
-                         WITNESS_TOL, ZERO_TOL)
+                         MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, WITNESS_TOL,
+                         ZERO_TOL)
 
 #: the largest n the permutohedron walk takes; its subset table has 2^n - 2 rows
 #: (8 MB at n = 16), and both its size and a walk's time double with each step in n
@@ -122,7 +123,9 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
         raise StructuralError("generators and target must share a dimension")
 
     g = np.ascontiguousarray(gens.T)      # generators as columns
-    scale = _scale(g, tgt)
+    scale = max(np.abs(g).max(), np.abs(tgt).max(), 1.0)
+    if scale > MAX_SCALE:
+        raise IllConditionedError(f"input scale {scale:.2e} beyond {MAX_SCALE:.0e}")
 
     a = np.vstack([g, np.ones(len(gens))]) / scale
     b = np.concatenate([tgt, [1.0]]) / scale
@@ -150,14 +153,6 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
     return FeasibilityCertificate("feasible", weights, residual)
 
 
-def _scale(*arrays: np.ndarray) -> float:
-    """Largest entry magnitude (at least 1), refused beyond MAX_SCALE."""
-    scale = max(max(np.abs(a).max() for a in arrays), 1.0)
-    if scale > MAX_SCALE:
-        raise IllConditionedError(f"input scale {scale:.2e} beyond {MAX_SCALE:.0e}")
-    return scale
-
-
 def _orbit(rho: GptState) -> np.ndarray:
     """The group images of rho as rows, in group order."""
     return rho.system.group_array @ rho.vec
@@ -174,6 +169,14 @@ def _require_state(rho: GptState, name: str) -> None:
     values = rho.system._effect_array @ rho.vec
     if (values < -ATOL).any():
         raise StructuralError(f"{name} lies outside the state space (effect {values.min():.3e})")
+
+
+def _require_isometric(system: TheorySystem) -> None:
+    """Refuse a matrix set whose elements do not all preserve its averaged Gram
+    form (``TheorySystem._isometric``): its orbits need not lie on one sphere."""
+    if not system._isometric:
+        raise StructuralError("the group does not preserve its averaged Gram form "
+                              "(h^T M h != M); its orbits need not lie on one sphere")
 
 
 def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
@@ -206,18 +209,25 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
 
 
 def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | None]:
-    """Two-way mixedness comparison, with a reversible witness when found.
+    """Two-way mixedness comparison, with a reversible witness.
 
-    Returns (flag, U) where flag is True iff each state is more mixed than
-    the other; U is a group element with U rho = sigma if the finite search
-    finds one, else None ("equally mixed, no group witness found").
+    Returns ``(True, group[k])`` when sigma lies within ``ATOL`` of the orbit
+    point of group[k] (the first such k) and rho within ``ATOL`` of some
+    point of sigma's orbit, else ``(False, None)``.  No LP is solved: an
+    orbit lies on one sphere of the invariant form (see ``orbit_hull``),
+    and its hull meets that sphere only at the orbit, so each state is more
+    mixed than the other exactly when each lies in the other's orbit.  A
+    matrix set that fails ``TheorySystem._isometric`` is refused.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
-    if not (more_mixed(rho, sigma).feasible and more_mixed(sigma, rho).feasible):
-        return False, None
+    _require_state(rho, "rho")
+    _require_state(sigma, "sigma")
+    _require_isometric(rho.system)
     hits = np.flatnonzero(np.max(np.abs(_orbit(rho) - sigma.vec), axis=1) <= ATOL)
-    return True, (rho.system.group[hits[0]] if hits.size else None)
+    if not hits.size or not (np.max(np.abs(_orbit(sigma) - rho.vec), axis=1) <= ATOL).any():
+        return False, None
+    return True, rho.system.group[hits[0]]
 
 
 def invariant_state(sys: TheorySystem) -> GptState:
@@ -265,50 +275,22 @@ def _first_hits(points: np.ndarray, atol: float) -> list[int]:
     return distinct[kept].tolist()
 
 
-def _certified_vertices(points: np.ndarray, gram: np.ndarray) -> np.ndarray:
-    """Mask of the points that strictly maximise their own functional M s.
-
-    Point s_i is certified when (M s_i).s_i exceeds (M s_i).s_j for every
-    other point j by more than VERTEX_MARGIN, after the normalisation of
-    feasible_convex_combination (entries over the input scale, functional
-    over its max-norm).  That margin bounds the phase-1 optimum of "s_i in
-    the hull of the others" from below, so the point is a vertex and the LP
-    would say so too.  On a group orbit the margin is (1/2)|s_i - s_j|_M^2.
-    """
-    scale = _scale(points)
-    func = points @ gram
-    values = func @ points.T                 # values[i, j] = (M s_i).s_j
-    own = np.diag(values).copy()
-    np.fill_diagonal(values, -np.inf)
-    rival = values.max(axis=1)
-    norm = np.maximum(np.abs(func).max(axis=1), np.abs(rival))
-    return own - rival > VERTEX_MARGIN * scale * norm
-
-
 def orbit_hull(rho: GptState) -> list[np.ndarray]:
     """Vertices of the convex hull of the group orbit of rho.
 
     The hull is exactly the set of states more mixed than rho, so the
-    returned list generates that set.  Orbit points are deduplicated in
-    group order, keeping the first hit within ``ATOL``.  Each distinct
-    point s is then certified as a vertex by the functional x -> (M s).x,
-    with M the group-averaged Gram form: the group acts orthogonally for
-    M, so s beats every other orbit point s' by (1/2)|s - s'|_M^2.  A point
-    whose margin is too small for that certificate (a near-duplicate, or
-    an orbit under a matrix set that is not a group) falls back to the
-    feasibility solver against the other points, as a Farkas certificate
-    or a convex combination.
+    returned list generates that set.  Every group element h preserves the
+    averaged Gram form M = mean_g g^T g (h^T M h = M), so the orbit lies on
+    one M-sphere, and a sphere is strictly convex: no orbit point lies in
+    the hull of the others.  The vertices are therefore the distinct orbit
+    points, taken in group order by the first-hit rule within ``ATOL``
+    (``_first_hits``).  No LP is solved.  A matrix set that fails
+    ``TheorySystem._isometric`` is refused with ``StructuralError``.
     """
     _require_state(rho, "rho")
+    _require_isometric(rho.system)
     orbit = _orbit(rho)
-    points = orbit[_first_hits(orbit, ATOL)]
-    if len(points) == 1:
-        return [points[0]]
-    vertex = _certified_vertices(points, rho.system.group_gram)
-    for i in np.flatnonzero(~vertex):
-        others = np.delete(points, i, axis=0)
-        vertex[i] = not feasible_convex_combination(others, points[i]).feasible
-    return list(points[vertex])
+    return list(orbit[_first_hits(orbit, ATOL)])
 
 
 def majorizes(p, q) -> bool:

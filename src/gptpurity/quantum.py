@@ -20,11 +20,11 @@ import numpy as np
 
 from .core import StructuralError, sums_to_one
 from .mixedness import _walk_witness, majorizes
-from .tolerances import (DEGENERACY_TOL, ENTROPY_FLOOR, EOF_ARMIJO, EOF_ARTANH_CLIP,
-                         EOF_CURVATURE_FLOOR, EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL,
-                         LEAD_TOL, MONOTONE_TOL, ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL,
-                         PSD_TOL, RANK_TOL, RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL,
-                         TIE_DECIMALS, TRACE_PRESERVING_TOL, UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
+from .tolerances import (ENTROPY_FLOOR, EOF_ARMIJO, EOF_ARTANH_CLIP, EOF_CURVATURE_FLOOR,
+                         EOF_FTOL, EOF_GTOL, EOF_WEIGHT_FLOOR, HERM_TOL, LEAD_TOL, MONOTONE_TOL,
+                         ORTHONORMAL_TOL, PHASE_FLOOR, PROTOCOL_TOL, PSD_TOL, RANK_TOL,
+                         RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL, TRACE_PRESERVING_TOL,
+                         UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
 
 #: pure members of an EoF ensemble (at least the rank of the state)
 EOF_MEMBERS = 6
@@ -69,30 +69,6 @@ def _lead_phases(vecs: np.ndarray) -> np.ndarray:
     return lead / np.hypot(lead.real, lead.imag)
 
 
-def _canonical_eig(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An eigendecomposition from ``eigh`` sorted by descending eigenvalue, deterministically.
-
-    Ties are broken by the lexicographic order of the rounded eigenvector
-    components; every eigenvector's first significant component is made
-    real positive.  The inputs are left as they are.
-    """
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    vecs = vecs / _lead_phases(vecs)
-    # order degenerate blocks by rounded components, compared column by
-    # column as the interleaved (real, imag) sequence
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and abs(vals[stop] - vals[start]) < DEGENERACY_TOL:
-            stop += 1
-        if stop - start > 1:
-            keys = np.ascontiguousarray(np.round(vecs[:, start:stop], TIE_DECIMALS).T).view(float)
-            vecs[:, start:stop] = vecs[:, start + np.lexsort(keys.T[::-1])]
-        start = stop
-    return vals, vecs
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -104,10 +80,12 @@ class DensityMatrix:
 
     The matrix is a read-only copy of the input.  The PSD check runs one
     ``eigh``, and the state keeps its eigenvalues (ascending, as ``eigh``
-    returns them) and eigenvectors, read-only: ``spectrum`` reads them, and
-    the canonical descending order with fixed phases and tie order is
-    derived from them on first use.  A marginal of a pure state is built
-    from that state's SVD instead and keeps the same two arrays.
+    returns them) and eigenvectors, read-only: ``spectrum``, the
+    purifications, EoF and the RaRe synthesis read them, in reverse for
+    descending order; any eigenbasis serves them, so no tie order or phase
+    is fixed.  A marginal of a pure state is built from that state's SVD
+    instead and keeps the same two arrays.  An empty matrix or a non-finite
+    entry is refused before any check runs.
     """
 
     matrix: np.ndarray
@@ -116,6 +94,10 @@ class DensityMatrix:
         m = _frozen(self.matrix, complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructuralError(f"density matrix must be square, got {m.shape}")
+        if m.size == 0:
+            raise StructuralError("density matrix must be non-empty")
+        if not np.isfinite(m).all():
+            raise StructuralError("density matrix has a non-finite entry")
         if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
             raise StructuralError(f"matrix is not Hermitian within {_sci(HERM_TOL)}")
         vals, vecs = np.linalg.eigh(m)
@@ -141,13 +123,6 @@ class DensityMatrix:
         rho._keep(matrix, vals, vecs)
         return rho
 
-    @cached_property
-    def _eig_desc(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues descending and their eigenvectors in canonical form, read-only."""
-        vals, vecs = _canonical_eig(self._eigenvalues, self._eigenvectors)
-        _read_only(vals, vecs)
-        return vals, vecs
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -169,7 +144,10 @@ class DensityMatrix:
     @staticmethod
     def pure(vec) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not (np.isfinite(norm) and norm > 0):
+            raise StructuralError(f"pure state vector needs a finite nonzero norm, got {norm}")
+        v = v / norm
         return DensityMatrix(np.outer(v, v.conj()))
 
     @staticmethod
@@ -178,6 +156,8 @@ class DensityMatrix:
 
     @staticmethod
     def maximally_mixed(d: int) -> "DensityMatrix":
+        if d < 1:
+            raise StructuralError(f"dimension must be positive, got {d}")
         return DensityMatrix(np.eye(d, dtype=complex) / d)
 
 
@@ -394,7 +374,7 @@ def purify(rho: DensityMatrix) -> PureBipartiteState:
     """Standard purification sum_i sqrt(p_i) |e_i>|i> on a twin-dimension system."""
     if not sums_to_one(rho.trace):
         raise StructuralError("purify requires a normalized density matrix")
-    vals, vecs = rho._eig_desc
+    vals, vecs = rho._eigenvalues[::-1], rho._eigenvectors[:, ::-1]
     m = vecs * np.sqrt(np.clip(vals, 0.0, None))
     return PureBipartiteState.from_matrix(m)
 
@@ -408,7 +388,7 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     """
     if not sums_to_one(rho.trace):
         raise StructuralError("symmetric_purify requires a normalized density matrix")
-    vals, vecs = rho._eig_desc
+    vals, vecs = rho._eigenvalues[::-1], rho._eigenvectors[:, ::-1]
     m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     return PureBipartiteState.from_matrix(m)
 
@@ -792,8 +772,8 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     relatively, or when none of its gradient entries exceeds ``EOF_GTOL``;
     the value is the lowest start's cost at its stop.  A rank-1 state (rank
     counted on the eigenvalues the state keeps) is pure: its value is the
-    cost of its top eigenpair, whose phase does not change it, and neither
-    the optimizer nor the canonical sort runs.
+    cost of its top eigenpair, whose phase does not change it, and the
+    optimizer does not run.
     """
     if rho.dim != 4:
         raise StructuralError("entanglement_of_formation supports 2x2 systems only")
@@ -803,8 +783,9 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     if r == 1:
         top = rho._eigenvectors[:, -1] * np.sqrt(rho._eigenvalues[-1])
         return float(_roof_cost(top[None, :])[0])
-    vals, vecs = rho._eig_desc
-    roots = (vecs[:, :r] * np.sqrt(vals[:r])).T     # (r, 4) subnormalized eigen-members
+    # the top r eigenpairs, each vector's first significant component made real positive
+    vals, vecs = rho._eigenvalues[::-1][:r], rho._eigenvectors[:, ::-1][:, :r]
+    roots = (vecs / _lead_phases(vecs) * np.sqrt(vals)).T     # (r, 4) subnormalized eigen-members
     m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(EOF_SEED)
     z0 = np.stack([np.eye(m, r)] + [

@@ -27,7 +27,8 @@ that look alike guard different quantities:
 # GPT systems, mixedness and the simplex
 # ---------------------------------------------------------------------------
 
-#: polytope and group identities: vertex and unit-effect matches, effect ranges
+#: polytope and group identities: vertex and unit-effect matches, effect ranges, orbit
+#: points, and h^T M h = M for the averaged Gram form M (scaled by max(1, max|M|))
 ATOL = 1e-9
 #: a group element with |det| below this is singular
 SINGULAR_DET_TOL = 1e-12
@@ -39,8 +40,6 @@ FEASIBILITY_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 #: inputs whose largest entry exceeds this are refused as ill-conditioned
 MAX_SCALE = 1e12
-#: normalised margin that certifies a hull vertex; above FEASIBILITY_TOL, so the LP agrees
-VERTEX_MARGIN = 10 * FEASIBILITY_TOL
 #: largest value of a normalised Farkas functional on any generator
 FARKAS_VIOLATION_TOL = 1e-7
 #: smallest value of a normalised Farkas functional on the target
@@ -79,10 +78,6 @@ ORTHONORMAL_TOL = 1e-10
 RANK_TOL = 1e-12
 #: singular values at or below this fraction of the largest are outside the row space
 RELATIVE_RANK_TOL = 1e-12
-#: eigenvalues closer than this form one degenerate block
-DEGENERACY_TOL = 1e-10
-#: decimals of the eigenvector components that order the vectors of a degenerate block
-TIE_DECIMALS = 8
 #: the first component above this sets a unit vector's phase (it is made real positive)
 LEAD_TOL = 1e-9
 #: a complex number below this in magnitude has no phase (taken as 1)

@@ -277,28 +277,164 @@ def _hull_cases():
 @pytest.mark.parametrize("name, rho", _hull_cases())
 def test_orbit_hull_matches_lp_definition_without_lp(name, rho, lp_calls):
     hull = mixedness.orbit_hull(rho)
-    assert lp_calls == []                    # every vertex certified by its margin
+    assert lp_calls == []                    # every distinct orbit point is a vertex
     expected = _hull_by_definition(rho)
     assert len(hull) == len(expected)
     # same points in the same order
     np.testing.assert_allclose(np.array(hull), np.array(expected), rtol=0, atol=1e-12)
 
 
-def test_orbit_hull_non_group_falls_back_to_lp(square_bit, lp_calls):
-    # four rotations and a contraction do not form a group: the contracted
-    # image lies inside the square spanned by the rotated ones
+def test_orbit_questions_refuse_a_set_that_is_not_a_group(square_bit, lp_calls):
+    # four rotations and a contraction do not form a group: the contraction
+    # does not preserve the averaged Gram form, so the orbit leaves the sphere
     shrink = np.diag([0.1, 0.1, 1.0])
     fake = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
                              pure_states=square_bit.pure_states,
                              extremal_effects=square_bit.extremal_effects,
                              group=square_bit.group[:4] + (shrink,))
+    assert not fake._isometric
     rho = fake.state([0.5, 0.2, 1.0])
+    with pytest.raises(core.StructuralError, match="averaged Gram form"):
+        mixedness.orbit_hull(rho)
+    with pytest.raises(core.StructuralError, match="averaged Gram form"):
+        mixedness.equally_mixed(rho, fake.state(square_bit.group[1] @ rho.vec))
+    assert lp_calls == []
+
+
+def _reflection_normal(g):
+    """Unit normal of the mirror of a reflection g acting on the first two coordinates."""
+    vals, vecs = np.linalg.eigh(g[:2, :2])
+    assert np.allclose(vals, [-1.0, 1.0])
+    return vecs[:, 0]
+
+
+def _near_symmetric_sweep():
+    """400 states per system, each near a point that a group element fixes,
+    as (system name, rho, index of that element), from one seeded generator.
+
+    Classical-3..5: two entries of a Dirichlet draw split by a gap of
+    10^U(-9.5, -5), swapped by the transposition of the two.  Square bit and
+    pentagon: a point of [-0.4, 0.4]^2 moved to gap/2 from a reflection's
+    mirror (group[4] for the square, a random odd index for the pentagon).
+    """
+    rng = np.random.default_rng(7)
+    cases = []
+    for n in (3, 4, 5):
+        system = core.make_classical(n)
+        for _ in range(400):
+            p = rng.dirichlet(np.ones(n))
+            i, j = rng.choice(n, size=2, replace=False)
+            gap = 10 ** rng.uniform(-9.5, -5)
+            mean = (p[i] + p[j]) / 2
+            p[i], p[j] = mean - gap / 2, mean + gap / 2
+            swap = np.arange(n)
+            swap[[i, j]] = swap[[j, i]]
+            k = system._permutation_index[tuple(swap.tolist())]
+            cases.append((system.name, system.state(p), k))
+    pentagon = core.system_from_dict(_pentagon_dict())
+    for system in (core.make_square_bit(), pentagon):
+        for _ in range(400):
+            k = 4 if system is not pentagon else 2 * int(rng.integers(5)) + 1
+            normal = _reflection_normal(system.group[k])
+            x = rng.uniform(-0.4, 0.4, size=2)
+            gap = 10 ** rng.uniform(-9.5, -5)
+            x += (gap / 2 - x @ normal) * normal
+            cases.append((system.name, system.state(np.append(x, 1.0)), k))
+    return cases
+
+
+def test_orbit_questions_on_a_near_symmetric_sweep(lp_calls):
+    # every orbit point is a vertex (the orbit lies on one sphere), so the hull
+    # is exactly the first-hit distinct points; on every tenth state HiGHS
+    # finds the two near-symmetric distinct points, rho and g rho (g rho only
+    # when it is not a near-repeat of rho), in their hull (one HiGHS solve
+    # takes about 3 ms, so every point of every state would take minutes);
+    # sigma = g rho is always found in the orbit, with its witness
+    names = set()
+    for t, (name, rho, k) in enumerate(_near_symmetric_sweep()):
+        names.add(name)
+        orbit = rho.system.group_array @ rho.vec
+        distinct = _first_hits_loop(orbit, core.ATOL)
+        hull = mixedness.orbit_hull(rho)
+        np.testing.assert_array_equal(np.array(hull), orbit[distinct])
+        for i in ({0, k} & set(distinct)) if t % 10 == 0 else ():
+            assert hull_membership_scipy(hull, orbit[i]), (name, rho.vec)
+        sigma = rho.system.state(orbit[k])
+        flag, witness = mixedness.equally_mixed(rho, sigma)
+        assert flag, (name, rho.vec)
+        assert np.max(np.abs(witness @ rho.vec - sigma.vec)) <= core.ATOL
+    assert names == {"classical-3", "classical-4", "classical-5", "square-bit", "pentagon-bit"}
+    assert lp_calls == []
+
+
+@pytest.mark.parametrize("vec", [[-0.003058153545617031, 0.002221877718167908, 1.0],
+                                 [0.5, 1e-9, 1.0]],
+                         ids=["short-hull", "weak-certificate"])
+def test_pentagon_orbit_hull_reproducers(vec, lp_calls):
+    # ten distinct orbit points, each a vertex; the parent's margin certificate
+    # and LP fallback kept 4 of them on the first and raised on the second
+    rho = core.system_from_dict(_pentagon_dict()).state(vec)
+    orbit = rho.system.group_array @ rho.vec
     hull = mixedness.orbit_hull(rho)
-    assert lp_calls == [4]                   # one LP, against the four other points
-    assert len(hull) == 4
-    assert all(np.max(np.abs(v - shrink @ rho.vec)) > 1e-3 for v in hull)
-    np.testing.assert_allclose(np.array(hull), np.array(_hull_by_definition(rho)),
-                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(np.array(hull), orbit[_first_hits_loop(orbit, core.ATOL)])
+    assert len(hull) == 10
+    assert lp_calls == []
+
+
+def test_equally_mixed_reproducer_on_a_pentagon_reflection(lp_calls):
+    pentagon = core.system_from_dict(_pentagon_dict())
+    rho = pentagon.state([-0.11378023420600876, -0.3501795526247793, 1.0])
+    sigma = pentagon.state(pentagon.group[4] @ rho.vec)
+    flag, witness = mixedness.equally_mixed(rho, sigma)
+    assert flag
+    assert np.max(np.abs(witness @ rho.vec - sigma.vec)) <= core.ATOL
+    assert lp_calls == []
+
+
+def test_equally_mixed_looks_up_both_orbits():
+    # a turn of the pentagon stretches max-norm distances: sigma sits 0.9 ATOL
+    # from g rho, but g^-1 sigma sits 1.13 ATOL from rho, so rho is not found in
+    # sigma's orbit and the pair is not reported equally mixed
+    pentagon = core.system_from_dict(_pentagon_dict())
+    rho = pentagon.state([0.3, 0.1, 1.0])
+    g = pentagon.group[2]                    # the turn by 72 degrees
+    sigma = pentagon.state(g @ rho.vec + np.array([0.9, 0.9, 0.0]) * core.ATOL)
+    assert np.max(np.abs(np.linalg.inv(g) @ sigma.vec - rho.vec)) > core.ATOL
+    assert mixedness.equally_mixed(rho, sigma) == (False, None)
+    flag, witness = mixedness.equally_mixed(rho, pentagon.state(g @ rho.vec))
+    assert flag and np.array_equal(witness, g)
+
+
+def _equally_mixed_by_lp(rho, sigma):
+    """Reference: each state more mixed than the other, by two orbit LPs."""
+    return (mixedness.more_mixed(rho, sigma).feasible
+            and mixedness.more_mixed(sigma, rho).feasible)
+
+
+@pytest.mark.parametrize("system", [core.make_square_bit(), core.system_from_dict(_pentagon_dict())],
+                         ids=lambda s: s.name)
+def test_equally_mixed_agrees_with_the_two_lp_definition(system):
+    # random pairs, group images, and turns by angles outside the group,
+    # which keep the Gram norm but leave the orbit
+    rng = np.random.default_rng(41)
+    verts = np.asarray(system.pure_states)
+    for trial in range(60):
+        rho = system.state(rng.dirichlet(np.ones(len(verts))) @ verts)
+        if trial % 3 == 0:
+            sigma = system.state(rng.dirichlet(np.ones(len(verts))) @ verts)
+        elif trial % 3 == 1:
+            sigma = system.state(system.group[rng.integers(len(system.group))] @ rho.vec)
+        else:
+            c, s = np.cos(t := rng.uniform(0.1, 0.5)), np.sin(t)
+            rho = system.state((rho.vec + system.invariant_vector) / 2)   # stays inside on turning
+            sigma = system.state(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1.0]]) @ rho.vec)
+        flag, witness = mixedness.equally_mixed(rho, sigma)
+        assert flag == _equally_mixed_by_lp(rho, sigma)
+        assert flag == (trial % 3 == 1)
+        if flag:
+            assert np.max(np.abs(witness @ rho.vec - sigma.vec)) <= core.ATOL
+        else:
+            assert witness is None
 
 
 def _invariant_cases():

@@ -244,6 +244,10 @@ def _state_space_entry_points():
     return {"more_mixed(rho)": lambda s: mixedness.more_mixed(s, s.system.state(s.vec)),
             "more_mixed(sigma)": lambda s: mixedness.more_mixed(
                 mixedness.invariant_state(s.system), s),
+            "equally_mixed(rho)": lambda s: mixedness.equally_mixed(
+                s, mixedness.invariant_state(s.system)),
+            "equally_mixed(sigma)": lambda s: mixedness.equally_mixed(
+                mixedness.invariant_state(s.system), s),
             "orbit_hull": mixedness.orbit_hull,
             "f_purity": lambda s: monotones.f_purity(s, f2),
             "measurement_entropy": monotones.measurement_entropy,

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,26 @@ def test_pure_state_refuses_nonpositive_dims():
             PureBipartiteState(dims, [1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: DensityMatrix(np.zeros((0, 0))), "non-empty"),
+    (lambda: DensityMatrix.maximally_mixed(0), "dimension must be positive"),
+    (lambda: DensityMatrix([[np.nan]]), "non-finite"),
+    (lambda: DensityMatrix([[np.inf, 0], [0, 0]]), "non-finite"),
+    (lambda: DensityMatrix.diagonal([np.nan, 1]), "non-finite"),
+    (lambda: DensityMatrix.pure(np.zeros(4)), "finite nonzero norm"),
+    (lambda: DensityMatrix.pure([np.inf, 0]), "finite nonzero norm"),
+    (lambda: DensityMatrix.pure([np.nan, 1]), "finite nonzero norm"),
+], ids=["empty", "maximally-mixed-0", "nan", "inf", "diagonal-nan", "pure-zero", "pure-inf",
+        "pure-nan"])
+def test_malformed_density_matrix_is_refused_in_one_line(make, match):
+    # never numpy's own error or a divide warning: each fault is named
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match=match) as info:
+            make()
+    assert "\n" not in str(info.value)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_schmidt_data_rebuilds_the_state(da, db, data):
@@ -164,11 +185,15 @@ def test_marginal_spectra_agree_on_random_states():
 
 
 def test_purify_marginal():
+    # degenerate spectra too: any eigenbasis the state keeps serves
     rng = np.random.default_rng(7)
-    for d in (2, 3, 4):
-        rho = random_density_matrix(d, rng)
-        psi = purify(rho)
-        np.testing.assert_allclose(marginals(psi)[0].matrix, rho.matrix, atol=1e-10)
+    states = [random_density_matrix(d, rng) for d in (2, 3, 4)]
+    states += [DensityMatrix.maximally_mixed(d) for d in (2, 3, 4)]
+    states += [werner(p) for p in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
+    for rho in states:
+        np.testing.assert_allclose(marginals(purify(rho))[0].matrix, rho.matrix, atol=1e-10)
+        for side in marginals(symmetric_purify(rho)):
+            np.testing.assert_allclose(side.matrix, rho.matrix, atol=1e-10)
 
 
 def test_purify_pure_state_gives_product():
@@ -637,66 +662,6 @@ def test_eof_of_a_rank1_state_is_the_entropy_of_its_top_eigenvector():
         top = np.linalg.eigh(rho.matrix)[1][:, -1]
         value = entanglement_of_formation(rho)
         assert abs(value - entanglement_entropy(PureBipartiteState((2, 2), top))) <= 1e-12
-        # read off the eigenpair the state keeps, without the canonical sort
-        assert "_eig_desc" not in vars(rho)
-
-
-def _eig_desc_loop(mat):
-    """The column-by-column form of quantum._canonical_eig on eigh(mat), kept as its reference."""
-    vals, vecs = np.linalg.eigh(mat)
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-9)
-        if idx.size:
-            phase = col[idx[0]] / abs(col[idx[0]])
-            vecs[:, k] = col / phase
-    start = 0
-    while start < vals.size:
-        stop = start + 1
-        while stop < vals.size and abs(vals[stop] - vals[start]) < 1e-10:
-            stop += 1
-        if stop - start > 1:
-            keys = [tuple(np.round(vecs[:, k], 8).view(float)) for k in range(start, stop)]
-            perm = sorted(range(stop - start), key=lambda i: keys[i])
-            vecs[:, start:stop] = vecs[:, [start + i for i in perm]]
-        start = stop
-    return vals, vecs
-
-
-def _eig_desc_cases():
-    rng = np.random.default_rng(23)
-    cases = [random_density_matrix(4, rng, rank=r).matrix
-             for r in (1, 1, 2, 2, 3, 3) for _ in range(4)]
-    cases += [random_density_matrix(3, rng, rank=r).matrix for r in (1, 2)]
-    cases += [np.eye(4, dtype=complex) / 4, np.eye(4), np.eye(3, dtype=complex)]
-    cases += [werner(p).matrix for p in (0.0, 0.2, 1 / 3, 0.5, 1.0)]
-    return cases
-
-
-def test_eig_desc_matches_column_loop_bit_for_bit():
-    for mat in _eig_desc_cases():
-        vals, vecs = quantum._canonical_eig(*np.linalg.eigh(mat))
-        ref_vals, ref_vecs = _eig_desc_loop(mat)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert vecs.dtype == ref_vecs.dtype
-        assert vecs.tobytes() == ref_vecs.tobytes()
-
-
-def test_eof_reads_the_eigen_ensemble_of_a_fresh_eigh_bit_for_bit():
-    # the states of acceptance criterion 6: EoF is a function of the canonical
-    # eigendecomposition, and the one each state keeps from its PSD check
-    # equals the column-loop reference on a fresh eigh of the matrix
-    rng = np.random.Generator(np.random.Philox(key=606060))
-    for _ in range(200):
-        rho = random_density_matrix(4, rng, rank=int(rng.integers(1, 5)))
-        vals, vecs = rho._eig_desc
-        ref_vals, ref_vecs = _eig_desc_loop(rho.matrix)
-        assert vals.tobytes() == ref_vals.tobytes()
-        assert vecs.tobytes() == ref_vecs.tobytes()
-        assert rho._eig_desc is rho._eig_desc
-        assert not vals.flags.writeable and not vecs.flags.writeable
 
 
 def test_eof_is_bit_identical_between_calls():
