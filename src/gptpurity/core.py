@@ -52,22 +52,23 @@ def _as_vector(x, n: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _as_matrices(xs, n: int, name: str) -> np.ndarray:
-    """Read-only ``(len(xs), n, n)`` copy of a sequence of n x n matrices, in one array."""
+def _as_stack(xs, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Read-only ``(len(xs), *shape)`` float copy of a sequence of vectors or matrices, in one array."""
     if not isinstance(xs, np.ndarray):
         xs = list(xs)
     try:
         stack = np.array(xs, dtype=float)
     except (ValueError, TypeError):
         stack = np.empty(0)
-    if stack.shape != (len(xs), n, n) or not np.isfinite(stack).all():
+    if stack.shape != (len(xs), *shape) or not np.isfinite(stack).all():
         for i, x in enumerate(xs):       # name the entry at fault
             entry = f"{name}[{i}]"
             m = _finite_array(x, entry)
-            if m.ndim != 2:
-                raise StructuralError(f"{entry} must be 2-dimensional, got shape {m.shape}")
-            if m.shape != (n, n):
-                raise StructuralError(f"{entry} has shape {m.shape}, expected {(n, n)}")
+            if m.ndim != len(shape):
+                raise StructuralError(f"{entry} must be {len(shape)}-dimensional, got shape {m.shape}")
+            if m.shape != shape:
+                raise StructuralError(f"{entry} has shape {m.shape}, expected {shape}")
+        stack = stack.reshape(0, *shape)     # every entry passed: the sequence is empty
     stack.flags.writeable = False
     return stack
 
@@ -76,17 +77,21 @@ def _as_matrices(xs, n: int, name: str) -> np.ndarray:
 class TheorySystem:
     """A finite GPT system: state space, effects and reversible group.
 
-    ``pure_states`` are the vertices of the normalized state polytope,
-    ``extremal_effects`` the normalized ray-extremal effects (pure effects)
-    possibly padded with the zero and unit effects, and ``group`` the finite
-    set of reversible transformations as ``dim x dim`` matrices.
+    Each datum is one read-only float array, which every reader uses as is:
+    ``pure_states`` (V, dim) holds the vertices of the normalized state
+    polytope as rows, ``extremal_effects`` (K, dim) the normalized
+    ray-extremal effects (pure effects), possibly padded with the zero and
+    unit effects, and ``group`` (G, dim, dim) the finite set of reversible
+    transformations as matrices.  The fields accept any sequence of rows
+    or matrices; a variant of a system is built with ``np.delete`` or
+    ``np.insert`` on its arrays.
     """
 
     dim: int
     unit_effect: np.ndarray
-    pure_states: tuple[np.ndarray, ...]
-    extremal_effects: tuple[np.ndarray, ...]
-    group: tuple[np.ndarray, ...]
+    pure_states: np.ndarray
+    extremal_effects: np.ndarray
+    group: np.ndarray
     name: str = "custom"
 
     def __post_init__(self):
@@ -94,24 +99,13 @@ class TheorySystem:
             raise StructuralError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "unit_effect", _as_vector(self.unit_effect, self.dim, "unit_effect"))
-        object.__setattr__(
-            self, "pure_states",
-            tuple(_as_vector(v, self.dim, f"pure_states[{i}]") for i, v in enumerate(self.pure_states)))
-        object.__setattr__(
-            self, "extremal_effects",
-            tuple(_as_vector(a, self.dim, f"extremal_effects[{i}]") for i, a in enumerate(self.extremal_effects)))
-        stack = _as_matrices(self.group, self.dim, "group")
-        object.__setattr__(self, "group", tuple(stack))
-        object.__setattr__(self, "_group_array", stack)
-        if not self.pure_states:
+        for field, shape in (("pure_states", (self.dim,)), ("extremal_effects", (self.dim,)),
+                             ("group", (self.dim, self.dim))):
+            object.__setattr__(self, field, _as_stack(getattr(self, field), shape, field))
+        if not len(self.pure_states):
             raise StructuralError("pure_states must be non-empty")
-        if not self.group:
+        if not len(self.group):
             raise StructuralError("group must be non-empty")
-
-    @property
-    def group_array(self) -> np.ndarray:
-        """The group as one read-only ``(|G|, dim, dim)`` array, in group order."""
-        return self._group_array
 
     @cached_property
     def group_gram(self) -> np.ndarray:
@@ -121,7 +115,7 @@ class TheorySystem:
         orthogonal for the inner product <x, y>_M = x^T M y, and every orbit
         lies on one M-sphere; ``_isometric`` checks the identity.
         """
-        rows = self.group_array.reshape(-1, self.dim)
+        rows = self.group.reshape(-1, self.dim)
         gram = rows.T @ rows / len(self.group)
         gram.flags.writeable = False
         return gram
@@ -130,7 +124,7 @@ class TheorySystem:
     def _isometric(self) -> bool:
         """Whether every element h satisfies h^T M h = M (``group_gram``) within
         ATOL, scaled by max(1, max|M|)."""
-        gram, stack = self.group_gram, self.group_array
+        gram, stack = self.group_gram, self.group
         moved = stack.transpose(0, 2, 1) @ gram @ stack
         return bool(np.max(np.abs(moved - gram)) <= ATOL * max(1.0, np.abs(gram).max()))
 
@@ -147,8 +141,8 @@ class TheorySystem:
         by every group element; otherwise ``StructuralError`` is raised, on
         every access, since a property that raises stores nothing.
         """
-        stack = self.group_array
-        averages = np.asarray(self.pure_states) @ stack.mean(axis=0).T
+        stack = self.group
+        averages = self.pure_states @ stack.mean(axis=0).T
         chi = averages[0]
         seeds = np.flatnonzero(np.max(np.abs(averages - chi), axis=1) > ATOL)
         if seeds.size:
@@ -175,11 +169,11 @@ class TheorySystem:
         if len(self.group) != math.factorial(n):
             return None
         eye = np.eye(n)
-        verts = np.asarray(self.pure_states)
-        rows = self.group_array.argmax(axis=2)
+        verts = self.pure_states
+        rows = self.group.argmax(axis=2)
         if not (np.array_equal(self.unit_effect, np.ones(n))
                 and np.array_equal(verts[np.argsort(verts.argmax(axis=1))], eye)
-                and np.array_equal(self.group_array, eye[rows])
+                and np.array_equal(self.group, eye[rows])
                 and np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n), rows.shape))):
             return None
         index = {tuple(row): k for k, row in enumerate(rows.tolist())}
@@ -188,12 +182,7 @@ class TheorySystem:
     @cached_property
     def _spans(self) -> bool:
         """Whether the pure states span R^dim, decided as ``validate_system`` decides it."""
-        return len(_spanning_rows(np.asarray(self.pure_states))) == self.dim
-
-    @cached_property
-    def _effect_array(self) -> np.ndarray:
-        """The extremal effects as the rows of one ``(K, dim)`` array."""
-        return np.reshape(self.extremal_effects, (-1, self.dim))
+        return len(_spanning_rows(self.pure_states)) == self.dim
 
     @cached_property
     def pure_measurements(self) -> tuple["Measurement", ...]:
@@ -379,8 +368,7 @@ def validate_system(sys: TheorySystem) -> list[str]:
     and the inverse of group[i] as argsort(perm[i]).
     """
     report: list[str] = []
-    verts = np.asarray(sys.pure_states)
-    group = sys.group_array
+    verts, group = sys.pure_states, sys.group
 
     images = np.matmul(group, verts.T).transpose(0, 2, 1)     # images[g, j] = g @ v_j
     close = np.stack([np.max(np.abs(images - w), axis=2) <= ATOL for w in verts], axis=2)
@@ -414,7 +402,7 @@ def validate_system(sys: TheorySystem) -> list[str]:
     else:
         report += _closure_report(perm, np.flatnonzero(~singular & matched & bijective), base)
 
-    values = np.reshape(sys.extremal_effects, (-1, sys.dim)) @ verts.T
+    values = sys.extremal_effects @ verts.T
     low, high = values.min(axis=1), values.max(axis=1)
     for i in np.flatnonzero((low < -ATOL) | (high > 1.0 + ATOL)):
         report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
@@ -437,8 +425,8 @@ def make_classical(n: int) -> TheorySystem:
     return TheorySystem(
         dim=n,
         unit_effect=np.ones(n),
-        pure_states=tuple(eye),
-        extremal_effects=tuple(eye),
+        pure_states=eye,
+        extremal_effects=eye,
         group=group,
         name=f"classical-{n}",
     )
@@ -471,9 +459,9 @@ def make_square_bit() -> TheorySystem:
     return TheorySystem(
         dim=3,
         unit_effect=unit,
-        pure_states=tuple(vertices),
-        extremal_effects=tuple(facets) + (np.zeros(3), unit),
-        group=tuple(group),
+        pure_states=vertices,
+        extremal_effects=facets + [np.zeros(3), unit],
+        group=group,
         name="square-bit",
     )
 
@@ -486,9 +474,9 @@ def system_to_dict(sys: TheorySystem) -> dict:
     return {
         "dim": sys.dim,
         "unit_effect": sys.unit_effect.tolist(),
-        "pure_states": [v.tolist() for v in sys.pure_states],
-        "extremal_effects": [a.tolist() for a in sys.extremal_effects],
-        "group": [u.tolist() for u in sys.group],
+        "pure_states": sys.pure_states.tolist(),
+        "extremal_effects": sys.extremal_effects.tolist(),
+        "group": sys.group.tolist(),
         "name": sys.name,
     }
 
@@ -503,9 +491,9 @@ def system_from_dict(data: dict, validate: bool = True) -> TheorySystem:
         sys = TheorySystem(
             dim=data["dim"],
             unit_effect=data["unit_effect"],
-            pure_states=tuple(data["pure_states"]),
-            extremal_effects=tuple(data["extremal_effects"]),
-            group=tuple(data["group"]),
+            pure_states=data["pure_states"],
+            extremal_effects=data["extremal_effects"],
+            group=data["group"],
             name=str(data.get("name", "custom")),
         )
     except KeyError as exc:

@@ -187,7 +187,7 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
     Birkhoff witness of a comparable pair misses its target by more than
     WITNESS_TOL or cannot be built ('witness_error').
     """
-    lp_verdict = feasible_convex_combination(system.group_array @ p, q).feasible
+    lp_verdict = feasible_convex_combination(system.group @ p, q).feasible
     maj_verdict = majorizes(p, q)
     ok = lp_verdict == maj_verdict
     verdicts = {"lp_verdict": lp_verdict, "majorizes": maj_verdict,

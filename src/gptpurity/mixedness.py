@@ -155,7 +155,7 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
 
 def _orbit(rho: GptState) -> np.ndarray:
     """The group images of rho as rows, in group order."""
-    return rho.system.group_array @ rho.vec
+    return rho.system.group @ rho.vec
 
 
 def _require_state(rho: GptState, name: str) -> None:
@@ -166,7 +166,7 @@ def _require_state(rho: GptState, name: str) -> None:
     """
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
-    values = rho.system._effect_array @ rho.vec
+    values = rho.system.extremal_effects @ rho.vec
     if (values < -ATOL).any():
         raise StructuralError(f"{name} lies outside the state space (effect {values.min():.3e})")
 

@@ -114,7 +114,7 @@ def measurement_entropy(rho) -> MonotoneReport:
     if isinstance(rho, DensityMatrix):
         if not sums_to_one(rho.trace):
             raise StructuralError("measurement_entropy requires a normalized state")
-        vals, vecs = rho._eigenvalues[::-1], rho._eigenvectors[:, ::-1]
+        vals, vecs = rho._eigenvalues, rho._eigenvectors
         witness = {"type": "projective-eigenbasis",
                    "basis": [vecs[:, k].tolist() for k in range(vecs.shape[1])]}
         return MonotoneReport("measurement-entropy", _entropy_bits(vals), witness)

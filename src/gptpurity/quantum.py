@@ -79,13 +79,13 @@ class DensityMatrix:
     """Hermitian PSD matrix with trace at most one.
 
     The matrix is a read-only copy of the input.  The PSD check runs one
-    ``eigh``, and the state keeps its eigenvalues (ascending, as ``eigh``
-    returns them) and eigenvectors, read-only: ``spectrum``, the
-    purifications, EoF and the RaRe synthesis read them, in reverse for
-    descending order; any eigenbasis serves them, so no tie order or phase
-    is fixed.  A marginal of a pure state is built from that state's SVD
-    instead and keeps the same two arrays.  An empty matrix or a non-finite
-    entry is refused before any check runs.
+    ``eigh``, and the state keeps its eigenvalues, descending (``eigh``'s
+    output reversed once), and their eigenvectors as columns in the same
+    order, read-only: ``spectrum``, the purifications, EoF and the RaRe
+    synthesis read them as they are; any eigenbasis serves them, so no tie
+    order or phase is fixed.  A marginal of a pure state is built from that
+    state's SVD instead and keeps the same two arrays.  An empty matrix or a
+    non-finite entry is refused before any check runs.
     """
 
     matrix: np.ndarray
@@ -101,8 +101,9 @@ class DensityMatrix:
         if not np.max(np.abs(m - m.conj().T)) <= HERM_TOL:
             raise StructuralError(f"matrix is not Hermitian within {_sci(HERM_TOL)}")
         vals, vecs = np.linalg.eigh(m)
-        if vals.min() < -PSD_TOL:
-            raise StructuralError(f"matrix has negative eigenvalue {vals.min():.3e}")
+        vals, vecs = vals[::-1], vecs[:, ::-1]
+        if vals[-1] < -PSD_TOL:
+            raise StructuralError(f"matrix has negative eigenvalue {vals[-1]:.3e}")
         tr = float(np.trace(m).real)
         # the trace and the weight it misses form a two-outcome distribution
         if not sums_to_one((tr, 1.0 - tr)):
@@ -118,7 +119,7 @@ class DensityMatrix:
     @classmethod
     def _factored(cls, matrix: np.ndarray, vals: np.ndarray,
                   vecs: np.ndarray) -> "DensityMatrix":
-        """A state PSD by construction, with its ascending eigenpairs given: no checks run."""
+        """A state PSD by construction, with its descending eigenpairs given: no checks run."""
         rho = object.__new__(cls)
         rho._keep(matrix, vals, vecs)
         return rho
@@ -139,7 +140,7 @@ class DensityMatrix:
 
         They come from the one decomposition the state keeps.
         """
-        return np.clip(self._eigenvalues[::-1], 0.0, None)
+        return np.clip(self._eigenvalues, 0.0, None)
 
     @staticmethod
     def pure(vec) -> "DensityMatrix":
@@ -203,18 +204,14 @@ class PureBipartiteState:
     @cached_property
     def _marginals(self) -> tuple[DensityMatrix, DensityMatrix]:
         # rho_A = m m^dag = U S^2 U^dag and rho_B = (m^dag m)^T = conj(V) S^2 V^T,
-        # so the eigenbases are U and conj(V) = (V^dag)^T and the spectra S^2
-        # padded with zeros; kept ascending, as eigh would return them
+        # so the eigenbases are U and conj(V) = (V^dag)^T and the spectra S^2,
+        # descending as the SVD returns them, padded with zeros at the end
         m = self.coefficient_matrix()
         u, s, vh = self._svd
-        def ascending(n):
-            vals = np.zeros(n)
-            vals[n - s.size:] = s[::-1] ** 2
-            return vals
-        da, db = self.dims
-        rho_a = DensityMatrix._factored(m @ m.conj().T, ascending(da), u[:, ::-1])
-        rho_b = DensityMatrix._factored(np.ascontiguousarray((m.conj().T @ m).T),
-                                        ascending(db), vh.T[:, ::-1])
+        vals_a, vals_b = np.zeros(self.dims[0]), np.zeros(self.dims[1])
+        vals_a[:s.size] = vals_b[:s.size] = s ** 2
+        rho_a = DensityMatrix._factored(m @ m.conj().T, vals_a, u)
+        rho_b = DensityMatrix._factored(np.ascontiguousarray((m.conj().T @ m).T), vals_b, vh.T)
         return rho_a, rho_b
 
     @cached_property
@@ -374,8 +371,7 @@ def purify(rho: DensityMatrix) -> PureBipartiteState:
     """Standard purification sum_i sqrt(p_i) |e_i>|i> on a twin-dimension system."""
     if not sums_to_one(rho.trace):
         raise StructuralError("purify requires a normalized density matrix")
-    vals, vecs = rho._eigenvalues[::-1], rho._eigenvectors[:, ::-1]
-    m = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    m = rho._eigenvectors * np.sqrt(rho.spectrum())
     return PureBipartiteState.from_matrix(m)
 
 
@@ -388,8 +384,8 @@ def symmetric_purify(rho: DensityMatrix) -> PureBipartiteState:
     """
     if not sums_to_one(rho.trace):
         raise StructuralError("symmetric_purify requires a normalized density matrix")
-    vals, vecs = rho._eigenvalues[::-1], rho._eigenvectors[:, ::-1]
-    m = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+    vecs = rho._eigenvectors
+    m = (vecs * np.sqrt(rho.spectrum())) @ vecs.T
     return PureBipartiteState.from_matrix(m)
 
 
@@ -481,7 +477,7 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
     if not majorizes(q, p):
         raise StructuralError("precondition failed: spectrum of source must majorize target")
     # eigenvectors in spectrum (descending) order
-    v, w = rho._eigenvectors[:, ::-1], source._eigenvectors[:, ::-1]
+    v, w = rho._eigenvectors, source._eigenvectors
     # sum_perm weight * q[perm] = p, so U = V P W^dag with P[i, perm[i]] = 1
     terms, _ = _walk_witness(q, p, tuple)
     out = [(weight, v @ w[:, list(perm)].conj().T) for weight, perm in terms]
@@ -781,10 +777,10 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
         raise StructuralError("state must be normalized")
     r = int(np.count_nonzero(rho._eigenvalues > RANK_TOL))
     if r == 1:
-        top = rho._eigenvectors[:, -1] * np.sqrt(rho._eigenvalues[-1])
+        top = rho._eigenvectors[:, 0] * np.sqrt(rho._eigenvalues[0])
         return float(_roof_cost(top[None, :])[0])
     # the top r eigenpairs, each vector's first significant component made real positive
-    vals, vecs = rho._eigenvalues[::-1][:r], rho._eigenvectors[:, ::-1][:, :r]
+    vals, vecs = rho._eigenvalues[:r], rho._eigenvectors[:, :r]
     roots = (vecs / _lead_phases(vecs) * np.sqrt(vals)).T     # (r, 4) subnormalized eigen-members
     m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(EOF_SEED)

@@ -75,9 +75,9 @@ def test_group_acts_as_bijection_on_vertices(square_bit):
 
 
 def test_measurement_probabilities_sum_to_one(square_bit):
-    effects = tuple(core.Effect(square_bit, a)
-                    for a in square_bit.extremal_effects[:1] + square_bit.extremal_effects[2:3])
+    effects = tuple(core.Effect(square_bit, a) for a in square_bit.extremal_effects[[0, 2]])
     meas = core.Measurement(effects)
+    assert len(meas.effects) == 2
     rng = np.random.default_rng(0)
     for _ in range(50):
         mix = rng.dirichlet(np.ones(4))
@@ -124,6 +124,30 @@ def test_constructors_copy_caller_arrays(square_bit):
         system.group[0][0, 0] = 2.0
 
 
+def test_fields_are_single_read_only_arrays(tmp_path):
+    import json
+    from test_user_system import _pentagon_dict
+
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(_pentagon_dict()))
+    for system, n_vertices, n_effects, n_group in ((core.make_classical(3), 3, 3, 6),
+                                                   (core.make_square_bit(), 4, 6, 8),
+                                                   (core.load_system(str(path)), 5, 12, 10)):
+        d = system.dim
+        for field, shape in (("pure_states", (n_vertices, d)),
+                             ("extremal_effects", (n_effects, d)),
+                             ("group", (n_group, d, d))):
+            stored = getattr(system, field)
+            assert type(stored) is np.ndarray and stored.dtype == float, (system.name, field)
+            assert stored.shape == shape, (system.name, field)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+    empty = core.TheorySystem(dim=2, unit_effect=np.ones(2), pure_states=np.eye(2),
+                              extremal_effects=[], group=[np.eye(2)])
+    assert empty.extremal_effects.shape == (0, 2)
+    assert not empty.extremal_effects.flags.writeable
+
+
 def test_measurement_sum_has_no_relative_slack():
     # the old default rtol=1e-5 accepted these and gave probabilities [1.000009, 0]
     c2 = core.make_classical(2)
@@ -162,7 +186,7 @@ def _reference_validate_system(sys, atol=core.ATOL):
         residual = np.max(np.abs(sys.unit_effect @ u - sys.unit_effect))
         if residual > atol:
             report.append(f"group[{i}] does not preserve the unit effect (residual {residual:.3e})")
-    stacked = sys.group_array
+    stacked = sys.group
     key_of = {np.round(u, 6).tobytes(): k for k, u in enumerate(sys.group)}
 
     def lookup(mat):
@@ -216,10 +240,10 @@ def _seeded_systems(seed):
         "square": square,
         "pentagon": pentagon,
         "s3-minus-transposition":
-            _with(trit, group=trit.group[:dropped] + trit.group[dropped + 1:]),
+            _with(trit, group=np.delete(trit.group, dropped, axis=0)),
         "pentagon-tenth-turn":
-            _with(pentagon, group=pentagon.group[:at] + (tenth,) + pentagon.group[at:]),
-        "duplicated-element": _with(square, group=square.group + (square.group[twice],)),
+            _with(pentagon, group=np.insert(pentagon.group, at, tenth, axis=0)),
+        "duplicated-element": _with(square, group=square.group[np.r_[:len(square.group), twice]]),
         "scaled-element": _with(square, group=tuple(scaled)),
         "effect-out-of-range": _with(square, extremal_effects=tuple(effects)),
     }
@@ -245,7 +269,7 @@ def test_validate_system_matches_reference(seed):
 
 
 def test_validate_system_reports_repeated_element(square_bit):
-    repeated = _with(square_bit, group=square_bit.group + (square_bit.group[1],))
+    repeated = _with(square_bit, group=square_bit.group[np.r_[:8, 1]])
     assert core.validate_system(repeated) == ["group[8] repeats group[1]"]
 
 

@@ -229,12 +229,12 @@ def test_first_hits_matches_loop_form():
     cases = [_near_duplicate_chains(rng, atol) for atol in (core.ATOL, 0.1) for _ in range(5)]
     cases += [rng.integers(0, 4, size=(60, 2)) * 0.05 for _ in range(5)]   # ties at atol
     for n in (3, 4, 5, 6):
-        group = core.make_classical(n).group_array
+        group = core.make_classical(n).group
         cases.append(group @ rng.dirichlet(np.ones(n)))
         cases.append(group @ np.resize(np.repeat(rng.dirichlet(np.ones(3)) / 2, 2), n))
     for system in (core.make_square_bit(), core.system_from_dict(_pentagon_dict())):
-        cases.append(system.group_array @ np.append(rng.uniform(-0.3, 0.3, 2), 1.0))
-        cases.append(system.group_array @ np.array([0.0, 0.0, 1.0]))
+        cases.append(system.group @ np.append(rng.uniform(-0.3, 0.3, 2), 1.0))
+        cases.append(system.group @ np.array([0.0, 0.0, 1.0]))
     for atol in (core.ATOL, 0.05, 0.1):
         for points in cases:
             assert mixedness._first_hits(points, atol) == _first_hits_loop(points, atol)
@@ -291,7 +291,7 @@ def test_orbit_questions_refuse_a_set_that_is_not_a_group(square_bit, lp_calls):
     fake = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
                              pure_states=square_bit.pure_states,
                              extremal_effects=square_bit.extremal_effects,
-                             group=square_bit.group[:4] + (shrink,))
+                             group=np.insert(square_bit.group[:4], 4, shrink, axis=0))
     assert not fake._isometric
     rho = fake.state([0.5, 0.2, 1.0])
     with pytest.raises(core.StructuralError, match="averaged Gram form"):
@@ -353,7 +353,7 @@ def test_orbit_questions_on_a_near_symmetric_sweep(lp_calls):
     names = set()
     for t, (name, rho, k) in enumerate(_near_symmetric_sweep()):
         names.add(name)
-        orbit = rho.system.group_array @ rho.vec
+        orbit = rho.system.group @ rho.vec
         distinct = _first_hits_loop(orbit, core.ATOL)
         hull = mixedness.orbit_hull(rho)
         np.testing.assert_array_equal(np.array(hull), orbit[distinct])
@@ -374,7 +374,7 @@ def test_pentagon_orbit_hull_reproducers(vec, lp_calls):
     # ten distinct orbit points, each a vertex; the parent's margin certificate
     # and LP fallback kept 4 of them on the first and raised on the second
     rho = core.system_from_dict(_pentagon_dict()).state(vec)
-    orbit = rho.system.group_array @ rho.vec
+    orbit = rho.system.group @ rho.vec
     hull = mixedness.orbit_hull(rho)
     np.testing.assert_array_equal(np.array(hull), orbit[_first_hits_loop(orbit, core.ATOL)])
     assert len(hull) == 10
@@ -471,7 +471,7 @@ def test_rare_image_is_certified_more_mixed(system, data):
     sigma = channel.apply(rho)
     cert = mixedness.more_mixed(rho, sigma)
     assert cert.feasible
-    rebuilt = cert.weights @ (system.group_array @ rho.vec)
+    rebuilt = cert.weights @ (system.group @ rho.vec)
     assert np.max(np.abs(rebuilt - sigma.vec)) <= mixedness.RESIDUAL_TOL
 
 
@@ -761,7 +761,7 @@ def test_classical_more_mixed_is_majorization_with_a_walk_witness(n, lp_calls):
         if cert.feasible:
             assert cert.weights.shape == (len(system.group),)
             assert np.count_nonzero(cert.weights) <= n
-            rebuilt = cert.weights @ (system.group_array @ p)
+            rebuilt = cert.weights @ (system.group @ p)
             assert np.max(np.abs(rebuilt - q)) <= cert.residual + 1e-15
             assert cert.residual <= mixedness.WITNESS_TOL
         else:
@@ -784,7 +784,7 @@ def test_classical_more_mixed_keeps_every_orbit_lp_verdict():
         for p, q in _classical_pairs(rng, n, 40):
             cert = mixedness.more_mixed(system.state(p), system.state(q))
             try:
-                lp = mixedness.feasible_convex_combination(system.group_array @ p, q)
+                lp = mixedness.feasible_convex_combination(system.group @ p, q)
             except mixedness.IllConditionedError:
                 raised += 1
                 continue
@@ -818,7 +818,7 @@ def test_classical_more_mixed_takes_states_the_state_check_accepts():
             q *= 1 + rng.uniform(-0.9, 0.9) * core.ATOL
             cert = mixedness.more_mixed(system.state(p), system.state(q))
             assert cert.feasible
-            rebuilt = cert.weights @ (system.group_array @ p)
+            rebuilt = cert.weights @ (system.group @ p)
             assert np.max(np.abs(rebuilt - q)) <= cert.residual + 1e-15 <= 4 * core.ATOL
 
 
@@ -852,7 +852,7 @@ def test_classical_more_mixed_weights_index_a_shuffled_group():
     p, q = np.array([0.5, 0.3, 0.15, 0.05]), np.array([0.2, 0.25, 0.3, 0.25])
     cert = mixedness.more_mixed(system.state(p), system.state(q))
     assert cert.feasible
-    rebuilt = cert.weights @ (system.group_array @ p)
+    rebuilt = cert.weights @ (system.group @ p)
     assert np.max(np.abs(rebuilt - q)) <= mixedness.WITNESS_TOL
 
 
@@ -884,7 +884,7 @@ def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
     doubled = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
                                 pure_states=trit.pure_states,
                                 extremal_effects=trit.extremal_effects,
-                                group=trit.group[:-1] + trit.group[:1])
+                                group=trit.group[np.r_[:5, 0]])
     assert doubled._permutation_index is None
 
 
@@ -897,7 +897,7 @@ def test_rare_channel_from_certificate(square_bit):
         rho, sigma = system.state([*x, 1.0]), system.state([*y, 1.0])
         cert = mixedness.more_mixed(rho, sigma)
         assert cert.feasible and system._permutation_index is None
-        rebuilt = cert.weights @ (system.group_array @ rho.vec)
+        rebuilt = cert.weights @ (system.group @ rho.vec)
         assert np.max(np.abs(rebuilt - sigma.vec)) <= mixedness.WITNESS_TOL
 
 

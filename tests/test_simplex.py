@@ -118,7 +118,7 @@ def _assert_phase1_matches_reference(monkeypatch, a, b, ties=None):
 
 def _orbit_lp(system, rho, sigma):
     """The phase-1 system of more_mixed(rho, sigma), scaled as the caller does."""
-    orbit = system.group_array @ rho
+    orbit = system.group @ rho
     scale = max(np.abs(orbit).max(), np.abs(sigma).max(), 1.0)
     a = np.vstack([np.ascontiguousarray(orbit.T), np.ones(len(orbit))]) / scale
     return a, np.append(sigma, 1.0) / scale
@@ -137,7 +137,7 @@ def test_phase1_matches_reference_on_orbit_lps(system, monkeypatch):
     for _ in range(6):
         rho = rng.dirichlet(np.ones(len(verts))) @ verts
         picks = rng.choice(len(system.group), size=min(4, len(system.group)), replace=False)
-        rare = rng.dirichlet(np.ones(len(picks))) @ (system.group_array[picks] @ rho)
+        rare = rng.dirichlet(np.ones(len(picks))) @ (system.group[picks] @ rho)
         sharper = 0.5 * (rho + verts[rng.integers(len(verts))])
         for sigma in (rare, rng.dirichlet(np.ones(len(verts))) @ verts, sharper):
             verdicts.append(_assert_phase1_matches_reference(
@@ -154,7 +154,7 @@ def test_phase1_matches_reference_on_degenerate_orbits(monkeypatch):
             vals = rng.dirichlet(np.ones(n // 2))
             rho = rng.permutation(np.resize(np.repeat(vals / 2, 2), n))
             rho /= rho.sum()
-            cases += [(system, rho, system.group_array[k] @ rho)
+            cases += [(system, rho, system.group[k] @ rho)
                       for k in rng.choice(len(system.group), 2)]
             cases.append((system, rho, np.full(n, 1.0 / n)))
             cases.append((system, rho, rng.dirichlet(np.ones(n))))

@@ -137,8 +137,13 @@ def test_spectrum_is_the_kept_decomposition_bit_for_bit():
     for d in range(1, 6):
         for rank in range(1, d + 1):
             m = random_density_matrix(d, rng, rank).matrix.copy()
-            expected = np.clip(np.linalg.eigh(m)[0][::-1], 0.0, None)
-            assert DensityMatrix(m).spectrum().tobytes() == expected.tobytes()
+            vals, vecs = np.linalg.eigh(m)
+            rho = DensityMatrix(m)
+            # the state keeps eigh's eigenpairs reversed once: descending, columns alike
+            assert (np.diff(rho._eigenvalues) <= 0).all()
+            assert rho._eigenvalues.tobytes() == vals[::-1].tobytes()
+            assert rho._eigenvectors.tobytes() == vecs[:, ::-1].tobytes()
+            assert rho.spectrum().tobytes() == np.clip(vals[::-1], 0.0, None).tobytes()
         psi = random_pure_state((d, d + 1), rng)
         for rho in marginals(psi):
             weights = schmidt_decompose(psi).squared()
@@ -183,6 +188,9 @@ def test_factored_marginals_are_the_partial_traces_and_their_eigenbases(psi):
         assert rho.matrix.shape == (rho.dim, rho.dim)
         assert np.max(np.abs(rho.matrix - reference)) <= 1e-10
         vecs = rho._eigenvectors
+        assert (np.diff(rho._eigenvalues) <= 0).all()
+        # a side wider than the other pads the squared Schmidt weights with zeros at the end
+        assert not rho._eigenvalues[min(psi.dims):].any()
         assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(rho.dim))) <= ORTHONORMAL_TOL
         # the kept eigenbasis diagonalizes the matrix, with the kept eigenvalues
         assert np.max(np.abs(vecs.conj().T @ rho.matrix @ vecs
