@@ -175,12 +175,7 @@ def _cmd_make_square_bit(args):
 def _gpt_state(system: core.TheorySystem, text: str, flag: str) -> core.GptState:
     """Parse a state of ``system``; one outside its state space is refused."""
     state = system.state(_parse_vector(text))
-    try:
-        inside = mixedness.validate_state(state).feasible
-    except mixedness.IllConditionedError as exc:
-        raise UsageError(f"{flag} cannot be placed in the state space: {exc}") from exc
-    if not inside:
-        raise UsageError(f"{flag} lies outside the state space of {system.name}")
+    mixedness.validate_state(state, flag)
     return state
 
 

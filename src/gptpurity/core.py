@@ -2,10 +2,10 @@
 
 A system is described by a real vector space of dimension ``dim`` holding
 state vectors, together with the unit (deterministic) effect, the vertices
-of the normalized state polytope, a list of extremal effects, and a finite
-group of reversible transformations given as explicit matrices.  Group
-elements, effects and measurements all act linearly on state vectors, so
-composition is plain matrix algebra.
+of the normalized state polytope, and a finite group of reversible
+transformations given as explicit matrices.  The pure effects follow from
+the vertices.  Group elements, effects and measurements all act linearly
+on state vectors, so composition is plain matrix algebra.
 
 States carry an explicit normalization coordinate (the value of the unit
 effect), which keeps the group action linear instead of affine.
@@ -79,18 +79,16 @@ class TheorySystem:
 
     Each datum is one read-only float array, which every reader uses as is:
     ``pure_states`` (V, dim) holds the vertices of the normalized state
-    polytope as rows, ``extremal_effects`` (K, dim) the normalized
-    ray-extremal effects (pure effects), possibly padded with the zero and
-    unit effects, and ``group`` (G, dim, dim) the finite set of reversible
-    transformations as matrices.  The fields accept any sequence of rows
-    or matrices; a variant of a system is built with ``np.delete`` or
-    ``np.insert`` on its arrays.
+    polytope as rows, and ``group`` (G, dim, dim) the finite set of
+    reversible transformations as matrices.  The fields accept any sequence
+    of rows or matrices; a variant of a system is built with ``np.delete``
+    or ``np.insert`` on its arrays.  The pure effects are not an input:
+    ``extremal_effects`` derives them from the vertices.
     """
 
     dim: int
     unit_effect: np.ndarray
     pure_states: np.ndarray
-    extremal_effects: np.ndarray
     group: np.ndarray
     name: str = "custom"
 
@@ -99,8 +97,7 @@ class TheorySystem:
             raise StructuralError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "unit_effect", _as_vector(self.unit_effect, self.dim, "unit_effect"))
-        for field, shape in (("pure_states", (self.dim,)), ("extremal_effects", (self.dim,)),
-                             ("group", (self.dim, self.dim))):
+        for field, shape in (("pure_states", (self.dim,)), ("group", (self.dim, self.dim))):
             object.__setattr__(self, field, _as_stack(getattr(self, field), shape, field))
         if not len(self.pure_states):
             raise StructuralError("pure_states must be non-empty")
@@ -185,19 +182,54 @@ class TheorySystem:
         return len(_spanning_rows(self.pure_states)) == self.dim
 
     @cached_property
+    def extremal_effects(self) -> np.ndarray:
+        """The pure effects, one read-only (K, dim) array: the facet functionals of the
+        pure states' hull, each scaled to read 1 at its top.
+
+        Pure measurements have atomic (ray-extremal) effects (Chiribella,
+        D'Ariano & Perinotti, Phys. Rev. A 84, 012311, 2011); on a polytope
+        these are its facet functionals.  A candidate is the cofactor normal
+        of ``dim - 1`` pure states (in dim 3, their cross product), signed so
+        that its top outweighs its lowest value on the pure states, and kept
+        when none reads below -ATOL times its top.  One is kept per set of
+        pure states it vanishes on (at most ATOL, scaled), if that set has
+        rank ``dim - 1`` or more, in the order of those sets.
+        Cofactors are exact on integer and dyadic data: classical-n gives
+        eye(n).  The shape is (0, dim) for dim 1, and for pure states that
+        do not span R^dim.
+        """
+        dim, verts = self.dim, self.pure_states
+        effects = np.empty((0, dim))
+        if dim > 1 and self._spans:
+            rows = verts[list(itertools.combinations(range(len(verts)), dim - 1))]
+            normals = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
+                                for j in range(dim)], axis=1)
+            values = normals @ verts.T
+            sign = np.where(values.max(axis=1) + values.min(axis=1) >= 0.0, 1.0, -1.0)[:, None]
+            normals *= sign
+            values *= sign
+            top = values.max(axis=1)
+            keep = np.flatnonzero((top > 0.0) & (values.min(axis=1) >= -ATOL * top))
+            zeros, first = np.unique(values[keep] <= ATOL * top[keep, None], axis=0,
+                                     return_index=True)
+            facets = keep[[k for zero, k in zip(zeros, first)
+                           if np.linalg.matrix_rank(verts[zero]) >= dim - 1]]
+            effects = normals[facets] / top[facets, None] + 0.0     # + 0.0 clears -0.0
+        effects.flags.writeable = False
+        return effects
+
+    @cached_property
     def pure_measurements(self) -> tuple["Measurement", ...]:
         """The vertices of the measurement polytope, as measurements.
 
-        A measurement built from the pure effects a_1..a_K (the extremal
-        effects other than the zero and unit effects) is a weight vector
-        c >= 0 with sum_i c_i a_i = u.  Its vertices are the basic solutions:
+        A measurement built from the pure effects a_1..a_K (``extremal_effects``)
+        is a weight vector c >= 0 with sum_i c_i a_i = u.  Its vertices are the basic solutions:
         a support S of at most ``dim`` linearly independent effects (full
         numerical rank of the Gram matrix A_S^T A_S) with A_S c = u and every
         weight above ``ATOL``.  A support with a weight at or below ``ATOL``
         is skipped, since a smaller support gives the same measurement.
         """
-        effects = [a for a in self.extremal_effects
-                   if np.max(np.abs(a)) > ATOL and np.max(np.abs(a - self.unit_effect)) > ATOL]
+        effects = self.extremal_effects
         found = []
         for size in range(1, min(self.dim, len(effects)) + 1):
             for support in itertools.combinations(effects, size):
@@ -401,12 +433,6 @@ def validate_system(sys: TheorySystem) -> list[str]:
         report.append("pure_states do not span the state space")
     else:
         report += _closure_report(perm, np.flatnonzero(~singular & matched & bijective), base)
-
-    values = sys.extremal_effects @ verts.T
-    low, high = values.min(axis=1), values.max(axis=1)
-    for i in np.flatnonzero((low < -ATOL) | (high > 1.0 + ATOL)):
-        report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
-                      f"(range [{low[i]:.3e}, {high[i]:.3e}])")
     return report
 
 
@@ -426,7 +452,6 @@ def make_classical(n: int) -> TheorySystem:
         dim=n,
         unit_effect=np.ones(n),
         pure_states=eye,
-        extremal_effects=eye,
         group=group,
         name=f"classical-{n}",
     )
@@ -436,18 +461,12 @@ def make_square_bit() -> TheorySystem:
     """Square-state-space system with the dihedral symmetry group of order 8.
 
     Coordinates are (x, y, t) where t is the normalization component; the
-    normalized states are the square [-1, 1]^2 at t = 1.  The extremal
-    effects are the four facet effects (value 1 on one edge, 0 on the
-    opposite edge) together with the zero and unit effects.
+    normalized states are the square [-1, 1]^2 at t = 1.  Its pure effects
+    (``extremal_effects``) are the four facet effects (+-x + 1)/2 and
+    (+-y + 1)/2, each 1 on one edge and 0 on the opposite edge.
     """
     unit = np.array([0.0, 0.0, 1.0])
     vertices = [np.array([sx, sy, 1.0]) for sx, sy in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
-    facets = [
-        np.array([0.5, 0.0, 0.5]),    # x = +1 edge
-        np.array([0.0, 0.5, 0.5]),    # y = +1 edge
-        np.array([-0.5, 0.0, 0.5]),   # x = -1 edge
-        np.array([0.0, -0.5, 0.5]),   # y = -1 edge
-    ]
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     planar = [np.linalg.matrix_power(rot, k) for k in range(4)]
     planar += [np.diag([1.0, -1.0]) @ r for r in planar]  # reflections
@@ -460,7 +479,6 @@ def make_square_bit() -> TheorySystem:
         dim=3,
         unit_effect=unit,
         pure_states=vertices,
-        extremal_effects=facets + [np.zeros(3), unit],
         group=group,
         name="square-bit",
     )
@@ -475,24 +493,23 @@ def system_to_dict(sys: TheorySystem) -> dict:
         "dim": sys.dim,
         "unit_effect": sys.unit_effect.tolist(),
         "pure_states": sys.pure_states.tolist(),
-        "extremal_effects": sys.extremal_effects.tolist(),
         "group": sys.group.tolist(),
         "name": sys.name,
     }
 
 
 def system_from_dict(data: dict, validate: bool = True) -> TheorySystem:
+    """The system a theory definition describes; an old ``extremal_effects`` key is ignored."""
     if not isinstance(data, dict):
         raise StructuralError(f"theory definition must be an object, got {type(data).__name__}")
     try:
-        for key in ("pure_states", "extremal_effects", "group"):
+        for key in ("pure_states", "group"):
             if not isinstance(data[key], list):
                 raise StructuralError(f"{key} must be a list, got {type(data[key]).__name__}")
         sys = TheorySystem(
             dim=data["dim"],
             unit_effect=data["unit_effect"],
             pure_states=data["pure_states"],
-            extremal_effects=data["extremal_effects"],
             group=data["group"],
             name=str(data.get("name", "custom")),
         )

@@ -158,11 +158,12 @@ def _orbit(rho: GptState) -> np.ndarray:
     return rho.system.group @ rho.vec
 
 
-def _require_state(rho: GptState, name: str) -> None:
-    """Refuse a vector outside the state space: unnormalized, or below -ATOL on an effect.
+def validate_state(rho: GptState, name: str = "state") -> None:
+    """Refuse a vector outside the state space, with ``StructuralError`` naming it ``name``.
 
-    Exact when the extremal effects include every facet effect; every state
-    of a validated system passes.
+    It must be normalized, and no pure effect (``TheorySystem.extremal_effects``, the facet
+    functionals of the pure states' hull) may read below -ATOL on it.  No LP is solved, and
+    the check is exact wherever the pure states span R^dim.
     """
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
@@ -195,8 +196,8 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
-    _require_state(rho, "rho")
-    _require_state(sigma, "sigma")
+    validate_state(rho, "rho")
+    validate_state(sigma, "sigma")
     index = rho.system._permutation_index
     if index is None:
         return feasible_convex_combination(_orbit(rho), sigma.vec)
@@ -221,8 +222,8 @@ def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | No
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
-    _require_state(rho, "rho")
-    _require_state(sigma, "sigma")
+    validate_state(rho, "rho")
+    validate_state(sigma, "sigma")
     _require_isometric(rho.system)
     hits = np.flatnonzero(np.max(np.abs(_orbit(rho) - sigma.vec), axis=1) <= ATOL)
     if not hits.size or not (np.max(np.abs(_orbit(sigma) - rho.vec), axis=1) <= ATOL).any():
@@ -287,7 +288,7 @@ def orbit_hull(rho: GptState) -> list[np.ndarray]:
     (``_first_hits``).  No LP is solved.  A matrix set that fails
     ``TheorySystem._isometric`` is refused with ``StructuralError``.
     """
-    _require_state(rho, "rho")
+    validate_state(rho, "rho")
     _require_isometric(rho.system)
     orbit = _orbit(rho)
     return list(orbit[_first_hits(orbit, ATOL)])
@@ -413,10 +414,3 @@ def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     system = _classical(p.shape[0])
     entries, _ = _walk_witness(p, q, system._permutation_index.__getitem__)
     return RaReChannel(system, tuple(sorted(entries)))
-
-
-def validate_state(rho: GptState) -> FeasibilityCertificate:
-    """Certificate that a normalized state lies in the pure-state hull: the exact membership LP."""
-    if not rho.is_normalized():
-        raise StructuralError(f"state is not normalized (norm {rho.norm:.6f})")
-    return feasible_convex_combination(rho.system.pure_states, rho.vec)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import GptState, Measurement, StructuralError, TheorySystem, sums_to_one
-from .mixedness import RaReChannel, _require_state
+from .mixedness import RaReChannel, validate_state
 from .quantum import DensityMatrix, _entropy_bits
 from .tolerances import CONVEXITY_TOL, MAX_GRAM_CONDITION, MONOTONE_TOL
 
@@ -94,7 +94,7 @@ def f_purity(rho: GptState, f: ConvexScalarFn) -> MonotoneReport:
     """
     if not f.convex or f(0.0) != 0.0:
         raise ValueError(f"the {f.tag}-purity needs a convex f with f(0) = 0")
-    _require_state(rho, "rho")
+    validate_state(rho, "rho")
     measurements = rho.system.pure_measurements
     if not measurements:
         raise UnsupportedSystemError("no pure measurements available for this system")
@@ -144,15 +144,15 @@ def op_norm_report(rho: GptState) -> MonotoneReport:
     the sum is linear in the measurement's weights, so a vertex of the
     measurement polytope does at least as well.  Conversely the effects of a
     measurement with (a|delta) > 0 add up to an effect in E: for the best
-    vertex this is the witness ``sup_effect``.  This is exact when
-    ``extremal_effects`` lists every ray-extremal effect, the contract the
-    f-purities and the state check rest on.  The map a -> u - a sends E onto
+    vertex this is the witness ``sup_effect``.  This is exact: the pure
+    effects are every facet functional of the pure states' hull
+    (``TheorySystem.extremal_effects``).  The map a -> u - a sends E onto
     itself when u(v) = 1 on every pure state, so inf (a|delta) = (u|delta) -
     sup (a|delta), attained by ``inf_effect = u - sup_effect``.  Pure states
     that do not span the space leave E unbounded, and a system with no pure
     measurement has no witness; both raise ``UnsupportedSystemError``.
     """
-    _require_state(rho, "rho")
+    validate_state(rho, "rho")
     system = rho.system
     if not system._spans:
         raise UnsupportedSystemError(
@@ -181,7 +181,7 @@ def purity_2norm(rho) -> float:
     """
     if isinstance(rho, DensityMatrix):
         return rho.purity()
-    _require_state(rho, "rho")
+    validate_state(rho, "rho")
     if rho.system._gram_condition > MAX_GRAM_CONDITION:
         raise UnsupportedSystemError(
             "group-averaged quadratic form is degenerate; 2-norm purity unsupported")

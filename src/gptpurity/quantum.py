@@ -537,16 +537,16 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
 
     ``rare`` must satisfy sum_i w_i U_i rho' U_i^dag = rho, where rho and
     rho' are the A-marginals of psi and target, within ``WITNESS_TOL``, with
-    weights that pass ``sums_to_one``.
-    The construction purifies
-    the mixture sum_i w_i (U_i x I)|target> with a register of one dimension
-    per branch, connects it to psi x |0> by a unitary on B x register, and
-    reads Bob's instrument off the register index; Alice's corrections are
-    the inverses of the mixing unitaries.
+    weights that pass ``sums_to_one``.  With M, N the coefficient matrices
+    of psi and target and M^+ the pseudo-inverse on psi's SVD (split at its
+    rank by ``_rank_split``), Bob's branch i is B_i = sqrt(w_i) (M^+ U_i N)^T
+    and Alice's correction is U_i^dag: U_i N lies in the support of
+    rho = M M^dag, so M B_i^T = sqrt(w_i) U_i N, and the branches sum to
+    conj(M^+ M).  Below full rank on B, one more branch of weight 0,
+    conj(K K^dag) for M's kernel K (Alice's correction I), completes them.
     """
     if psi.dims != target.dims:
         raise StructuralError("states must share dims")
-    da, db = psi.dims
     rho = marginals(psi)[0].matrix
     rho_p = marginals(target)[0].matrix
     weights = np.array([w for w, _ in rare])
@@ -556,27 +556,17 @@ def one_way_locc_from_rare(psi: PureBipartiteState, target: PureBipartiteState,
         raise StructuralError("rare decomposition does not map target marginal "
                               "to source marginal within tolerance")
 
-    n = len(rare)
+    u_r, s_r, v_r, kernel = _rank_split(*psi._svd)
     m_tgt = target.coefficient_matrix()
-    # coefficient matrices on A x (B x C), register index fastest; psi x |0>
-    # has psi's SVD, with the columns of V^dag moved to the register-0 slots
-    # and completed by the unit vectors of the other slots
-    u_psi, s_psi, vh_psi = psi._svd
-    vh1 = np.zeros((db * n, db * n), dtype=complex)
-    vh1[:db, 0::n] = vh_psi
-    others = np.flatnonzero(np.arange(db * n) % n)
-    vh1[db + np.arange(others.size), others] = 1.0
-    m2 = np.zeros((da, db * n), dtype=complex)
-    for i, (w, u) in enumerate(rare):    # a weight SUM_TOL below zero adds no branch
-        m2[:, i::n] = np.sqrt(max(w, 0.0)) * (u @ m_tgt)
-    t = _connecting_unitary((u_psi, s_psi, vh1), m2)
-    w_unitary = t.T  # acts on the B x C factor
-    bob = []
-    for i in range(n):
-        # B_i = (I_B x <i|_C) W (I_B x |0>_C)
-        bob.append(w_unitary[i::n, 0::n])
+    steer = (v_r / s_r) @ u_r.conj().T          # M^+
+    weights = np.maximum(weights, 0.0)          # a weight SUM_TOL below zero steers nothing
+    bob = [np.sqrt(w) * (steer @ u @ m_tgt).T for w, (_, u) in zip(weights, rare)]
     alice = [u.conj().T for _, u in rare]
-    return OneWayProtocol(tuple(bob), tuple(alice), np.maximum(weights, 0.0))
+    if kernel.shape[1]:
+        bob.append(kernel.conj() @ kernel.T)
+        alice.append(np.eye(psi.dims[0]))
+        weights = np.append(weights, 0.0)
+    return OneWayProtocol(tuple(bob), tuple(alice), weights)
 
 
 # ---------------------------------------------------------------------------

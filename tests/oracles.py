@@ -2,9 +2,9 @@
 
 Nothing here is imported by the package itself: the Wootters closed form,
 brute-force effect-polytope enumeration, scipy's LP solver (hull
-membership, and measurement-polytope vertices on random objectives), and an
-exact enumeration of no-signalling boxes over supports provide the second
-route for the dual-route tests.
+membership, and measurement-polytope vertices on random objectives), Qhull
+(the facets of a polytope), and an exact enumeration of no-signalling boxes
+over supports provide the second route for the dual-route tests.
 """
 
 import itertools
@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 _SY2 = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
 
@@ -40,6 +41,31 @@ def hull_membership_scipy(generators, target) -> bool:
     res = linprog(np.zeros(g.shape[1]), A_eq=a_eq, b_eq=b_eq,
                   bounds=[(0, None)] * g.shape[1], method="highs")
     return bool(res.success)
+
+
+def qhull_facets(vertices) -> tuple:
+    """The facets of the hull of ``vertices`` (rows), by Qhull.
+
+    Qhull needs a full-dimensional input, so the vertices are first written
+    in an orthonormal basis of their affine hull (through their mean).
+    Returns each facet as the set of vertex indices on its plane, once
+    (Qhull splits a facet into simplices, one plane each), the planes as
+    rows (n, c) with n.y + c <= 0 inside, and the map x -> y into those
+    coordinates.
+    """
+    verts = np.asarray(vertices, dtype=float)
+    mean = verts.mean(axis=0)
+    _, s, vh = np.linalg.svd(verts - mean)
+    basis = vh[:int(np.sum(s > 1e-9 * s[0]))].T
+
+    def coords(x):
+        return (np.asarray(x, dtype=float) - mean) @ basis
+
+    planes = ConvexHull(coords(verts)).equations
+    values = coords(verts) @ planes[:, :-1].T + planes[:, -1]
+    facets = list(dict.fromkeys(frozenset(np.flatnonzero(np.abs(col) <= 1e-9).tolist())
+                                for col in values.T))
+    return facets, planes, coords
 
 
 def effect_polytope_vertices(system) -> list[np.ndarray]:

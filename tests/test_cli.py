@@ -525,10 +525,9 @@ def test_state_outside_state_space_exits_2(capsys, flag, argv):
     ("dim", True, "dim must be a positive integer"),
     ("pure_states", 3, "pure_states must be a list"),
     ("group", 5, "group must be a list"),
-    ("extremal_effects", None, "extremal_effects must be a list"),
     (None, None, "theory definition must be an object"),
 ], ids=["dim-string", "dim-float", "dim-bool", "pure-states-number", "group-number",
-        "effects-null", "top-level-list"])
+        "top-level-list"])
 def test_malformed_theory_file_exits_2(capsys, tmp_path, field, value, message):
     data = system_to_dict(make_classical(2))
     if field is None:

@@ -40,7 +40,6 @@ def test_validation_catches_scaled_group_element(square_bit):
     broken = core.TheorySystem(
         dim=3, unit_effect=square_bit.unit_effect,
         pure_states=square_bit.pure_states,
-        extremal_effects=square_bit.extremal_effects,
         group=tuple(group))
     report = core.validate_system(broken)
     assert any("unit effect" in line for line in report)
@@ -50,7 +49,6 @@ def test_validation_structural_error_names_field(square_bit):
     with pytest.raises(core.StructuralError, match="pure_states"):
         core.TheorySystem(dim=3, unit_effect=[0, 0, 1],
                           pure_states=([1.0, 1.0],),
-                          extremal_effects=square_bit.extremal_effects,
                           group=square_bit.group)
 
 
@@ -75,7 +73,10 @@ def test_group_acts_as_bijection_on_vertices(square_bit):
 
 
 def test_measurement_probabilities_sum_to_one(square_bit):
-    effects = tuple(core.Effect(square_bit, a) for a in square_bit.extremal_effects[[0, 2]])
+    # a complementary facet pair: each vanishes where the other does not
+    zero = square_bit.extremal_effects @ square_bit.pure_states.T <= core.ATOL
+    pair = [0, int(np.flatnonzero((zero == ~zero[0]).all(axis=1))[0])]
+    effects = tuple(core.Effect(square_bit, a) for a in square_bit.extremal_effects[pair])
     meas = core.Measurement(effects)
     assert len(meas.effects) == 2
     rng = np.random.default_rng(0)
@@ -115,7 +116,7 @@ def test_loader_rejects_invalid_theory(tmp_path, square_bit):
 def test_constructors_copy_caller_arrays(square_bit):
     u, unit = np.eye(3), np.array([0.0, 0.0, 1.0])
     system = core.TheorySystem(dim=3, unit_effect=unit, pure_states=square_bit.pure_states,
-                               extremal_effects=square_bit.extremal_effects, group=(u,))
+                               group=(u,))
     u[0, 0] = 2.0          # the caller's arrays stay writeable ...
     unit[2] = 5.0
     assert system.group[0][0, 0] == 1.0    # ... and the system keeps its own copy
@@ -131,8 +132,8 @@ def test_fields_are_single_read_only_arrays(tmp_path):
     path = tmp_path / "pentagon.json"
     path.write_text(json.dumps(_pentagon_dict()))
     for system, n_vertices, n_effects, n_group in ((core.make_classical(3), 3, 3, 6),
-                                                   (core.make_square_bit(), 4, 6, 8),
-                                                   (core.load_system(str(path)), 5, 12, 10)):
+                                                   (core.make_square_bit(), 4, 4, 8),
+                                                   (core.load_system(str(path)), 5, 5, 10)):
         d = system.dim
         for field, shape in (("pure_states", (n_vertices, d)),
                              ("extremal_effects", (n_effects, d)),
@@ -142,10 +143,9 @@ def test_fields_are_single_read_only_arrays(tmp_path):
             assert stored.shape == shape, (system.name, field)
             with pytest.raises(ValueError, match="read-only"):
                 stored[0] = 0.0
-    empty = core.TheorySystem(dim=2, unit_effect=np.ones(2), pure_states=np.eye(2),
-                              extremal_effects=[], group=[np.eye(2)])
-    assert empty.extremal_effects.shape == (0, 2)
-    assert not empty.extremal_effects.flags.writeable
+    empty = core.make_classical(1).extremal_effects      # derived, and empty in dim 1
+    assert empty.shape == (0, 1)
+    assert not empty.flags.writeable
 
 
 def test_measurement_sum_has_no_relative_slack():
@@ -204,17 +204,12 @@ def _reference_validate_system(sys, atol=core.ATOL):
             continue
         if lookup(inv) is None:
             report.append(f"group[{i}] has no inverse in the list")
-    for i, a in enumerate(sys.extremal_effects):
-        values = np.array([a @ v for v in sys.pure_states])
-        if values.min() < -atol or values.max() > 1.0 + atol:
-            report.append(f"extremal_effects[{i}] leaves [0,1] on the vertices "
-                          f"(range [{values.min():.3e}, {values.max():.3e}])")
     return report
 
 
 def _with(sys, **fields):
     data = {"dim": sys.dim, "unit_effect": sys.unit_effect, "pure_states": sys.pure_states,
-            "extremal_effects": sys.extremal_effects, "group": sys.group, **fields}
+            "group": sys.group, **fields}
     return core.TheorySystem(**data)
 
 
@@ -232,9 +227,6 @@ def _seeded_systems(seed):
     twice = int(rng.integers(0, len(square.group)))
     scaled = list(square.group)
     scaled[int(rng.integers(0, len(scaled)))] = 2.0 * np.eye(3)
-    effects = list(square.extremal_effects)
-    facet = int(rng.integers(0, 4))          # the last two are the zero and unit effects
-    effects[facet] = 3.0 * effects[facet]
     return {
         "classical-4": core.make_classical(4),
         "square": square,
@@ -245,7 +237,6 @@ def _seeded_systems(seed):
             _with(pentagon, group=np.insert(pentagon.group, at, tenth, axis=0)),
         "duplicated-element": _with(square, group=square.group[np.r_[:len(square.group), twice]]),
         "scaled-element": _with(square, group=tuple(scaled)),
-        "effect-out-of-range": _with(square, extremal_effects=tuple(effects)),
     }
 
 
@@ -261,7 +252,7 @@ def test_validate_system_matches_reference(seed):
         repeats = _lines(new, "repeats")
         assert (repeats != []) == (name == "duplicated-element"), name
         assert ([line for line in new if line not in repeats] == []) == (old == []), name
-        for marker in ("vertex list", "unit effect", "extremal_effects"):
+        for marker in ("vertex list", "unit effect"):
             assert _lines(new, marker) == _lines(old, marker), (name, marker)
         if name == "s3-minus-transposition":     # every element permutes the vertices
             closure = ("not closed", "no inverse")
@@ -278,7 +269,6 @@ def test_validate_system_refuses_non_spanning_vertices():
     segment = core.TheorySystem(
         dim=3, unit_effect=[0.0, 0.0, 1.0],
         pure_states=([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
-        extremal_effects=([0.5, 0.0, 0.5], [-0.5, 0.0, 0.5]),
         group=(np.eye(3), np.diag([-1.0, 1.0, 1.0])))
     assert core.validate_system(segment) == ["pure_states do not span the state space"]
 
@@ -286,17 +276,16 @@ def test_validate_system_refuses_non_spanning_vertices():
 def test_validate_system_refuses_unkeyable_permutations():
     eye = np.eye(16)       # 16 vertices keyed in base 16 need 64 bits
     simplex16 = core.TheorySystem(dim=16, unit_effect=np.ones(16), pure_states=tuple(eye),
-                                  extremal_effects=tuple(eye), group=(eye,))
+                                  group=(eye,))
     with pytest.raises(core.CapacityError):
         core.validate_system(simplex16)
 
 
 def test_validate_system_refuses_unnormalized_pure_states():
-    # the effects stay in [0, 1] on the doubled vertices and the swap permutes
-    # them, so only the norm check reports this system
+    # the swap permutes the doubled vertices, so only the norm check reports
+    # this system
     doubled = core.TheorySystem(dim=2, unit_effect=[1.0, 1.0],
                                 pure_states=([2.0, 0.0], [0.0, 2.0]),
-                                extremal_effects=([0.5, 0.0], [0.0, 0.5]),
                                 group=(np.eye(2), np.eye(2)[[1, 0]]))
     assert core.validate_system(doubled) == [
         "pure_states[0] is not normalized (norm 2.000000)",
@@ -355,8 +344,7 @@ def test_every_sum_to_one_site_shares_one_boundary(name):
 def test_validate_system_and_density_matrix_share_the_sum_boundary():
     def report(w):
         return core.validate_system(core.TheorySystem(
-            2, np.ones(2), (np.asarray(w), np.asarray(w)[::-1]), tuple(np.eye(2)),
-            (np.eye(2),)))
+            2, np.ones(2), (np.asarray(w), np.asarray(w)[::-1]), (np.eye(2),)))
 
     assert report([0.7 + 0.5 * core.SUM_TOL, 0.3]) == []
     assert len(report([0.7 + 2 * core.SUM_TOL, 0.3])) == 2
@@ -372,13 +360,10 @@ def test_array_fields_refuse_non_finite_entries_by_name():
     c2 = core.make_classical(2)
     nan, inf = float("nan"), float("inf")
     cases = {
-        "unit_effect": lambda: core.TheorySystem(2, [1, nan], tuple(np.eye(2)), tuple(np.eye(2)),
-                                                 (np.eye(2),)),
+        "unit_effect": lambda: core.TheorySystem(2, [1, nan], tuple(np.eye(2)), (np.eye(2),)),
         "pure_states[1]": lambda: core.TheorySystem(2, np.ones(2), ([1, 0], [0, inf]),
-                                                    tuple(np.eye(2)), (np.eye(2),)),
-        "extremal_effects[0]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)),
-                                                         ([nan, 0], [0, 1]), (np.eye(2),)),
-        "group[1]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)),
+                                                    (np.eye(2),)),
+        "group[1]": lambda: core.TheorySystem(2, np.ones(2), tuple(np.eye(2)),
                                               (np.eye(2), [[0, inf], [1, 0]])),
         "state vec": lambda: c2.state([nan, 1]),
     }
@@ -388,15 +373,15 @@ def test_array_fields_refuse_non_finite_entries_by_name():
     # entries that are not numbers at all are refused by name too
     for group in ((np.eye(2), [[0, "x"], [1, 0]]), (np.eye(2), [[0, {}], [1, 0]])):
         with pytest.raises(core.StructuralError, match=r"^group\[1\] is not an array of numbers"):
-            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), group)
+            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), group)
     with pytest.raises(core.StructuralError, match=r"^pure_states\[0\] is not an array of numbers"):
-        core.TheorySystem(2, np.ones(2), ([[1], 0], [0, 1]), tuple(np.eye(2)), (np.eye(2),))
+        core.TheorySystem(2, np.ones(2), ([[1], 0], [0, 1]), (np.eye(2),))
     # and so are group entries of the wrong shape
     for group, message in (
             ((np.eye(2), [1, 0]), r"^group\[1\] must be 2-dimensional, got shape \(2,\)$"),
             ((np.eye(3),), r"^group\[0\] has shape \(3, 3\), expected \(2, 2\)$")):
         with pytest.raises(core.StructuralError, match=message):
-            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), group)
+            core.TheorySystem(2, np.ones(2), tuple(np.eye(2)), group)
 
 
 def test_sum_checks_refuse_empty_and_non_finite_weights():
@@ -419,8 +404,7 @@ def test_sum_checks_refuse_empty_and_non_finite_weights():
 def test_dim_must_be_a_positive_integer():
     for dim in (2.5, 2.0, "2", True, None, 0, -1):
         with pytest.raises(core.StructuralError, match="dim must be a positive integer"):
-            core.TheorySystem(dim, np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)), (np.eye(2),))
+            core.TheorySystem(dim, np.ones(2), tuple(np.eye(2)), (np.eye(2),))
     # a numpy integer is an integer, stored as a Python int
-    system = core.TheorySystem(np.int64(2), np.ones(2), tuple(np.eye(2)), tuple(np.eye(2)),
-                               (np.eye(2),))
+    system = core.TheorySystem(np.int64(2), np.ones(2), tuple(np.eye(2)), (np.eye(2),))
     assert type(system.dim) is int

@@ -150,7 +150,6 @@ def test_invariant_state_nonunique_group_rejected(square_bit):
     # identity-only group: every state is invariant, averages differ per seed
     broken = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
                                pure_states=square_bit.pure_states,
-                               extremal_effects=square_bit.extremal_effects,
                                group=(np.eye(3),))
     # the refusal is raised on every call, never cached as a value
     for _ in range(3):
@@ -290,7 +289,6 @@ def test_orbit_questions_refuse_a_set_that_is_not_a_group(square_bit, lp_calls):
     shrink = np.diag([0.1, 0.1, 1.0])
     fake = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
                              pure_states=square_bit.pure_states,
-                             extremal_effects=square_bit.extremal_effects,
                              group=np.insert(square_bit.group[:4], 4, shrink, axis=0))
     assert not fake._isometric
     rho = fake.state([0.5, 0.2, 1.0])
@@ -862,7 +860,6 @@ def test_classical_more_mixed_with_a_cyclic_group_stays_on_the_lp(lp_calls):
     trit = core.make_classical(3)
     cyclic = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
                                pure_states=trit.pure_states,
-                               extremal_effects=trit.extremal_effects,
                                group=(np.eye(3), np.eye(3)[[1, 2, 0]], np.eye(3)[[2, 0, 1]]))
     assert core.validate_system(cyclic) == [] and cyclic._permutation_index is None
     p = np.array([0.6, 0.3, 0.1])
@@ -883,7 +880,6 @@ def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
     # a repeated element in place of one permutation is not the full group
     doubled = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
                                 pure_states=trit.pure_states,
-                                extremal_effects=trit.extremal_effects,
                                 group=trit.group[np.r_[:5, 0]])
     assert doubled._permutation_index is None
 
@@ -902,5 +898,6 @@ def test_rare_channel_from_certificate(square_bit):
 
 
 def test_validate_state_inside_and_outside(square_bit):
-    assert mixedness.validate_state(square_bit.state([0.3, -0.4, 1.0])).feasible
-    assert not mixedness.validate_state(square_bit.state([1.5, 0.0, 1.0])).feasible
+    assert mixedness.validate_state(square_bit.state([0.3, -0.4, 1.0])) is None
+    with pytest.raises(core.StructuralError, match="outside the state space"):
+        mixedness.validate_state(square_bit.state([1.5, 0.0, 1.0]))

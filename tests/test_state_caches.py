@@ -127,9 +127,9 @@ def test_duality_pair_factors_each_state_once(monkeypatch):
             convertible += 1
     assert convertible == 1
     # one SVD per state gives its Schmidt weights, both marginals and their
-    # eigenbases; the connecting unitary of each protocol takes psi's and one
-    # SVD of the target side; no eigensolver runs
-    assert counts == Counter(svd=2 + convertible)
+    # eigenbases; each protocol steers by psi's, with no SVD of the target
+    # side; no eigensolver runs
+    assert counts == Counter(svd=2)
 
 
 def test_spectrum_is_the_kept_decomposition_bit_for_bit():
