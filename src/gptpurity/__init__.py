@@ -1,7 +1,7 @@
 """Resource theories of purity and pure-state entanglement, at desk scale.
 
 Single-system GPT machinery (states, effects, finite reversible groups),
-the group-majorization mixedness relation with LP certificates, purity
+the group-majorization mixedness relation with checked certificates, purity
 monotones, a quantum backend (Schmidt data, purifications, convertibility,
 one-way protocols, convex-roof entanglement), exact box-world correlations,
 and seeded cross-validation suites for the duality between the two
@@ -9,8 +9,8 @@ resource theories.
 """
 
 from .core import (CapacityError, Effect, GptState, Measurement, StructuralError,
-                   TheorySystem, load_system, make_classical, make_square_bit,
-                   save_system, system_from_dict, system_to_dict, validate_system)
+                   TheorySystem, load_system, make_classical, make_polygon,
+                   make_square_bit, save_system, system_from_dict, system_to_dict, validate_system)
 from .mixedness import (FeasibilityCertificate, IllConditionedError, RaReChannel,
                         birkhoff_rare_synthesis, equally_mixed,
                         feasible_convex_combination, invariant_state, majorizes,

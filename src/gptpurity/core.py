@@ -19,10 +19,14 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .tolerances import ATOL, SINGULAR_DET_TOL, SUM_TOL
+
+#: seed of the one draw of the generic point z of ``TheorySystem._chamber``
+_CHAMBER_SEED = 19
 
 
 class StructuralError(ValueError):
@@ -71,6 +75,22 @@ def _as_stack(xs, shape: tuple[int, ...], name: str) -> np.ndarray:
         stack = stack.reshape(0, *shape)     # every entry passed: the sequence is empty
     stack.flags.writeable = False
     return stack
+
+
+class Chamber(NamedTuple):
+    """The chamber geometry of a group generated by reflections (``TheorySystem._chamber``).
+
+    Vectors are rows and read-only; a "form" row f reads f @ x = <f, x>_M, with M
+    the averaged Gram form ``group_gram``.
+    """
+
+    reflections: np.ndarray      # group index of each reflection, one per positive root
+    roots: np.ndarray            # (R, dim) positive roots a: <a, a>_M = 2 and <a, z>_M > 0
+    z_form: np.ndarray           # (dim,) the form of the generic point z
+    simple: np.ndarray           # (r, dim) the simple roots
+    weight_forms: np.ndarray     # (r, dim) forms of the fundamental weights: weight_forms @ simple.T = I
+    facets: np.ndarray           # (F, dim) forms of the distinct G-images of each fundamental weight
+    facet_weight: np.ndarray     # (F,) the index i of the weight each facet row images
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,9 +197,87 @@ class TheorySystem:
         return index if len(index) == len(self.group) else None
 
     @cached_property
+    def _chamber(self) -> Chamber | None:
+        """The chamber geometry that decides mixedness without an LP, when the
+        reflections in the group generate it; None otherwise.
+
+        A reflection is an element g with g^2 = I and rank(I - g) = 1, within
+        ATOL; its root a spans the image of I - g, scaled to <a, a>_M = 2, so
+        that g x = x - <a, x>_M a.  A fixed generic z (one seeded draw) must
+        have no root M-orthogonal to it and no element but I fixing it, beyond
+        ATOL.  A root is positive when <a, z>_M > 0, and simple when its
+        reflection keeps every other positive root positive (so permutes
+        them).  The fundamental weights w_i are the dual basis of the simple
+        roots in their span under M.  The reflections generate the group
+        exactly when one point of the orbit of z lies in the open dominant
+        chamber (every simple root positive on it), since the group they
+        generate acts simply transitively on the chambers.  A matrix list
+        that is not closed is no group, so the orbit of z must also map onto
+        itself, within ATOL, under each simple reflection.  None also when
+        the group fails ``_isometric``.
+        """
+        if not self._isometric:
+            return None
+        from .mixedness import _first_hits     # mixedness imports this module
+        dim, group, gram = self.dim, self.group, self.group_gram
+        eye = np.eye(dim)
+        image, singular, _ = np.linalg.svd(eye - group)
+        rank_one = (singular > ATOL).sum(axis=1) == 1
+        involution = np.max(np.abs(group @ group - eye), axis=(1, 2)) <= ATOL
+        reflections = np.flatnonzero(rank_one & involution)
+        roots = image[reflections, :, 0]
+        roots *= np.sqrt(2.0 / np.einsum("ij,jk,ik->i", roots, gram, roots))[:, None]
+        z, key = np.random.default_rng(_CHAMBER_SEED).standard_normal((2, dim))
+        z_form = gram @ z
+        height = roots @ z_form
+        movers = group[np.max(np.abs(group - eye), axis=(1, 2)) > ATOL]
+        if (np.abs(height) <= ATOL).any() or (np.max(np.abs(movers @ z - z), axis=1) <= ATOL).any():
+            return None
+        roots *= np.sign(height)[:, None]
+        height = np.abs(height)
+        # s_i b_j = b_j - <a_i, b_j>_M a_i for the reflection s_i of root a_i
+        lifted = height - (roots @ gram @ roots.T) * height[:, None]
+        simple = roots[((lifted > 0.0) | np.eye(len(roots), dtype=bool)).all(axis=1)]
+        if len(roots) and not (len(simple) == np.linalg.matrix_rank(simple)
+                               == np.linalg.matrix_rank(roots)):
+            return None
+        orbit_z = (group.reshape(-1, dim) @ z).reshape(-1, dim)
+        if np.count_nonzero((orbit_z @ gram @ simple.T > 0.0).all(axis=1)) != 1:
+            return None
+        orbit_z = orbit_z[np.argsort(orbit_z @ key)]
+        for root in simple:
+            moved = orbit_z - np.outer(orbit_z @ gram @ root, root)
+            if np.max(np.abs(moved[np.argsort(moved @ key)] - orbit_z)) > ATOL:
+                return None
+        weights = np.linalg.solve(simple @ gram @ simple.T, simple)
+        facets, facet_weight = [], []
+        for i, weight in enumerate(weights):
+            images = (group.reshape(-1, dim) @ weight).reshape(-1, dim)
+            distinct = images[_first_hits(images, ATOL)]
+            facets.append(distinct @ gram)
+            facet_weight.append(np.full(len(distinct), i))
+        chamber = Chamber(reflections, roots, z_form, simple, weights @ gram,
+                          np.concatenate(facets or [np.empty((0, dim))]),
+                          np.concatenate(facet_weight or [np.empty(0, dtype=int)]))
+        for array in chamber:
+            array.flags.writeable = False
+        return chamber
+
+    @cached_property
     def _spans(self) -> bool:
         """Whether the pure states span R^dim, decided as ``validate_system`` decides it."""
         return len(_spanning_rows(self.pure_states)) == self.dim
+
+    @cached_property
+    def _off_span(self) -> np.ndarray | None:
+        """The orthogonal projector onto the complement of the pure states' span,
+        read-only; None when they span R^dim (``_spans``)."""
+        if self._spans:
+            return None
+        basis = np.linalg.svd(self.pure_states)[2][:len(_spanning_rows(self.pure_states))]
+        off = np.eye(self.dim) - basis.T @ basis
+        off.flags.writeable = False
+        return off
 
     @cached_property
     def extremal_effects(self) -> np.ndarray:
@@ -454,6 +552,31 @@ def make_classical(n: int) -> TheorySystem:
         pure_states=eye,
         group=group,
         name=f"classical-{n}",
+    )
+
+
+def make_polygon(n: int) -> TheorySystem:
+    """Regular n-gon system with its dihedral group of order 2n.
+
+    Coordinates are (x, y, t) as in ``make_square_bit``; vertex k is
+    (cos 2 pi k / n, sin 2 pi k / n, 1), and the pure effects follow from the
+    vertices.  The group lists, for each k, the turn by 2 pi k / n and then
+    that turn times the flip y -> -y.
+    """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 3:
+        raise StructuralError(f"a polygon needs an integer n >= 3, got {n!r}")
+    angles = 2 * np.pi * np.arange(n) / n
+    flip = np.diag([1.0, -1.0, 1.0])
+    group = []
+    for t in angles:
+        turn = np.array([[np.cos(t), -np.sin(t), 0], [np.sin(t), np.cos(t), 0], [0, 0, 1.0]])
+        group += [turn, turn @ flip]
+    return TheorySystem(
+        dim=3,
+        unit_effect=[0.0, 0.0, 1.0],
+        pure_states=[[np.cos(t), np.sin(t), 1.0] for t in angles],
+        group=group,
+        name=f"polygon-{n}",
     )
 
 

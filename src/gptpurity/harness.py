@@ -180,9 +180,10 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
                      ) -> tuple[bool, dict]:
     """Compare the LP verdict with majorization on one pair of distributions.
 
-    The LP is the phase-1 orbit LP that non-classical systems run in
-    ``more_mixed``; classical ``more_mixed`` itself answers by majorization,
-    so calling it here would compare majorization with itself.  Returns
+    The LP is the phase-1 orbit LP that ``more_mixed`` runs on groups that
+    their reflections do not generate; classical ``more_mixed`` itself
+    answers by majorization, so calling it here would compare majorization
+    with itself.  Returns
     (ok, verdicts).  ok is False when the two verdicts differ, or when the
     Birkhoff witness of a comparable pair misses its target by more than
     WITNESS_TOL or cannot be built ('witness_error').

@@ -2,20 +2,27 @@
 
 A state sigma is *more mixed* than rho when sigma is a convex combination of
 group images of rho, i.e. when some random-reversible channel degrades rho
-to sigma.  Deciding the relation is a small linear feasibility problem over
-the orbit, solved by the in-repo simplex; every feasible verdict comes with
-an explicit weight witness.  Orbits are computed in one batched product
-with the system's stacked group.  The orbit hull, the equally-mixed test
-and the invariant state solve no LP: every group element preserves the
-averaged Gram form M, so an orbit lies on one M-sphere, and the orbit
-itself answers them.
+to sigma.  Every feasible verdict comes with an explicit weight witness.
+Orbits are computed in one flat product with the system's stacked group.
+The orbit hull, the equally-mixed test and the invariant state solve no
+LP: every group element preserves the averaged Gram form M, so an orbit
+lies on one M-sphere, and the orbit itself answers them.
 
-The classical case reduces to majorization and needs no LP: q lies in
-the permutohedron of p (the hull of p's permutations) exactly when p
-majorizes q, and a Caratheodory walk on that polytope writes q as a mix of
-at most n permutations of p.  ``more_mixed`` on a classical system with its
-full permutation group, ``birkhoff_rare_synthesis`` and, on two spectra,
-``quantum.rare_synthesis_quantum`` all take that path, for n <= ``WALK_MAX_N``.
+When the group is generated by its reflections, the relation is
+G-majorization (Eaton & Perlman, Ann. Probab. 5, 829, 1977) and needs no
+LP: sigma lies in the hull of rho's orbit exactly when the difference of
+their dominant orbit points is a nonnegative combination of simple roots.
+The classical case is S_n, where that is majorization: q lies in the
+permutohedron of p exactly when p majorizes q, and a Caratheodory walk on
+that polytope writes q as a mix of at most n permutations of p.
+``more_mixed`` on a classical system with its full permutation group,
+``birkhoff_rare_synthesis`` and, on two spectra,
+``quantum.rare_synthesis_quantum`` take that path, for n <= ``WALK_MAX_N``;
+``more_mixed`` on any other reflection group (``TheorySystem._chamber``)
+walks the G-permutohedron the same way, and every "no" of both carries a
+separating functional checked on the orbit.  Only a group that its
+reflections do not generate (a cyclic group, a matrix set that is not
+isometric) solves the phase-1 LP over the orbit, with the in-repo simplex.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simplex
-from .core import (CapacityError, GptState, StructuralError, TheorySystem,
+from .core import (CapacityError, Chamber, GptState, StructuralError, TheorySystem,
                    make_classical, sums_to_one)
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
                          MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, WITNESS_TOL,
@@ -72,11 +79,22 @@ class RaReChannel:
 
 @dataclass(frozen=True)
 class FeasibilityCertificate:
-    """Outcome of a convex-combination feasibility query, with witness."""
+    """Outcome of a convex-combination feasibility query, with witness.
+
+    A feasible verdict carries ``weights`` over the generators (for
+    ``more_mixed``, the system group in order) and their rebuild
+    ``residual``.  An infeasible verdict of ``more_mixed`` that solved no LP
+    carries a separating ``functional``, a covector f with
+    f(sigma) - max_g f(g rho) = ``gap`` > 0, sigma scaled to rho's
+    unit-effect value; both are checked by one orbit scan before they are
+    returned.  The LP path leaves them None.
+    """
 
     status: str                      # "feasible" | "infeasible"
     weights: np.ndarray | None
     residual: float
+    functional: np.ndarray | None = None
+    gap: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -90,15 +108,19 @@ class FeasibilityCertificate:
             "status": self.status,
             "weights": None if self.weights is None else [float(w) for w in self.weights],
             "residual": float(self.residual),
+            "functional": None if self.functional is None else [float(f) for f in self.functional],
+            "gap": None if self.gap is None else float(self.gap),
         }
 
     @staticmethod
     def from_dict(data: dict) -> "FeasibilityCertificate":
-        w = data.get("weights")
+        w, f, gap = data.get("weights"), data.get("functional"), data.get("gap")
         return FeasibilityCertificate(
             status=data["status"],
             weights=None if w is None else np.asarray(w, dtype=float),
             residual=float(data["residual"]),
+            functional=None if f is None else np.asarray(f, dtype=float),
+            gap=None if gap is None else float(gap),
         )
 
 
@@ -154,8 +176,9 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
 
 
 def _orbit(rho: GptState) -> np.ndarray:
-    """The group images of rho as rows, in group order."""
-    return rho.system.group @ rho.vec
+    """The group images of rho as rows, in group order, from one flat product."""
+    group = rho.system.group
+    return (group.reshape(-1, rho.system.dim) @ rho.vec).reshape(-1, rho.system.dim)
 
 
 def validate_state(rho: GptState, name: str = "state") -> None:
@@ -163,10 +186,16 @@ def validate_state(rho: GptState, name: str = "state") -> None:
 
     It must be normalized, and no pure effect (``TheorySystem.extremal_effects``, the facet
     functionals of the pure states' hull) may read below -ATOL on it.  No LP is solved, and
-    the check is exact wherever the pure states span R^dim.
+    the check is exact wherever the pure states span R^dim.  Where they do not (a system
+    that ``validate_system`` would refuse), no entry of its part off their span
+    (``TheorySystem._off_span``) may exceed ATOL either.
     """
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
+    off = rho.system._off_span
+    if off is not None and np.max(np.abs(off @ rho.vec)) > ATOL:
+        raise StructuralError(f"{name} lies outside the state space "
+                              f"(off the pure states' span by {np.max(np.abs(off @ rho.vec)):.3e})")
     values = rho.system.extremal_effects @ rho.vec
     if (values < -ATOL).any():
         raise StructuralError(f"{name} lies outside the state space (effect {values.min():.3e})")
@@ -184,29 +213,152 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
     """Certificate that sigma is more mixed than rho (Def.-3 relation).
 
     Feasible iff sigma lies in the convex hull of the group orbit of rho;
-    the weights index the system group in order.  On a classical system
-    with its full permutation group (any order of the elements) the orbit
-    hull is rho's permutohedron, so the verdict is ``majorizes(rho, sigma)``
-    and the permutohedron walk gives the weights, at most n of them nonzero;
-    no LP is solved.  Both run on the state vectors as given, which the
-    state check lets sum to one within ``SUM_TOL``; the weights rebuild
-    sigma within ``WITNESS_TOL`` plus the gap between the two sums, or the
-    call raises ``RuntimeError``.  Every other system, a simplex with a
-    proper subgroup included, solves the phase-1 LP over the orbit of rho.
+    the weights index the system group in order.  Three paths, one per
+    kind of group:
+
+    * a classical system with its full permutation group (any order of the
+      elements): the orbit hull is rho's permutohedron, so the verdict is
+      ``majorizes(rho, sigma)`` and the permutohedron walk gives the
+      weights, at most n of them nonzero.  Both run on the state vectors as
+      given, which the state check lets sum to one within ``SUM_TOL``; the
+      weights rebuild sigma within ``WITNESS_TOL`` plus the gap between the
+      two sums, or the call raises ``RuntimeError``.  A "no" carries the
+      Ky Fan functional of the first partial sum that fails;
+    * a group generated by its reflections (``TheorySystem._chamber``: the
+      square bit, every polygon, a simplex with a reflection subgroup):
+      G-majorization (Eaton & Perlman, Ann. Probab. 5, 829, 1977), decided
+      from the simple-root coefficients of rho's and sigma's dominant orbit
+      points, with a walk on rho's G-permutohedron for the weights and a
+      fundamental-weight functional for a "no";
+    * any other group (a cyclic group, a matrix set that is not isometric):
+      the phase-1 LP over the orbit of rho.
+
+    The first two solve no LP, and every "no" they give carries a
+    ``functional`` and ``gap`` checked by one orbit scan.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
     validate_state(rho, "rho")
     validate_state(sigma, "sigma")
     index = rho.system._permutation_index
-    if index is None:
+    if index is not None:
+        if not majorizes(rho.vec, sigma.vec):
+            return _ky_fan_certificate(rho, sigma)
+        entries, residual = _walk_witness(rho.vec, sigma.vec, index.__getitem__)
+        weights = np.zeros(len(index))
+        weights[[k for _, k in entries]] = [w for w, _ in entries]
+        return FeasibilityCertificate("feasible", weights, residual)
+    chamber = rho.system._chamber
+    if chamber is None:
         return feasible_convex_combination(_orbit(rho), sigma.vec)
-    if not majorizes(rho.vec, sigma.vec):
-        return FeasibilityCertificate("infeasible", None, float("inf"))
-    entries, residual = _walk_witness(rho.vec, sigma.vec, index.__getitem__)
-    weights = np.zeros(len(index))
-    weights[[k for _, k in entries]] = [w for w, _ in entries]
+    return _reflection_certificate(rho, sigma, chamber)
+
+
+def _separating_certificate(functional: np.ndarray, orbit: np.ndarray,
+                            target: np.ndarray) -> FeasibilityCertificate:
+    """An infeasible verdict with its functional, checked by one scan of rho's orbit.
+
+    The gap is f(target) - max_g f(g rho); the call raises ``RuntimeError``
+    unless it is positive.
+    """
+    gap = float(functional @ target - np.max(orbit @ functional))
+    if not gap > 0.0:
+        raise RuntimeError(f"separating functional misses sigma by {gap:.2e}")
+    return FeasibilityCertificate("infeasible", None, float("inf"), functional, gap)
+
+
+def _ky_fan_certificate(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
+    """The "no" of classical ``more_mixed``: the indicator of sigma's k largest
+    entries, at the first k where sigma's partial sum (scaled to rho's total,
+    as ``majorizes`` scales it) exceeds rho's by more than ``MAJORIZATION_TOL``;
+    its gap is that excess."""
+    p, q = rho.vec, sigma.vec
+    ps = np.cumsum(np.sort(p)[::-1])
+    qs = np.cumsum(np.sort(q)[::-1])
+    k = int(np.argmax(ps < qs * (ps[-1] / qs[-1]) - MAJORIZATION_TOL))
+    functional = np.zeros(len(q))
+    functional[np.argsort(-q, kind="stable")[:k + 1]] = 1.0
+    return _separating_certificate(functional, _orbit(rho), q * (rho.norm / sigma.norm))
+
+
+def _reflection_certificate(rho: GptState, sigma: GptState,
+                            chamber: Chamber) -> FeasibilityCertificate:
+    """``more_mixed`` on a group generated by reflections, by G-majorization.
+
+    sigma is first scaled to rho's unit-effect value.  With x_top the orbit
+    point of largest <z, .>_M (the one in the dominant chamber), sigma lies
+    in the hull of rho's orbit exactly when every coefficient
+    c_i = <w_i, rho_top - sigma_top>_M on the fundamental weights is
+    nonnegative, within ``MAJORIZATION_TOL``, and rho_top - sigma_top has no
+    part off the roots' span (the group-fixed part), within ATOL.  A "no"
+    carries f(v) = <w_i, h v>_M for the most negative c_i, with h sigma =
+    sigma_top, and gap -c_i; or, when only the fixed parts differ, the unit
+    form along their difference, and gap its M-length.  A "yes" carries the
+    walk's weights (``_reflection_walk``), which rebuild sigma within
+    ``WITNESS_TOL`` plus |u.rho - u.sigma| plus the fixed part the verdict
+    forgave, or the call raises ``RuntimeError``.
+    """
+    system = rho.system
+    orbit = _orbit(rho)
+    target = sigma.vec * (rho.norm / sigma.norm)
+    images = (system.group.reshape(-1, system.dim) @ target).reshape(-1, system.dim)
+    top = int(np.argmax(orbit @ chamber.z_form))
+    h = int(np.argmax(images @ chamber.z_form))
+    drop = orbit[top] - images[h]
+    coeffs = chamber.weight_forms @ drop
+    fixed = drop - coeffs @ chamber.simple
+    if coeffs.size and coeffs.min() < -MAJORIZATION_TOL:
+        functional = chamber.weight_forms[int(np.argmin(coeffs))] @ system.group[h]
+        return _separating_certificate(functional, orbit, target)
+    forgiven = float(np.max(np.abs(fixed)))
+    if forgiven > ATOL:
+        form = system.group_gram @ fixed
+        return _separating_certificate(-form / np.sqrt(form @ fixed), orbit, target)
+    weights = _reflection_walk(orbit, target + fixed, top, chamber, system.group_gram)
+    residual = float(np.max(np.abs(weights @ orbit - sigma.vec)))
+    if not residual <= WITNESS_TOL + abs(rho.norm - sigma.norm) + forgiven:
+        raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
     return FeasibilityCertificate("feasible", weights, residual)
+
+
+def _reflection_walk(orbit: np.ndarray, x: np.ndarray, top: int, chamber: Chamber,
+                     gram: np.ndarray) -> np.ndarray:
+    """Weights over the orbit, dense in group order, that mix it into x, over at most r + 1 points.
+
+    A Caratheodory walk on rho's G-permutohedron, the polytope
+    <g w_i, x>_M <= <w_i, rho_top>_M over the facet rows of
+    ``chamber.facets``; ``_permutohedron_walk`` is its S_n case.  At x, v
+    is the orbit point that maximizes the sum of the facet rows x is tight
+    on (``left * slack`` at most ``ZERO_TOL``), a vertex of the face they
+    cut, so v lies on every facet x lies on; when x is tight on none, v is
+    the orbit point in x's chamber (largest <x, .>_M).  The step from v
+    through x ends on one facet more, with the same filters as
+    ``_permutohedron_walk``; after r steps (the rank of the roots) x is a
+    vertex.  A weight goes to the first group index whose image is v; a
+    point met twice keeps one summed weight.
+    """
+    facets = chamber.facets
+    bound = (chamber.weight_forms @ orbit[top])[chamber.facet_weight]
+    rank = len(chamber.simple)
+    weights = np.zeros(len(orbit))
+    left = 1.0
+    for step in range(rank + 1):
+        slack = bound - facets @ x
+        tight = left * slack <= ZERO_TOL
+        k = int(np.argmax(orbit @ (tight @ facets if tight.any() else gram @ x)))
+        if step == rank:
+            break
+        v = orbit[k]
+        rise = facets @ (x - v)
+        limits = (left * rise > ZERO_TOL) & ~tight
+        if not limits.any():
+            break
+        lam = 1.0 + np.min(slack[limits] / rise[limits])
+        weights[k] += left * (1.0 - 1.0 / lam)
+        left /= lam
+        x = v + lam * (x - v)
+    weights[k] += left
+    return weights
 
 
 def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | None]:
@@ -246,34 +398,54 @@ def invariant_state(sys: TheorySystem) -> GptState:
     return GptState(sys, sys.invariant_vector)
 
 
+@functools.cache
+def _key_weights(dim: int) -> np.ndarray:
+    """A fixed generic direction with |w|_1 = 1 (one seeded draw), read-only: the sort key of ``_first_hits``."""
+    w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
+
+
 def _first_hits(points: np.ndarray, atol: float) -> list[int]:
     """Indices of the rows kept by the first-hit rule, in row order.
 
     A row is kept when it is farther than ``atol`` (max-norm) from every
-    row kept before it.  Exact repeats are dropped up front, as the rule
-    drops them anyway: whatever kept or dropped a row's first occurrence
-    drops the repeat.  Among the distinct rows, ``near[i, j]`` says that
-    rows i and j lie within ``atol`` of each other; it is built one
-    coordinate at a time, so no (k, k, dim) array is formed.  A row with no
-    earlier near row is kept outright.  The others are resolved in row
-    order: such a row is kept iff none of its earlier near rows was kept
-    (a dropped row's neighbour can still be kept).
+    row kept before it.  Near pairs come from one sort: each row's key is
+    its product with a fixed w, |w|_1 = 1 (``_key_weights``), so rows within
+    ``atol`` have keys within ``atol`` plus the keys' rounding, and only rows
+    whose sorted keys lie within twice that of each other are compared.  A row equal
+    to the row before it in key order (an exact repeat) is dropped up front,
+    as the rule drops it anyway: whatever kept or dropped the earlier copy
+    drops the repeat.  A row with no earlier near row is kept outright.
+    The others are resolved in row order: such a row is kept iff none of
+    its earlier near rows was kept (a dropped row's neighbour can still be
+    kept).
     """
-    order = np.lexsort(points.T[::-1])
-    ranked = points[order]
-    first = np.ones(len(points), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    distinct = np.sort(order[first])
-    rows = points[distinct]
-    near = np.ones((len(rows), len(rows)), dtype=bool)
-    for coord in rows.T:
-        gap = np.subtract.outer(coord, coord)
-        near &= np.abs(gap, out=gap) <= atol
-    near = np.tril(near, -1)                 # earlier rows only
-    kept = ~near.any(axis=1)
-    for i in np.flatnonzero(~kept):
-        kept[i] = not np.any(near[i, :i] & kept[:i])
-    return distinct[kept].tolist()
+    count, dim = points.shape
+    keys = points @ _key_weights(dim)
+    order = np.argsort(keys, kind="stable")
+    ranked, rows = keys[order], points[order]
+    fresh = np.ones(count, dtype=bool)       # not equal to the row before it in key order
+    fresh[1:] = np.abs(rows[1:] - rows[:-1]) @ np.ones(dim) > 0.0
+    order, ranked, rows = order[fresh], ranked[fresh], rows[fresh]
+    reach = 2.0 * (atol + dim * np.finfo(float).eps * np.abs(rows).max())
+    spans = np.searchsorted(ranked, ranked + reach, side="right") - np.arange(1, len(order) + 1)
+    if not spans.any():
+        return np.sort(order).tolist()
+    # every pair (i, j) of sorted positions with i < j <= i + spans[i]
+    first = np.repeat(np.arange(len(order)), spans)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(spans) - spans, spans) + first + 1
+    near = np.max(np.abs(rows[first] - rows[second]), axis=1) <= atol
+    a, b = order[first[near]], order[second[near]]
+    earlier, later = np.minimum(a, b), np.maximum(a, b)
+    by_later = np.argsort(later, kind="stable")
+    later, heads = np.unique(later[by_later], return_index=True)
+    kept = np.zeros(count, dtype=bool)
+    kept[order] = True
+    for row, before in zip(later, np.split(earlier[by_later], heads[1:])):
+        kept[row] = not kept[before].any()
+    return np.flatnonzero(kept).tolist()
 
 
 def orbit_hull(rho: GptState) -> list[np.ndarray]:

@@ -12,7 +12,9 @@ Each meaning has one value: whether weights, a state's norm or a trace
 sum to one is decided by ``core.sums_to_one`` against ``SUM_TOL``.  Names
 that look alike guard different quantities:
 
-* ``MAJORIZATION_TOL``: partial sums of two vectors ``SUM_TOL`` accepted;
+* ``MAJORIZATION_TOL``: partial sums of two vectors ``SUM_TOL`` accepted, and
+  in general the fundamental-weight coefficients of G-majorization, of which
+  those partial sums are the S_n case;
 * ``RESIDUAL_TOL``: the rebuild by LP weights, which pivots on scaled data
   leave past 1e-9 near a hull boundary (45000 orbit LPs on classical-3..6,
   square bit, pentagon, gaps 0..1e-9: up to 1.14e-9, one would raise at
@@ -54,7 +56,10 @@ FARKAS_MIN_SEPARATION = 1e-9
 ZERO_TOL = 1e-12
 #: weights (or a state's norm, a trace, |v|^2) sum to one within this; no weight below -SUM_TOL
 SUM_TOL = 1e-9
-#: majorization slack on every partial sum, with q's scaled to p's total
+#: G-majorization slack on each coefficient of rho_top - sigma_top on the fundamental
+#: weights, <w_i, rho_top - sigma_top>_M with roots of M-length sqrt(2) and sigma scaled to
+#: rho's total; for S_n in standard coordinates these are the partial-sum gaps of
+#: ``majorizes``, with q's partial sums scaled to p's total
 MAJORIZATION_TOL = 1e-10
 #: a synthesized witness (Birkhoff, quantum RaRe, swap channels) and the RaRe
 #: mixture a one-way protocol is built from rebuild their targets within this

@@ -47,19 +47,24 @@ def test_more_mixed_takes_a_state_the_state_check_accepts(capsys):
     assert code == 0 and payload["status"] == "feasible"
 
 
-def test_solver_fault_is_not_reported_as_a_failed_check(monkeypatch):
-    # the square bit's orbit LP has 8 columns and its state-space LPs 4, so only
-    # more_mixed's LP fails (classical more_mixed solves no LP)
+def test_solver_fault_is_not_reported_as_a_failed_check(monkeypatch, tmp_path):
+    # the square bit with only its four turns (Z_4, no reflection) stays on the
+    # orbit LP, which has 4 columns; every broken solve raises, and the fault
+    # reaches the caller instead of a verdict
+    data = system_to_dict(make_square_bit())
+    data["group"] = data["group"][:4]
+    path = tmp_path / "turns.json"
+    path.write_text(json.dumps(data))
     phase1 = simplex.phase1
 
     def broken(a, b):
-        if a.shape[1] == 8:
+        if a.shape[1] == 4:
             raise simplex.SimplexError("simplex iteration cap exceeded")
         return phase1(a, b)
 
     monkeypatch.setattr(simplex, "phase1", broken)
     with pytest.raises(simplex.SimplexError):
-        cli.main(["more-mixed", "--system", "square-bit", "--rho", "0.5,0.2,1",
+        cli.main(["more-mixed", "--system", str(path), "--rho", "0.5,0.2,1",
                   "--sigma", "0,0,1"])
 
 

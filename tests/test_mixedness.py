@@ -1,4 +1,5 @@
 import itertools
+import timeit
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,18 @@ def test_certificate_roundtrip():
     back = mixedness.FeasibilityCertificate.from_dict(cert.to_dict())
     assert back.status == cert.status
     np.testing.assert_allclose(back.weights, cert.weights)
+    assert back.functional is None and back.gap is None
+    # a "no" without an LP carries its functional and gap through the round trip
+    square = core.make_square_bit()
+    cert = mixedness.more_mixed(square.state([0.1, 0.0, 1.0]), square.state([0.5, 0.2, 1.0]))
+    data = cert.to_dict()
+    assert data["weights"] is None and data["gap"] > 0 and len(data["functional"]) == 3
+    back = mixedness.FeasibilityCertificate.from_dict(data)
+    assert back.to_dict() == data
+    assert back.functional.tobytes() == cert.functional.tobytes() and back.gap == cert.gap
+    # a dict written before the two keys existed still reads
+    old = {"status": "infeasible", "weights": None, "residual": float("inf")}
+    assert mixedness.FeasibilityCertificate.from_dict(old).functional is None
 
 
 # -- more_mixed / equally_mixed ---------------------------------------------
@@ -241,6 +254,15 @@ def test_first_hits_matches_loop_form():
     assert mixedness._first_hits(chain, core.ATOL) == [0, 2, 4]
 
 
+def test_first_hits_on_a_generic_720_point_orbit_in_under_a_millisecond():
+    # one sort in place of the 720 x 720 near matrix, which took about 14 ms
+    orbit = core.make_classical(6).group @ np.random.default_rng(61).dirichlet(np.ones(6))
+    assert mixedness._first_hits(orbit, core.ATOL) == _first_hits_loop(orbit, core.ATOL)
+    assert mixedness._first_hits(orbit, core.ATOL) == list(range(720))
+    best = min(timeit.repeat(lambda: mixedness._first_hits(orbit, core.ATOL), number=1, repeat=7))
+    assert best < 1e-3
+
+
 def _hull_by_definition(rho, atol=core.ATOL):
     """Orbit hull by its definition, with HiGHS: the distinct orbit points in
     group order (first hit within atol kept), minus every point that lies in
@@ -353,6 +375,7 @@ def test_orbit_questions_on_a_near_symmetric_sweep(lp_calls):
         names.add(name)
         orbit = rho.system.group @ rho.vec
         distinct = _first_hits_loop(orbit, core.ATOL)
+        assert mixedness._first_hits(orbit, core.ATOL) == distinct
         hull = mixedness.orbit_hull(rho)
         np.testing.assert_array_equal(np.array(hull), orbit[distinct])
         for i in ({0, k} & set(distinct)) if t % 10 == 0 else ():
@@ -405,8 +428,9 @@ def test_equally_mixed_looks_up_both_orbits():
 
 def _equally_mixed_by_lp(rho, sigma):
     """Reference: each state more mixed than the other, by two orbit LPs."""
-    return (mixedness.more_mixed(rho, sigma).feasible
-            and mixedness.more_mixed(sigma, rho).feasible)
+    return (mixedness.feasible_convex_combination(rho.system.group @ rho.vec, sigma.vec).feasible
+            and mixedness.feasible_convex_combination(sigma.system.group @ sigma.vec,
+                                                      rho.vec).feasible)
 
 
 @pytest.mark.parametrize("system", [core.make_square_bit(), core.system_from_dict(_pentagon_dict())],
@@ -734,6 +758,16 @@ def test_verdict_invariant_under_group_conjugation(square_bit):
 
 # -- classical more_mixed: majorization and the permutohedron walk -----------
 
+def _assert_separates(system, p, q, cert):
+    """An infeasible verdict's functional f separates sigma from rho's orbit:
+    f(sigma) - max_g f(g rho) is the certificate's gap, and positive, with
+    sigma scaled to rho's unit-effect value."""
+    u = system.unit_effect
+    target = q * ((u @ p) / (u @ q))
+    gap = cert.functional @ target - np.max((system.group @ p) @ cert.functional)
+    assert gap > 0.0 and abs(gap - cert.gap) <= 1e-15
+
+
 def _classical_pairs(rng, n, count):
     """Random pairs, RaRe images, and sigma pushed 1e-13..1e-8 outside rho's permutohedron."""
     eye = np.eye(n)
@@ -762,8 +796,19 @@ def test_classical_more_mixed_is_majorization_with_a_walk_witness(n, lp_calls):
             rebuilt = cert.weights @ (system.group @ p)
             assert np.max(np.abs(rebuilt - q)) <= cert.residual + 1e-15
             assert cert.residual <= mixedness.WITNESS_TOL
+            assert cert.functional is None and cert.gap is None
         else:
+            # the Ky Fan functional: sigma's k largest entries at the first
+            # partial sum that fails, separating by that sum's excess
             assert cert.weights is None and cert.residual == float("inf")
+            k = int(cert.functional.sum())
+            assert set(cert.functional.tolist()) <= {0.0, 1.0} and 1 <= k < n
+            assert abs(cert.functional @ q - np.sort(q)[::-1][:k].sum()) <= 1e-15
+            excess = np.cumsum(np.sort(q)[::-1]) * (p.sum() / q.sum()) - np.cumsum(np.sort(p)[::-1])
+            assert excess[k - 1] > mixedness.MAJORIZATION_TOL
+            assert (excess[:k - 1] <= mixedness.MAJORIZATION_TOL).all()
+            assert abs(cert.gap - excess[k - 1]) <= 1e-15
+            _assert_separates(system, p, q, cert)
     assert lp_calls == []
 
 
@@ -871,6 +916,34 @@ def test_classical_more_mixed_with_a_cyclic_group_stays_on_the_lp(lp_calls):
     assert lp_calls == [3]
 
 
+def test_square_bit_more_mixed_with_its_turns_stays_on_the_lp(square_bit, lp_calls):
+    # Z_4 (the four turns) holds no reflection, so it keeps the orbit LP; a
+    # flip image of rho lies on the orbit's circle but off its four points
+    turns = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
+                              pure_states=square_bit.pure_states, group=square_bit.group[:4])
+    assert core.validate_system(turns) == [] and turns._chamber is None
+    rho = np.array([0.5, 0.2, 1.0])
+    sigma = square_bit.group[4] @ rho
+    cert = mixedness.more_mixed(turns.state(rho), turns.state(sigma))
+    assert not cert.feasible and cert.functional is None
+    assert lp_calls == [4]
+    assert mixedness.more_mixed(square_bit.state(rho), square_bit.state(sigma)).feasible
+    assert lp_calls == [4]
+
+
+def test_a_user_system_without_reflections_stays_on_the_lp(square_bit, lp_calls):
+    # the half turn alone, as a theory file: a group of two with no reflection
+    # (rank(I - g) = 2), so two points of the orbit of z share every chamber
+    data = core.system_to_dict(square_bit)
+    data["group"] = [data["group"][0], data["group"][2]]
+    half = core.system_from_dict(data)
+    assert half._chamber is None and half._permutation_index is None
+    rho, sigma = half.state([0.5, 0.2, 1.0]), half.state([-0.1, -0.04, 1.0])
+    cert = mixedness.more_mixed(rho, sigma)
+    assert cert.feasible and lp_calls == [2]
+    np.testing.assert_allclose(cert.weights, [0.4, 0.6], atol=1e-12)
+
+
 def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
     assert square_bit._permutation_index is None
     assert core.system_from_dict(_pentagon_dict())._permutation_index is None
@@ -885,8 +958,8 @@ def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
 
 
 def test_rare_channel_from_certificate(square_bit):
-    # on the LP path the certificate's weights over the group are the RaRe
-    # channel: mixing the images of rho with them rebuilds sigma
+    # on the reflection path the certificate's weights over the group are the
+    # RaRe channel: mixing the images of rho with them rebuilds sigma
     pentagon = core.system_from_dict(_pentagon_dict())
     for system, x, y in ((square_bit, [1.0, 1.0], [0.25, 0.1]),
                          (pentagon, [1.0, 0.0], [0.2, -0.1])):

@@ -208,10 +208,27 @@ def _non_spanning_system():
 
 
 def test_op_norm_refuses_pure_states_that_do_not_span():
-    rho = _non_spanning_system().state([0.5, 0.5, 0.3])
+    # a state on the pure states' span passes the state check; the op-norm then
+    # refuses the system
+    rho = _non_spanning_system().state([0.5, 0.5, 0.0])
     for fn in (monotones.op_norm_report, monotones.op_norm_distance):
         with pytest.raises(monotones.UnsupportedSystemError, match="do not span"):
             fn(rho)
+
+
+def test_a_state_off_the_pure_states_span_is_refused_not_scored():
+    # validate_system refuses this system, and its derived pure effects are
+    # (0, 3), so no effect reads the third coordinate: the state check refuses
+    # it by its part off the span, before any caller scores it
+    system = _non_spanning_system()
+    rho = system.state([0.5, 0.5, 0.3])
+    assert system._spans is False and system.extremal_effects.shape == (0, 3)
+    for fn in (mixedness.validate_state, monotones.purity_2norm, mixedness.orbit_hull,
+               lambda s: mixedness.more_mixed(s, s)):
+        with pytest.raises(core.StructuralError, match="off the pure states' span"):
+            fn(rho)
+    mixedness.validate_state(system.state([0.5, 0.5, 0.0]))
+    assert core.make_square_bit()._off_span is None
 
 
 def test_op_norm_refuses_a_system_with_no_pure_effect():
