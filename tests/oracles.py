@@ -3,8 +3,9 @@
 Nothing here is imported by the package itself: the Wootters closed form,
 brute-force effect-polytope enumeration, scipy's LP solver (hull
 membership, and measurement-polytope vertices on random objectives), Qhull
-(the facets of a polytope), and an exact enumeration of no-signalling boxes
-over supports provide the second route for the dual-route tests.
+(the facets of a polytope), an exact enumeration of no-signalling boxes
+over supports, and a brute-force search for local exchanges of a box
+provide the second route for the dual-route tests.
 """
 
 import itertools
@@ -239,3 +240,36 @@ def no_signalling_vertices(n: int, d: int) -> set:
 
     grow(0, [], [], (rhs, {"rhs": 1}))
     return vertices
+
+
+def local_exchange_exists(table) -> bool:
+    """Whether local relabelings map a box onto its party swap, by brute force.
+
+    ``table`` is indexed [a][b][x][y].  As a matrix m with rows (x, a) and
+    columns (y, b), the swapped box is the transpose of m, and a pair of
+    relabelings permutes rows and columns, keeping setting blocks together.
+    Every relabeling r of Alice's (a setting permutation and one outcome
+    permutation per setting) is tried.  Bob's then exists iff column (y, b)
+    of m equals, on every row i, column c of the transpose at row r(i), for
+    a bijection (y, b) -> c that keeps blocks together: iff the columns of m
+    and of the row-permuted transpose agree as multisets of blocks.
+    """
+    d_a, d_b, n_x, n_y = len(table), len(table[0]), len(table[0][0]), len(table[0][0][0])
+    if (n_x, d_a) != (n_y, d_b):
+        return False
+    n, d = n_x, d_a
+    m = [[table[a][b][x][y] for y in range(n) for b in range(d)]
+         for x in range(n) for a in range(d)]
+
+    def block_multiset(column) -> list:
+        return sorted(tuple(sorted(column(j) for j in range(s * d, (s + 1) * d)))
+                      for s in range(n))
+
+    wanted = block_multiset(lambda j: tuple(row[j] for row in m))
+    for settings in itertools.permutations(range(n)):
+        for outcomes in itertools.product(itertools.permutations(range(d)), repeat=n):
+            r = [settings[x] * d + outcomes[x][a] for x in range(n) for a in range(d)]
+            # column c of the transpose at row r(i) is m[c][r(i)]
+            if block_multiset(lambda c: tuple(m[c][r_i] for r_i in r)) == wanted:
+                return True
+    return False

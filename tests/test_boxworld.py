@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from gptpurity.boxworld import (BoxInvariantError, BoxState, LocalRelabeling,
                                 apply_relabeling, check_local_exchangeability,
                                 is_extreme, pr_box_k, standard_pr_box, swap_parties)
 from gptpurity.core import StructuralError
-from oracles import no_signalling_vertices
+from oracles import local_exchange_exists, no_signalling_vertices
 
 HALF = Fraction(1, 2)
 
@@ -223,6 +224,36 @@ def test_from_dict_takes_only_exact_rational_entries(entry):
     data["table"][0][0][0][0] = entry
     with pytest.raises(StructuralError):
         BoxState.from_dict(data, validate=False)
+
+
+@pytest.mark.parametrize("box, report", [
+    (signalling_box(), ["A-marginal p(0|0) depends on y", "A-marginal p(0|1) depends on y",
+                        "A-marginal p(1|0) depends on y", "A-marginal p(1|1) depends on y"]),
+    (BoxState.from_function(2, 2, 2, 2, lambda a, b, x, y: HALF if a == b
+                            else Fraction(-1, 4) if (a, x) == (0, 1) else Fraction(1, 4)),
+     ["negative entry p(01|10)", "negative entry p(01|11)", "sector (0,0) sums to 3/2, not 1",
+      "sector (0,1) sums to 3/2, not 1", "B-marginal p(1|0) depends on x",
+      "B-marginal p(1|1) depends on x"]),
+    (BoxState.from_function(2, 3, 2, 2, lambda a, b, x, y: Fraction(int(b == x), 2)),
+     [f"B-marginal p({b}|{y}) depends on x" for b in range(2) for y in range(3)]),
+    (BoxState.from_function(1, 2, 3, 2, lambda a, b, x, y: Fraction(1, 12) if y
+                            else Fraction(int(a == b), 3)),
+     ["sector (0,0) sums to 2/3, not 1", "sector (0,1) sums to 1/2, not 1",
+      "A-marginal p(0|0) depends on y", "A-marginal p(1|0) depends on y",
+      "A-marginal p(2|0) depends on y"]),
+])
+def test_validate_reports_each_fault_in_order(box, report):
+    # check-ns prints these lines as they are
+    assert box.validate() == report
+
+
+def test_box_is_converted_to_integers_on_first_use_not_when_built():
+    box = pr_box_k(3, 3, 3)
+    assert "_numerators" not in box.__dict__
+    moved = [swap_parties(box),
+             apply_relabeling(box, LocalRelabeling("B", (1, 0), ((1, 2, 0), (0, 2, 1))))]
+    assert "_numerators" in box.__dict__        # the validity check read it
+    assert not any("_numerators" in b.__dict__ for b in moved)
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +474,79 @@ def test_vertex_test_matches_dense_rank_on_random_supports():
         assert verdict == _dense_is_vertex(table), table.to_dict()
         verdicts.append(verdict)
     assert min(verdicts.count(True), verdicts.count(False)) >= len(verdicts) // 4
+
+
+# ---------------------------------------------------------------------------
+# the relabelings and the swap against their closure forms
+# ---------------------------------------------------------------------------
+
+def _relabel_by_closure(box: BoxState, r: LocalRelabeling) -> BoxState:
+    """Reference relabeling: each new entry looked up through the old label."""
+    old = {(new, perm[o]): (s, o)
+           for s, (new, perm) in enumerate(zip(r.setting_perm, r.outcome_perms))
+           for o in range(len(perm))}
+
+    def fn(a, b, x, y):
+        if r.side == "A":
+            x0, a0 = old[x, a]
+            return box.table[a0][b][x0][y]
+        y0, b0 = old[y, b]
+        return box.table[a][b0][x][y0]
+
+    return BoxState.from_function(box.n_x, box.n_y, box.d_a, box.d_b, fn)
+
+
+def _swap_by_closure(box: BoxState) -> BoxState:
+    return BoxState.from_function(box.n_y, box.n_x, box.d_b, box.d_a,
+                                  lambda a, b, x, y: box.table[b][a][y][x])
+
+
+def _inverse(r: LocalRelabeling) -> LocalRelabeling:
+    settings, outcomes = [0] * len(r.setting_perm), [()] * len(r.setting_perm)
+    for s, (new, perm) in enumerate(zip(r.setting_perm, r.outcome_perms)):
+        settings[new] = s
+        outcomes[new] = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    return LocalRelabeling(r.side, tuple(settings), tuple(outcomes))
+
+
+_MAPPED_BOXES = _VALID_BOXES + list(_sweep_boxes(seed=17, count=40))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.data())
+def test_index_map_relabelings_and_swap_match_their_closure_forms(data):
+    box = data.draw(st.sampled_from(_MAPPED_BOXES))
+    assert boxworld._swap(box) == _swap_by_closure(box)
+    assert boxworld._swap(boxworld._swap(box)) == box
+    for r in data.draw(_relabelings(box)):
+        moved = boxworld._relabel(box, r)
+        assert moved == _relabel_by_closure(box, r)
+        assert boxworld._relabel(moved, _inverse(r)) == box
+
+
+# ---------------------------------------------------------------------------
+# the exchange search against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+def test_exchange_verdicts_match_the_brute_force_oracle():
+    small = [box for box in _sweep_boxes(seed=21, count=1500)
+             if box.n_x == box.n_y and box.d_a == box.d_b and box.n_x * box.d_a <= 6]
+    boxes = [*itertools.chain(*_extreme_boxes(2)), *small, _lopsided(2)]
+    verdicts = []
+    for box in boxes:
+        witness = check_local_exchangeability(box, require_extreme=False)
+        assert (witness is not None) == local_exchange_exists(box.table), box.to_dict()
+        if witness is not None:
+            _assert_exchange_witness(box, witness)
+        verdicts.append(witness is not None)
+    assert len(small) >= 100 and min(verdicts.count(True), verdicts.count(False)) >= 20
+    assert not verdicts[-1]     # the lopsided box
+
+
+def test_integer_form_is_the_table_over_its_least_common_denominator():
+    for box in _sweep_boxes(seed=15, count=2000):
+        den, nums = box._numerators
+        entries = [v for ab in box.table for bx in ab for row in bx for v in row]
+        assert den == math.lcm(*(v.denominator for v in entries))
+        assert len(nums) == len(entries)
+        assert all(type(num) is int and Fraction(num, den) == v for num, v in zip(nums, entries))
