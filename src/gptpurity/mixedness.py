@@ -13,14 +13,15 @@ G-majorization (Eaton & Perlman, Ann. Probab. 5, 829, 1977) and needs no
 LP: sigma lies in the hull of rho's orbit exactly when the difference of
 their dominant orbit points is a nonnegative combination of simple roots.
 The classical case is S_n, where that is majorization: q lies in the
-permutohedron of p exactly when p majorizes q, and a Caratheodory walk on
-that polytope writes q as a mix of at most n permutations of p.
-``more_mixed`` on a classical system with its full permutation group,
-``birkhoff_rare_synthesis`` and, on two spectra,
-``quantum.rare_synthesis_quantum`` take that path, for n <= ``WALK_MAX_N``;
-``more_mixed`` on any other reflection group (``TheorySystem._chamber``)
-walks the G-permutohedron the same way, and every "no" of both carries a
-separating functional checked on the orbit.  Only a group that its
+permutohedron of p exactly when p majorizes q.  One Caratheodory walk
+(``_caratheodory_walk``) writes each "yes" as a mix of at most rank + 1
+orbit points, with one of two vertex rules: on S_n, p in the order of the
+current point (``_walk_witness``, n <= ``WALK_MAX_N``: classical
+``more_mixed``, ``birkhoff_rare_synthesis`` and, on two spectra,
+``quantum.rare_synthesis_quantum``); on any other reflection group
+(``TheorySystem._chamber``), the orbit point on every facet the current
+point lies on.  Every "no" of both carries a separating functional
+checked on the orbit.  Only a group that its
 reflections do not generate (a cyclic group, a matrix set that is not
 isometric) solves the phase-1 LP over the orbit, with the in-repo simplex.
 """
@@ -218,17 +219,17 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
 
     * a classical system with its full permutation group (any order of the
       elements): the orbit hull is rho's permutohedron, so the verdict is
-      ``majorizes(rho, sigma)`` and the permutohedron walk gives the
-      weights, at most n of them nonzero.  Both run on the state vectors as
-      given, which the state check lets sum to one within ``SUM_TOL``; the
-      weights rebuild sigma within ``WITNESS_TOL`` plus the gap between the
-      two sums, or the call raises ``RuntimeError``.  A "no" carries the
-      Ky Fan functional of the first partial sum that fails;
+      ``majorizes(rho, sigma)`` and the walk's S_n case (``_walk_witness``)
+      gives the weights, at most n of them nonzero.  Both run on the state
+      vectors as given, which the state check lets sum to one within
+      ``SUM_TOL``; the weights rebuild sigma within ``WITNESS_TOL`` plus the
+      gap between the two sums, or the call raises ``RuntimeError``.  A "no"
+      carries the Ky Fan functional of the first partial sum that fails;
     * a group generated by its reflections (``TheorySystem._chamber``: the
       square bit, every polygon, a simplex with a reflection subgroup):
       G-majorization (Eaton & Perlman, Ann. Probab. 5, 829, 1977), decided
       from the simple-root coefficients of rho's and sigma's dominant orbit
-      points, with a walk on rho's G-permutohedron for the weights and a
+      points, with the same walk on rho's G-permutohedron for the weights and a
       fundamental-weight functional for a "no";
     * any other group (a cyclic group, a matrix set that is not isometric):
       the phase-1 LP over the orbit of rho.
@@ -294,9 +295,14 @@ def _reflection_certificate(rho: GptState, sigma: GptState,
     carries f(v) = <w_i, h v>_M for the most negative c_i, with h sigma =
     sigma_top, and gap -c_i; or, when only the fixed parts differ, the unit
     form along their difference, and gap its M-length.  A "yes" carries the
-    walk's weights (``_reflection_walk``), which rebuild sigma within
-    ``WITNESS_TOL`` plus |u.rho - u.sigma| plus the fixed part the verdict
-    forgave, or the call raises ``RuntimeError``.
+    weights of ``_caratheodory_walk`` on rho's G-permutohedron,
+    <g w_i, x>_M <= <w_i, rho_top>_M over the rows of ``chamber.facets``, in
+    r + 1 steps (r the rank of the roots).  Its vertex at x maximizes over
+    the orbit the sum of the rows x is tight on (a vertex of the face they
+    cut), or <x, .>_M when x is tight on none, labelled by its first group
+    index.  The weights rebuild sigma within ``WITNESS_TOL`` plus
+    |u.rho - u.sigma| plus the fixed part the verdict forgave, or the call
+    raises ``RuntimeError``.
     """
     system = rho.system
     orbit = _orbit(rho)
@@ -314,51 +320,66 @@ def _reflection_certificate(rho: GptState, sigma: GptState,
     if forgiven > ATOL:
         form = system.group_gram @ fixed
         return _separating_certificate(-form / np.sqrt(form @ fixed), orbit, target)
-    weights = _reflection_walk(orbit, target + fixed, top, chamber, system.group_gram)
-    residual = float(np.max(np.abs(weights @ orbit - sigma.vec)))
-    if not residual <= WITNESS_TOL + abs(rho.norm - sigma.norm) + forgiven:
-        raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
+    facets, gram = chamber.facets, system.group_gram
+
+    def vertex(x, tight):
+        k = int(np.argmax(orbit @ (tight @ facets if tight.any() else gram @ x)))
+        return k, orbit[k]
+
+    terms = _caratheodory_walk(facets, (chamber.weight_forms @ orbit[top])[chamber.facet_weight],
+                               len(chamber.simple) + 1, vertex, target + fixed)
+    weights = np.zeros(len(orbit))
+    weights[list(terms)] = list(terms.values())
+    residual = _rebuild_residual(weights, orbit, sigma.vec,
+                                 abs(rho.norm - sigma.norm) + forgiven)
     return FeasibilityCertificate("feasible", weights, residual)
 
 
-def _reflection_walk(orbit: np.ndarray, x: np.ndarray, top: int, chamber: Chamber,
-                     gram: np.ndarray) -> np.ndarray:
-    """Weights over the orbit, dense in group order, that mix it into x, over at most r + 1 points.
+def _caratheodory_walk(facets: np.ndarray, bound: np.ndarray, steps: int, vertex,
+                       x: np.ndarray) -> dict:
+    """Weights, one per vertex label, that mix the walk's vertices into x, over at most ``steps``.
 
-    A Caratheodory walk on rho's G-permutohedron, the polytope
-    <g w_i, x>_M <= <w_i, rho_top>_M over the facet rows of
-    ``chamber.facets``; ``_permutohedron_walk`` is its S_n case.  At x, v
-    is the orbit point that maximizes the sum of the facet rows x is tight
-    on (``left * slack`` at most ``ZERO_TOL``), a vertex of the face they
-    cut, so v lies on every facet x lies on; when x is tight on none, v is
-    the orbit point in x's chamber (largest <x, .>_M).  The step from v
-    through x ends on one facet more, with the same filters as
-    ``_permutohedron_walk``; after r steps (the rank of the roots) x is a
-    vertex.  A weight goes to the first group index whose image is v; a
-    point met twice keeps one summed weight.
+    A Caratheodory walk on the polytope facets @ y <= bound, which holds x:
+    rho's permutohedron (``_walk_witness``, steps = n) or its
+    G-permutohedron (``_reflection_certificate``, steps = rank + 1).  At x,
+    ``vertex(x, tight)`` returns a label and a vertex v of the polytope that
+    lies on every facet x lies on (``tight``: ``left * slack`` at most
+    ``ZERO_TOL``, with ``left`` the weight x still carries).  The step from v
+    through x to the boundary ends at y, with lam = 1 + min slack/rise over
+    the facets that limit it (``left * rise`` above ``ZERO_TOL``, and not
+    tight); then x = y/lam + (1 - 1/lam) v, and y lies on one facet more
+    than x.  After steps - 1 steps x is a vertex; when no facet limits a
+    step, x is v up to dust and the walk stops there.  A label met twice
+    keeps one summed weight.
     """
-    facets = chamber.facets
-    bound = (chamber.weight_forms @ orbit[top])[chamber.facet_weight]
-    rank = len(chamber.simple)
-    weights = np.zeros(len(orbit))
+    weights: defaultdict = defaultdict(float)
     left = 1.0
-    for step in range(rank + 1):
+    for step in range(steps):
         slack = bound - facets @ x
         tight = left * slack <= ZERO_TOL
-        k = int(np.argmax(orbit @ (tight @ facets if tight.any() else gram @ x)))
-        if step == rank:
+        label, v = vertex(x, tight)
+        if step == steps - 1:
             break
-        v = orbit[k]
         rise = facets @ (x - v)
         limits = (left * rise > ZERO_TOL) & ~tight
         if not limits.any():
             break
         lam = 1.0 + np.min(slack[limits] / rise[limits])
-        weights[k] += left * (1.0 - 1.0 / lam)
+        weights[label] += left * (1.0 - 1.0 / lam)
         left /= lam
         x = v + lam * (x - v)
-    weights[k] += left
+    weights[label] += left
     return weights
+
+
+def _rebuild_residual(weights: np.ndarray, points: np.ndarray, target: np.ndarray,
+                      allowance: float) -> float:
+    """How far the mix ``weights @ points`` misses ``target`` (max-norm); ``RuntimeError``
+    beyond ``WITNESS_TOL`` plus ``allowance``."""
+    residual = float(np.max(np.abs(weights @ points - target)))
+    if not residual <= WITNESS_TOL + allowance:
+        raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
+    return residual
 
 
 def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | None]:
@@ -502,64 +523,33 @@ def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, size_index
 
 
-def _permutohedron_walk(p: np.ndarray, q: np.ndarray) -> dict[tuple[int, ...], float]:
-    """Weights w_perm with sum_perm w_perm p[perm] = q, over at most n permutations.
+def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float, int]], float]:
+    """The walk's terms on p's permutohedron as (weight, index(perm)) pairs, and their residual.
 
-    A Caratheodory walk on the permutohedron of p, the polytope
-    sum_S x <= (sum of the |S| largest p) over proper nonempty subsets S,
-    which holds q when p majorizes q (Rado, 1952).  At x (first q), the
-    vertex v puts p in the order of x (stable sort), so v lies on every
-    facet that x lies on.  The step from v through x to the boundary ends
-    at y, with lam = 1 + min over S of slack/rise; then
-    x = y/lam + (1 - 1/lam) v, and y lies on one facet more than x.  A
-    chain of n - 1 facets makes a vertex, so the walk ends after at most n
-    terms.  In floats, with ``left`` the weight x still carries, a set
-    limits the step only when x rises toward it (``left * rise`` above
-    ``ZERO_TOL``) and does not already lie on or over it (``left * slack``
-    above ``ZERO_TOL``).  When no set limits the step, x is v up to dust
-    and the walk stops there.  A permutation met twice keeps one summed
-    entry.
+    The S_n case of ``_caratheodory_walk``, on sum_S y <= (sum of the |S|
+    largest p) over the subsets S of ``_subsets``, which holds q when p
+    majorizes q (Rado, 1952); the vertex at x puts p in the order of x
+    (stable sort).  ``index`` maps its permutation tuple to a group index:
+    ``_permutation_index`` for classical ``more_mixed`` and
+    ``birkhoff_rare_synthesis``, ``tuple`` for ``quantum.rare_synthesis_quantum``.
+    The walk aims at q scaled to p's sum, the plane of p's permutohedron (as
+    ``majorizes`` compares them); the at most n terms rebuild q within
+    ``WITNESS_TOL`` plus |sum p - sum q|, or the call raises ``RuntimeError``.
     """
     n = p.shape[0]
     rows, size_index = _subsets(n)
-    bound = np.cumsum(np.sort(p)[::-1])[size_index]
     by_size = np.argsort(-p, kind="stable")
-    x, left = q.copy(), 1.0
-    weights: defaultdict[tuple[int, ...], float] = defaultdict(float)
-    for step in range(n):
+
+    def vertex(x, tight):
         perm = np.empty(n, dtype=np.intp)
         perm[np.argsort(-x, kind="stable")] = by_size
-        v = p[perm]
-        rise = rows @ (x - v)
-        slack = bound - rows @ x
-        limits = (left * rise > ZERO_TOL) & (left * slack > ZERO_TOL)
-        if step == n - 1 or not limits.any():
-            break
-        lam = 1.0 + np.min(slack[limits] / rise[limits])
-        weights[tuple(perm.tolist())] += left * (1.0 - 1.0 / lam)
-        left /= lam
-        x = v + lam * (x - v)
-    weights[tuple(perm.tolist())] += left
-    return weights
+        return tuple(perm.tolist()), p[perm]
 
-
-def _walk_witness(p: np.ndarray, q: np.ndarray, index) -> tuple[list[tuple[float, int]], float]:
-    """The permutohedron walk's terms as (weight, index(perm)) pairs, and their rebuild residual.
-
-    ``index`` maps a permutation tuple to its group index: the system's
-    ``_permutation_index`` for classical ``more_mixed`` and
-    ``birkhoff_rare_synthesis``, ``tuple`` (the permutation itself) for
-    ``quantum.rare_synthesis_quantum``.  The walk aims at
-    q scaled to p's sum, the plane of p's permutohedron (as ``majorizes``
-    compares them); the terms rebuild q within ``WITNESS_TOL`` plus
-    |sum p - sum q|, or the call raises ``RuntimeError``.
-    """
     p_sum, q_sum = p.sum(), q.sum()
-    terms = _permutohedron_walk(p, q * (p_sum / q_sum))
+    terms = _caratheodory_walk(rows, np.cumsum(np.sort(p)[::-1])[size_index], n, vertex,
+                               q * (p_sum / q_sum))
     weights = np.fromiter(terms.values(), dtype=float, count=len(terms))
-    residual = float(np.max(np.abs(weights @ p[np.array(list(terms))] - q)))
-    if not residual <= WITNESS_TOL + abs(p_sum - q_sum):
-        raise RuntimeError(f"mixing witness misses target by {residual:.2e}")
+    residual = _rebuild_residual(weights, p[np.array(list(terms))], q, abs(p_sum - q_sum))
     return [(w, index(perm)) for perm, w in terms.items()], residual
 
 
@@ -572,11 +562,11 @@ def _classical(n: int) -> TheorySystem:
 def birkhoff_rare_synthesis(p, q) -> RaReChannel:
     """Explicit RaRe channel over the permutation group mapping p to q.
 
-    Requires that p majorizes q.  The permutohedron walk writes q as a mix
-    of at most n permutations of p, each met once; the channel weighs the
-    matching permutation matrices of make_classical(n), found by the index
-    classical ``more_mixed`` uses; that system is built once per n, and
-    refuses n > 6 (it stores the n! matrices).  It rebuilds q within
+    Requires that p majorizes q.  The walk's S_n case (``_walk_witness``)
+    writes q as a mix of at most n permutations of p, each met once; the
+    channel weighs the matching permutation matrices of make_classical(n),
+    found by the index classical ``more_mixed`` uses; that system is built
+    once per n, and refuses n > 6 (it stores the n! matrices).  It rebuilds q within
     ``WITNESS_TOL`` + |sum p - sum q|, or raises.
     """
     p = np.asarray(p, dtype=float).reshape(-1)

@@ -465,9 +465,9 @@ def rare_synthesis_quantum(rho: DensityMatrix, source: DensityMatrix
     """Weights and unitaries with sum_i w_i U_i source U_i^dag = rho.
 
     Requires the spectrum of ``source`` to majorize the spectrum of ``rho``.
-    The permutohedron walk of the Birkhoff synthesis runs on the two
-    spectra, and each permutation is conjugated by the pair of eigenbases
-    the states keep.  Any orthonormal eigenbasis in spectrum order serves;
+    The S_n case of the mixing walk (``mixedness._walk_witness``, as in the
+    Birkhoff synthesis) runs on the two spectra, and each permutation is
+    conjugated by the pair of eigenbases the states keep.  Any orthonormal eigenbasis in spectrum order serves;
     the mixture rebuilds rho within ``WITNESS_TOL``, or the call raises.
     Dimensions above ``mixedness.WALK_MAX_N`` raise ``CapacityError``.
     """

@@ -52,7 +52,7 @@ FARKAS_MIN_SEPARATION = 1e-9
 # ---------------------------------------------------------------------------
 
 #: an entry this close to zero is zero: margins, steps between Schmidt coefficients, and
-#: the permutohedron walk's weighted rises and slacks
+#: the mixing walk's weighted rises and slacks (``mixedness._caratheodory_walk``)
 ZERO_TOL = 1e-12
 #: weights (or a state's norm, a trace, |v|^2) sum to one within this; no weight below -SUM_TOL
 SUM_TOL = 1e-9

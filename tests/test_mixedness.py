@@ -661,7 +661,8 @@ def _pushed_face_points(rng, count):
 
 
 def _walk_reference(p, q):
-    """The permutohedron walk with its subset rows rebuilt on every call, kept as the cache's reference."""
+    """The permutohedron walk written out, its subset rows rebuilt on every call: the reference
+    for the S_n instance of ``_caratheodory_walk`` (``_walk_witness``) and its cached rows."""
     n = p.shape[0]
     rows = (np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1
     bound = np.cumsum(np.sort(p)[::-1])[rows.sum(axis=1) - 1]
@@ -698,9 +699,10 @@ def test_walk_with_cached_subsets_matches_the_uncached_walk_bit_for_bit():
             pairs.append((p, d @ p))
     assert {len(p) for p, _ in pairs} == set(range(2, 7))
     for p, q in pairs:
-        terms, ref = mixedness._permutohedron_walk(p, q), _walk_reference(p, q)
-        assert list(terms) == list(ref)
-        assert np.array(list(terms.values())).tobytes() == np.array(list(ref.values())).tobytes()
+        terms, _ = mixedness._walk_witness(p, q, tuple)
+        ref = _walk_reference(p, q * (p.sum() / q.sum()))
+        assert [perm for _, perm in terms] == list(ref)
+        assert np.array([w for w, _ in terms]).tobytes() == np.array(list(ref.values())).tobytes()
     rows, size_index = mixedness._subsets(4)
     assert mixedness._subsets(4) is mixedness._subsets(4)
     assert not rows.flags.writeable and not size_index.flags.writeable

@@ -13,7 +13,7 @@ import pytest
 
 from gptpurity import core, mixedness
 
-from test_mixedness import _assert_separates, lp_calls  # noqa: F401 (fixture)
+from test_mixedness import _assert_separates, _classical_pairs, lp_calls  # noqa: F401 (fixture)
 from test_user_system import _pentagon_dict
 
 
@@ -199,3 +199,92 @@ def test_a_reflection_subgroup_of_a_simplex(lp_calls):
         else:
             _assert_separates(swap, p, q, cert)
     assert lp_calls == []
+
+
+def _reflection_walk_reference(orbit, x, top, chamber, gram):
+    """The G-permutohedron walk with its weights dense in group order, the reference
+    for the reflection instance of ``mixedness._caratheodory_walk``."""
+    facets = chamber.facets
+    bound = (chamber.weight_forms @ orbit[top])[chamber.facet_weight]
+    rank = len(chamber.simple)
+    weights = np.zeros(len(orbit))
+    left = 1.0
+    for step in range(rank + 1):
+        slack = bound - facets @ x
+        tight = left * slack <= mixedness.ZERO_TOL
+        k = int(np.argmax(orbit @ (tight @ facets if tight.any() else gram @ x)))
+        if step == rank:
+            break
+        v = orbit[k]
+        rise = facets @ (x - v)
+        limits = (left * rise > mixedness.ZERO_TOL) & ~tight
+        if not limits.any():
+            break
+        lam = 1.0 + np.min(slack[limits] / rise[limits])
+        weights[k] += left * (1.0 - 1.0 / lam)
+        left /= lam
+        x = v + lam * (x - v)
+    weights[k] += left
+    return weights
+
+
+@pytest.mark.parametrize("system", [core.make_square_bit(), core.system_from_dict(_pentagon_dict()),
+                                    core.make_polygon(8)], ids=lambda s: s.name)
+def test_reflection_walk_matches_its_dense_reference_bit_for_bit(system):
+    # random pairs, RaRe images, and points just inside a hull edge, where
+    # the walk starts on (or within dust of) a facet
+    rng = np.random.default_rng(31)
+    verts = system.pure_states
+    pairs = list(_pairs(system, rng, 120))
+    for _ in range(10):
+        p = rng.dirichlet(np.ones(len(verts))) @ verts
+        for a, b in _hull_edges(system, p):
+            t, gap = rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-13, -9)
+            q = t * a + (1 - t) * b
+            q[:2] -= gap * q[:2] / np.linalg.norm(q[:2])
+            pairs.append((p, q))
+    chamber, dim = system._chamber, system.dim
+    walks = 0
+    for p, q in pairs:
+        rho, sigma = system.state(p), system.state(q)
+        cert = mixedness.more_mixed(rho, sigma)
+        if not cert.feasible:
+            continue
+        # the preamble of mixedness._reflection_certificate, step for step
+        orbit = mixedness._orbit(rho)
+        target = sigma.vec * (rho.norm / sigma.norm)
+        images = (system.group.reshape(-1, dim) @ target).reshape(-1, dim)
+        top = int(np.argmax(orbit @ chamber.z_form))
+        drop = orbit[top] - images[int(np.argmax(images @ chamber.z_form))]
+        fixed = drop - (chamber.weight_forms @ drop) @ chamber.simple
+        ref = _reflection_walk_reference(orbit, target + fixed, top, chamber, system.group_gram)
+        assert cert.weights.tobytes() == ref.tobytes()
+        walks += 1
+    assert walks >= 150
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_reflection_route_on_a_classical_chamber_is_majorization(n):
+    # classical more_mixed takes the sort; the chamber route, which it does
+    # not take, must give the same verdicts, and its witnesses must be the
+    # classical ones: M = I, and the k-th fundamental weight of S_n is the
+    # indicator of the k coordinates a dominant point has largest, less (k/n) 1
+    system = core.make_classical(n)
+    chamber = system._chamber
+    rng = np.random.default_rng(300 + n)
+    for p, q in _classical_pairs(rng, n, 60):
+        cert = mixedness._reflection_certificate(system.state(p), system.state(q), chamber)
+        assert cert.feasible == mixedness.majorizes(p, q)
+        if cert.feasible:
+            assert np.count_nonzero(cert.weights) <= n
+            rebuilt = cert.weights @ (system.group @ p)
+            assert np.max(np.abs(rebuilt - q)) <= mixedness.WITNESS_TOL
+        else:
+            k = int(np.count_nonzero(cert.functional > 0.0))
+            assert 1 <= k < n
+            top_k = np.zeros(n)
+            top_k[np.argsort(-q, kind="stable")[:k]] = 1.0
+            assert np.max(np.abs(cert.functional + k / n - top_k)) <= 1e-15
+            excess = np.cumsum(np.sort(q)[::-1]) * (p.sum() / q.sum()) - np.cumsum(np.sort(p)[::-1])
+            assert excess[k - 1] > mixedness.MAJORIZATION_TOL
+            assert abs(cert.gap - excess[k - 1]) <= 1e-15
