@@ -193,7 +193,7 @@ def pr_box_k(k: int, d_a: int, d_b: int) -> BoxState:
     congruence class.
     """
     if not 2 <= k <= min(d_a, d_b):
-        raise StructuralError(f"need 2 <= k <= min(d_a, d_b), got k={k}")
+        raise StructuralError(f"need 2 <= k <= min(d_a, d_b), got k={k}, d_a={d_a}, d_b={d_b}")
 
     def fn(a, b, x, y):
         if a < k and b < k and (b - a) % k == (x * y) % k:

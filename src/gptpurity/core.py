@@ -18,7 +18,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +75,62 @@ def _as_stack(xs, shape: tuple[int, ...], name: str) -> np.ndarray:
         stack = stack.reshape(0, *shape)     # every entry passed: the sequence is empty
     stack.flags.writeable = False
     return stack
+
+
+def _images(group: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The images g v of v under each element of ``group``, as rows in group order, from one flat product."""
+    dim = group.shape[-1]
+    return (group.reshape(-1, dim) @ v).reshape(-1, dim)
+
+
+@cache
+def _key_weights(dim: int) -> np.ndarray:
+    """A fixed generic direction with |w|_1 = 1 (one seeded draw), read-only: the sort key of ``_first_hits``."""
+    w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
+
+
+def _first_hits(points: np.ndarray, atol: float) -> list[int]:
+    """Indices of the rows kept by the first-hit rule, in row order.
+
+    A row is kept when it is farther than ``atol`` (max-norm) from every
+    row kept before it.  Near pairs come from one sort: each row's key is
+    its product with a fixed w, |w|_1 = 1 (``_key_weights``), so rows within
+    ``atol`` have keys within ``atol`` plus the keys' rounding, and only rows
+    whose sorted keys lie within twice that of each other are compared.  A row equal
+    to the row before it in key order (an exact repeat) is dropped up front,
+    as the rule drops it anyway: whatever kept or dropped the earlier copy
+    drops the repeat.  A row with no earlier near row is kept outright.
+    The others are resolved in row order: such a row is kept iff none of
+    its earlier near rows was kept (a dropped row's neighbour can still be
+    kept).
+    """
+    count, dim = points.shape
+    keys = points @ _key_weights(dim)
+    order = np.argsort(keys, kind="stable")
+    ranked, rows = keys[order], points[order]
+    fresh = np.ones(count, dtype=bool)       # not equal to the row before it in key order
+    fresh[1:] = np.abs(rows[1:] - rows[:-1]) @ np.ones(dim) > 0.0
+    order, ranked, rows = order[fresh], ranked[fresh], rows[fresh]
+    reach = 2.0 * (atol + dim * np.finfo(float).eps * np.abs(rows).max())
+    spans = np.searchsorted(ranked, ranked + reach, side="right") - np.arange(1, len(order) + 1)
+    if not spans.any():
+        return np.sort(order).tolist()
+    # every pair (i, j) of sorted positions with i < j <= i + spans[i]
+    first = np.repeat(np.arange(len(order)), spans)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(spans) - spans, spans) + first + 1
+    near = np.max(np.abs(rows[first] - rows[second]), axis=1) <= atol
+    a, b = order[first[near]], order[second[near]]
+    earlier, later = np.minimum(a, b), np.maximum(a, b)
+    by_later = np.argsort(later, kind="stable")
+    later, heads = np.unique(later[by_later], return_index=True)
+    kept = np.zeros(count, dtype=bool)
+    kept[order] = True
+    for row, before in zip(later, np.split(earlier[by_later], heads[1:])):
+        kept[row] = not kept[before].any()
+    return np.flatnonzero(kept).tolist()
 
 
 class Chamber(NamedTuple):
@@ -218,7 +274,6 @@ class TheorySystem:
         """
         if not self._isometric:
             return None
-        from .mixedness import _first_hits     # mixedness imports this module
         dim, group, gram = self.dim, self.group, self.group_gram
         eye = np.eye(dim)
         image, singular, _ = np.linalg.svd(eye - group)
@@ -241,7 +296,7 @@ class TheorySystem:
         if len(roots) and not (len(simple) == np.linalg.matrix_rank(simple)
                                == np.linalg.matrix_rank(roots)):
             return None
-        orbit_z = (group.reshape(-1, dim) @ z).reshape(-1, dim)
+        orbit_z = _images(group, z)
         if np.count_nonzero((orbit_z @ gram @ simple.T > 0.0).all(axis=1)) != 1:
             return None
         orbit_z = orbit_z[np.argsort(orbit_z @ key)]
@@ -252,7 +307,7 @@ class TheorySystem:
         weights = np.linalg.solve(simple @ gram @ simple.T, simple)
         facets, facet_weight = [], []
         for i, weight in enumerate(weights):
-            images = (group.reshape(-1, dim) @ weight).reshape(-1, dim)
+            images = _images(group, weight)
             distinct = images[_first_hits(images, ATOL)]
             facets.append(distinct @ gram)
             facet_weight.append(np.full(len(distinct), i))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import StructuralError, TheorySystem, make_classical
-from .mixedness import birkhoff_rare_synthesis, feasible_convex_combination, majorizes
+from .mixedness import (_check_walk_capacity, birkhoff_rare_synthesis, feasible_convex_combination,
+                        majorizes)
 from .quantum import (PureBipartiteState, _rare_residual, lu_equivalent, marginals,
                       maximally_entangled, nielsen_convertible, one_way_locc_from_rare,
                       random_density_matrix, random_pure_state, rare_synthesis_quantum)
@@ -158,8 +159,11 @@ def run_duality_suite(cfg: TrialConfig) -> SuiteReport:
     """Duality check: convertibility iff marginal-spectrum majorization.
 
     For every sampled ordered pair that is convertible, the RaRe witness
-    and the one-way protocol are constructed explicitly and verified.
+    and the one-way protocol are constructed explicitly and verified.  A
+    dimension above ``mixedness.WALK_MAX_N``, where the witness walk stops,
+    is refused with ``CapacityError`` before any trial is drawn.
     """
+    _check_walk_capacity(max(cfg.dims))
     return _run_trials("duality", _duality_trials(cfg))
 
 
@@ -204,10 +208,9 @@ def _classical_trial(system: TheorySystem, p: np.ndarray, q: np.ndarray
     return ok, verdicts
 
 
-def _classical_trials(cfg: TrialConfig):
+def _classical_trials(cfg: TrialConfig, systems: list[TheorySystem]):
     rng = _rng(cfg.seed)
-    for n in cfg.sizes:
-        system = make_classical(n)
+    for n, system in zip(cfg.sizes, systems):
         for trial in range(cfg.trials):
             p = rng.dirichlet(np.ones(n))
             q = rng.dirichlet(np.ones(n))
@@ -220,9 +223,12 @@ def run_classical_agreement_suite(cfg: TrialConfig) -> SuiteReport:
     """The phase-1 orbit LP against partial-sum majorization, on random pairs.
 
     Whenever the pair is comparable, the Birkhoff witness is synthesized and
-    its defining equation checked.
+    its defining equation checked.  Every size's system is built before any
+    trial is drawn, so a size ``make_classical`` refuses (``CapacityError``)
+    stops the suite at once.
     """
-    return _run_trials("classical-agreement", _classical_trials(cfg))
+    systems = [make_classical(n) for n in cfg.sizes]
+    return _run_trials("classical-agreement", _classical_trials(cfg, systems))
 
 
 def replay_classical_counterexample(detail: dict) -> bool:

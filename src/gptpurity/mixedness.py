@@ -36,7 +36,7 @@ import numpy as np
 
 from . import simplex
 from .core import (CapacityError, Chamber, GptState, StructuralError, TheorySystem,
-                   make_classical, sums_to_one)
+                   _first_hits, _images, make_classical, sums_to_one)
 from .tolerances import (ATOL, FARKAS_MIN_SEPARATION, FARKAS_VIOLATION_TOL,
                          MAJORIZATION_TOL, MAX_SCALE, RESIDUAL_TOL, WITNESS_TOL,
                          ZERO_TOL)
@@ -178,8 +178,7 @@ def feasible_convex_combination(generators, target) -> FeasibilityCertificate:
 
 def _orbit(rho: GptState) -> np.ndarray:
     """The group images of rho as rows, in group order, from one flat product."""
-    group = rho.system.group
-    return (group.reshape(-1, rho.system.dim) @ rho.vec).reshape(-1, rho.system.dim)
+    return _images(rho.system.group, rho.vec)
 
 
 def validate_state(rho: GptState, name: str = "state") -> None:
@@ -307,7 +306,7 @@ def _reflection_certificate(rho: GptState, sigma: GptState,
     system = rho.system
     orbit = _orbit(rho)
     target = sigma.vec * (rho.norm / sigma.norm)
-    images = (system.group.reshape(-1, system.dim) @ target).reshape(-1, system.dim)
+    images = _images(system.group, target)
     top = int(np.argmax(orbit @ chamber.z_form))
     h = int(np.argmax(images @ chamber.z_form))
     drop = orbit[top] - images[h]
@@ -419,56 +418,6 @@ def invariant_state(sys: TheorySystem) -> GptState:
     return GptState(sys, sys.invariant_vector)
 
 
-@functools.cache
-def _key_weights(dim: int) -> np.ndarray:
-    """A fixed generic direction with |w|_1 = 1 (one seeded draw), read-only: the sort key of ``_first_hits``."""
-    w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
-    w /= w.sum()
-    w.flags.writeable = False
-    return w
-
-
-def _first_hits(points: np.ndarray, atol: float) -> list[int]:
-    """Indices of the rows kept by the first-hit rule, in row order.
-
-    A row is kept when it is farther than ``atol`` (max-norm) from every
-    row kept before it.  Near pairs come from one sort: each row's key is
-    its product with a fixed w, |w|_1 = 1 (``_key_weights``), so rows within
-    ``atol`` have keys within ``atol`` plus the keys' rounding, and only rows
-    whose sorted keys lie within twice that of each other are compared.  A row equal
-    to the row before it in key order (an exact repeat) is dropped up front,
-    as the rule drops it anyway: whatever kept or dropped the earlier copy
-    drops the repeat.  A row with no earlier near row is kept outright.
-    The others are resolved in row order: such a row is kept iff none of
-    its earlier near rows was kept (a dropped row's neighbour can still be
-    kept).
-    """
-    count, dim = points.shape
-    keys = points @ _key_weights(dim)
-    order = np.argsort(keys, kind="stable")
-    ranked, rows = keys[order], points[order]
-    fresh = np.ones(count, dtype=bool)       # not equal to the row before it in key order
-    fresh[1:] = np.abs(rows[1:] - rows[:-1]) @ np.ones(dim) > 0.0
-    order, ranked, rows = order[fresh], ranked[fresh], rows[fresh]
-    reach = 2.0 * (atol + dim * np.finfo(float).eps * np.abs(rows).max())
-    spans = np.searchsorted(ranked, ranked + reach, side="right") - np.arange(1, len(order) + 1)
-    if not spans.any():
-        return np.sort(order).tolist()
-    # every pair (i, j) of sorted positions with i < j <= i + spans[i]
-    first = np.repeat(np.arange(len(order)), spans)
-    second = np.arange(len(first)) - np.repeat(np.cumsum(spans) - spans, spans) + first + 1
-    near = np.max(np.abs(rows[first] - rows[second]), axis=1) <= atol
-    a, b = order[first[near]], order[second[near]]
-    earlier, later = np.minimum(a, b), np.maximum(a, b)
-    by_later = np.argsort(later, kind="stable")
-    later, heads = np.unique(later[by_later], return_index=True)
-    kept = np.zeros(count, dtype=bool)
-    kept[order] = True
-    for row, before in zip(later, np.split(earlier[by_later], heads[1:])):
-        kept[row] = not kept[before].any()
-    return np.flatnonzero(kept).tolist()
-
-
 def orbit_hull(rho: GptState) -> list[np.ndarray]:
     """Vertices of the convex hull of the group orbit of rho.
 
@@ -507,15 +456,20 @@ def majorizes(p, q) -> bool:
     return bool(np.all(ps >= qs * (ps[-1] / qs[-1]) - MAJORIZATION_TOL))
 
 
+def _check_walk_capacity(n: int) -> None:
+    """Refuse n above ``WALK_MAX_N`` with ``CapacityError``: the walk's subset table has 2^n - 2 rows."""
+    if n > WALK_MAX_N:
+        raise CapacityError(f"the permutohedron walk supports n <= {WALK_MAX_N}, got n={n}")
+
+
 @functools.cache
 def _subsets(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The proper nonempty subsets of range(n) as 0/1 float rows, and each size less one.
 
     Built once per n for the permutohedron walk; both arrays are read-only.
-    n above ``WALK_MAX_N`` is refused (``CapacityError``) before anything is built.
+    n above ``WALK_MAX_N`` is refused (``_check_walk_capacity``) before anything is built.
     """
-    if n > WALK_MAX_N:
-        raise CapacityError(f"the permutohedron walk supports n <= {WALK_MAX_N}, got n={n}")
+    _check_walk_capacity(n)
     rows = ((np.arange(1, 2 ** n - 1)[:, None] >> np.arange(n)) & 1).astype(float)
     size_index = rows.sum(axis=1).astype(np.intp) - 1
     rows.flags.writeable = False

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gptpurity import cli, quantum, simplex
+from gptpurity import cli, harness, quantum, simplex
 from gptpurity.boxworld import BoxState, pr_box_k, standard_pr_box
 from gptpurity.core import make_classical, make_square_bit, system_to_dict
 from gptpurity.tolerances import WITNESS_TOL
@@ -263,6 +263,23 @@ def test_box_verbs_refuse_malformed_json(capsys, tmp_path, verb, name):
 def test_box_verbs_refuse_malformed_spec(capsys, verb):
     code, _ = run(capsys, verb, "--box", "prk:x:3")
     assert code == 2
+
+
+def test_pr_box_spec_names_the_outcome_counts_it_refuses(capsys):
+    assert cli.main(["check-extreme", "--box", "prk:2:0"]) == 2
+    assert capsys.readouterr().err == "error: need 2 <= k <= min(d_a, d_b), got k=2, d_a=0, d_b=0\n"
+
+
+@pytest.mark.parametrize("argv", [("duality", "--dim", "17", "--trials", "200"),
+                                  ("classical-agreement", "--size", "3", "--size", "7")],
+                         ids=["duality-d17", "classical-n7"])
+def test_suites_refuse_an_over_capacity_size_before_the_first_trial(capsys, monkeypatch, argv):
+    drawn = []
+    monkeypatch.setattr(harness, "_rng", lambda seed: drawn.append(seed))
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not drawn
 
 
 def _not_rational(text: str) -> bool:

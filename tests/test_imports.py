@@ -1,9 +1,10 @@
 """Every module-level import in the package is used, and every definition is read.
 
-An AST scan of ``src/gptpurity/*.py`` in place of a linter: a name bound
-by a module-level ``import`` or ``from ... import`` must be read somewhere
-in its module.  ``__init__.py`` is skipped, since its imports are the
-package's public API; ``from __future__`` imports bind no name.
+An AST scan of ``src/gptpurity/*.py`` in place of a linter, on the one
+parse that ``test_design_rules`` makes: a name bound by a module-level
+``import`` or ``from ... import`` must be read somewhere in its module.
+``__init__.py`` is skipped, since its imports are the package's public
+API; ``from __future__`` imports bind no name.
 
 A second scan finds orphaned definitions: each module-level function or
 class must be read somewhere in the package outside its own body, as a
@@ -11,17 +12,15 @@ name or an attribute, or be imported by ``__init__.py``.
 """
 
 import ast
-from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gptpurity"
+from test_design_rules import SOURCES
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def unused_imports(tree: ast.Module) -> list[str]:
     bound = {}
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -40,15 +39,15 @@ def _reads(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def orphaned_definitions(sources: dict[str, str]) -> list[str]:
+def orphaned_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """``module.name`` of each module-level function or class that no other code reads.
 
-    ``sources`` maps module names to their source; imports in the
+    ``trees`` maps module names to their parsed source; imports in the
     ``__init__`` module count as reads.
     """
     defined, reads = [], []          # reads: (module, enclosing definition or None, names)
-    for module, source in sources.items():
-        for node in ast.parse(source).body:
+    for module, tree in trees.items():
+        for node in tree.body:
             owner = node.name if isinstance(node, DEFINITIONS) else None
             if owner is not None:
                 defined.append((module, owner))
@@ -61,22 +60,20 @@ def orphaned_definitions(sources: dict[str, str]) -> list[str]:
                        for where, owner, names in reads)]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
-                         ids=lambda p: p.name)
-def test_module_has_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+@pytest.mark.parametrize("module", sorted(set(SOURCES) - {"__init__"}), ids=lambda m: f"{m}.py")
+def test_module_has_no_unused_imports(module):
+    assert unused_imports(SOURCES[module].tree) == []
 
 
 def test_package_has_no_orphaned_definitions():
-    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    assert orphaned_definitions(sources) == []
+    assert orphaned_definitions({name: source.tree for name, source in SOURCES.items()}) == []
 
 
 def test_scan_finds_unused_imports():
     source = ("from __future__ import annotations\n"
               "import json\nimport os.path\nfrom typing import Iterable, Callable as C\n"
               "def f(x: C) -> None:\n    return os.path.join(x)\n")
-    assert unused_imports(source) == ["line 2: json", "line 4: Iterable"]
+    assert unused_imports(ast.parse(source)) == ["line 2: json", "line 4: Iterable"]
 
 
 def test_scan_finds_orphaned_definitions():
@@ -92,4 +89,5 @@ def test_scan_finds_orphaned_definitions():
     }
     # `orphan` reads `Orphan`, but nothing reads `orphan`; `b.caller` is read
     # only as a bare name in `c`, which is enough
-    assert orphaned_definitions(sources) == ["a.recursive", "a.orphan"]
+    assert orphaned_definitions({name: ast.parse(source) for name, source in sources.items()}) \
+        == ["a.recursive", "a.orphan"]
