@@ -8,8 +8,8 @@ and seeded cross-validation suites for the duality between the two
 resource theories.
 """
 
-from .core import (CapacityError, Effect, GptState, Measurement, StructuralError,
-                   TheorySystem, load_system, make_classical, make_polygon,
+from .core import (CapacityError, Effect, GptState, InvalidSystemError, Measurement,
+                   StructuralError, TheorySystem, load_system, make_classical, make_polygon,
                    make_square_bit, save_system, system_from_dict, system_to_dict, validate_system)
 from .mixedness import (FeasibilityCertificate, IllConditionedError, RaReChannel,
                         birkhoff_rare_synthesis, equally_mixed,

@@ -39,7 +39,7 @@ def _read_json(path: str):
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
-def _load_system(spec: str, validate: bool = True) -> core.TheorySystem:
+def _load_system(spec: str) -> core.TheorySystem:
     if spec.startswith("classical:"):
         try:
             size = int(spec.split(":", 1)[1])
@@ -48,7 +48,7 @@ def _load_system(spec: str, validate: bool = True) -> core.TheorySystem:
         return core.make_classical(size)
     if spec == "square-bit":
         return core.make_square_bit()
-    return core.system_from_dict(_read_json(spec), validate=validate)
+    return core.system_from_dict(_read_json(spec))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -163,8 +163,11 @@ def _emit(payload, args) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate_system(args):
-    # a theory file is loaded unvalidated, so its violations are this verb's report
-    report = core.validate_system(_load_system(args.system, validate=False))
+    # a system is checked when built, so a theory file's violations come with its refusal
+    try:
+        report = core.validate_system(_load_system(args.system))
+    except core.InvalidSystemError as exc:
+        report = exc.violations
     return (0 if not report else 1), {"violations": report, "valid": not report}
 
 

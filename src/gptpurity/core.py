@@ -33,6 +33,14 @@ class StructuralError(ValueError):
     """Field dimensions of a system or operation input do not line up."""
 
 
+class InvalidSystemError(StructuralError):
+    """A system that breaks an invariant ``validate_system`` checks; ``violations`` lists each."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid theory definition: " + "; ".join(violations))
+        self.violations = violations
+
+
 class CapacityError(ValueError):
     """Requested construction exceeds the supported finite size."""
 
@@ -85,7 +93,7 @@ def _images(group: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 @cache
 def _key_weights(dim: int) -> np.ndarray:
-    """A fixed generic direction with |w|_1 = 1 (one seeded draw), read-only: the sort key of ``_first_hits``."""
+    """A fixed generic direction with |w|_1 = 1 (one seeded draw), read-only: the near-pair sort key."""
     w = np.random.default_rng(dim).uniform(1.0, 2.0, dim)
     w /= w.sum()
     w.flags.writeable = False
@@ -133,6 +141,32 @@ def _first_hits(points: np.ndarray, atol: float) -> list[int]:
     return np.flatnonzero(kept).tolist()
 
 
+def _first_matches(queries: np.ndarray, points: np.ndarray,
+                   atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each query row, the index of the first row of ``points`` within ``atol``
+    (max-norm), and whether one is; an unmatched query reads index 0.
+
+    Near pairs come from one sort, as in ``_first_hits``: a point within
+    ``atol`` of a query has a key within ``atol`` plus the keys' rounding of
+    the query's key, so only the points in a window of twice that around it
+    in key order are compared, one offset into the window at a time.
+    """
+    dim = points.shape[1]
+    keys, query_keys = points @ _key_weights(dim), queries @ _key_weights(dim)
+    order = np.argsort(keys, kind="stable")
+    scale = max(np.abs(points).max(), np.abs(queries).max())
+    reach = 2.0 * (atol + dim * np.finfo(float).eps * scale)
+    low = np.searchsorted(keys[order], query_keys - reach)
+    width = np.searchsorted(keys[order], query_keys + reach, side="right") - low
+    first = np.full(len(queries), len(points))
+    for step in range(width.max()):
+        candidate = order[np.minimum(low + step, len(points) - 1)]
+        near = (step < width) & (np.max(np.abs(queries - points[candidate]), axis=1) <= atol)
+        first = np.where(near, np.minimum(first, candidate), first)
+    found = first < len(points)
+    return np.where(found, first, 0), found
+
+
 class Chamber(NamedTuple):
     """The chamber geometry of a group generated by reflections (``TheorySystem._chamber``).
 
@@ -160,6 +194,10 @@ class TheorySystem:
     of rows or matrices; a variant of a system is built with ``np.delete``
     or ``np.insert`` on its arrays.  The pure effects are not an input:
     ``extremal_effects`` derives them from the vertices.
+
+    A system is checked once, when built (``_violations``), and one that breaks
+    an invariant raises ``InvalidSystemError``: every built system's pure
+    states span R^dim, and its group is a group that permutes them.
     """
 
     dim: int
@@ -179,6 +217,8 @@ class TheorySystem:
             raise StructuralError("pure_states must be non-empty")
         if not len(self.group):
             raise StructuralError("group must be non-empty")
+        if self._violations:
+            raise InvalidSystemError(list(self._violations))
 
     @cached_property
     def group_gram(self) -> np.ndarray:
@@ -186,7 +226,7 @@ class TheorySystem:
 
         For a group, h^T M h = M for every element h, so every element is
         orthogonal for the inner product <x, y>_M = x^T M y, and every orbit
-        lies on one M-sphere; ``_isometric`` checks the identity.
+        lies on one M-sphere; construction checks the identity.
         """
         rows = self.group.reshape(-1, self.dim)
         gram = rows.T @ rows / len(self.group)
@@ -194,12 +234,59 @@ class TheorySystem:
         return gram
 
     @cached_property
-    def _isometric(self) -> bool:
-        """Whether every element h satisfies h^T M h = M (``group_gram``) within
-        ATOL, scaled by max(1, max|M|)."""
-        gram, stack = self.group_gram, self.group
-        moved = stack.transpose(0, 2, 1) @ gram @ stack
-        return bool(np.max(np.abs(moved - gram)) <= ATOL * max(1.0, np.abs(gram).max()))
+    def _violations(self) -> tuple[str, ...]:
+        """The invariants the system breaks, one line each (``validate_system``).
+
+        Every pure state must be normalized (``sums_to_one`` of its norm).
+        Every group element must permute the vertex list: perm[g, j] is the
+        first pure state within ``ATOL`` (max-norm) of group[g] @ pure_states[j]
+        (``_first_matches``).  When the pure states span R^dim (checked, and
+        reported otherwise), a matrix is fixed by its images of ``dim``
+        independent vertices, so repeats, closure and inverses are checked
+        exactly on the permutations of the elements that permute the vertices:
+        group[i] @ group[j] acts as perm[i][perm[j]] and the inverse of group[i]
+        as argsort(perm[i]).  Every element h must also preserve the averaged
+        Gram form (h^T M h = M, ``group_gram``) within ATOL, scaled by max(1, max|M|).
+        """
+        report: list[str] = []
+        verts, group, gram = self.pure_states, self.group, self.group_gram
+        images = np.matmul(group, verts.T).transpose(0, 2, 1)     # images[g, j] = g @ v_j
+        perm, found = _first_matches(images.reshape(-1, self.dim), verts, ATOL)
+        perm, found = perm.reshape(len(group), -1), found.reshape(len(group), -1)
+        matched = found.all(axis=1)
+        bijective = np.all(np.sort(perm, axis=1) == np.arange(len(verts)), axis=1)
+        singular = np.abs(np.linalg.det(group)) < SINGULAR_DET_TOL
+        unit_residual = np.max(np.abs(self.unit_effect @ group - self.unit_effect), axis=1)
+        for i in range(len(group)):
+            if singular[i]:
+                report.append(f"group[{i}] is singular (det ~ 0)")
+                continue
+            if not matched[i]:
+                j = int(np.argmin(found[i]))
+                residual = np.max(np.abs(images[i, j] - verts), axis=1).min()
+                report.append(f"group[{i}] maps pure_states[{j}] outside the vertex list "
+                              f"(residual {residual:.3e})")
+            elif not bijective[i]:
+                report.append(f"group[{i}] does not act injectively on the vertex list")
+            if unit_residual[i] > ATOL:
+                report.append(f"group[{i}] does not preserve the unit effect "
+                              f"(residual {unit_residual[i]:.3e})")
+        drift = np.max(np.abs(group.transpose(0, 2, 1) @ gram @ group - gram), axis=(1, 2))
+        worst = int(np.argmax(drift))
+        if drift[worst] > ATOL * max(1.0, np.abs(gram).max()):
+            report.append(f"group[{worst}] does not preserve the averaged Gram form M "
+                          f"(h^T M h != M, residual {drift[worst]:.3e})")
+
+        for j, norm in enumerate(verts @ self.unit_effect):
+            if not sums_to_one(norm):
+                report.append(f"pure_states[{j}] is not normalized (norm {norm:.6f})")
+
+        base = _spanning_rows(verts)
+        if len(base) < self.dim:
+            report.append("pure_states do not span the state space")
+        else:
+            report += _closure_report(perm, np.flatnonzero(~singular & matched & bijective), base)
+        return tuple(report)
 
     @cached_property
     def _gram_condition(self) -> float:
@@ -210,21 +297,17 @@ class TheorySystem:
     def invariant_vector(self) -> np.ndarray:
         """The group average chi = (1/|G|) sum_g g v of a pure state v, read-only.
 
-        Checked to be the same (within ATOL) from every pure state and fixed
-        by every group element; otherwise ``StructuralError`` is raised, on
-        every access, since a property that raises stores nothing.
+        A group fixes it.  Checked to be the same (within ATOL) from every pure
+        state, as when the group acts transitively; otherwise ``StructuralError``
+        is raised, on every access, since a property that raises stores nothing.
         """
-        stack = self.group
-        averages = self.pure_states @ stack.mean(axis=0).T
+        averages = self.pure_states @ self.group.mean(axis=0).T
         chi = averages[0]
         seeds = np.flatnonzero(np.max(np.abs(averages - chi), axis=1) > ATOL)
         if seeds.size:
             raise StructuralError(
                 f"group average depends on the seed pure state (vertex {seeds[0]}); "
                 "the invariant state is not unique")
-        movers = np.flatnonzero(np.max(np.abs(stack @ chi - chi), axis=1) > ATOL)
-        if movers.size:
-            raise StructuralError(f"group[{movers[0]}] does not fix the group average")
         chi.flags.writeable = False
         return chi
 
@@ -249,8 +332,7 @@ class TheorySystem:
                 and np.array_equal(self.group, eye[rows])
                 and np.array_equal(np.sort(rows, axis=1), np.broadcast_to(np.arange(n), rows.shape))):
             return None
-        index = {tuple(row): k for k, row in enumerate(rows.tolist())}
-        return index if len(index) == len(self.group) else None
+        return {tuple(row): k for k, row in enumerate(rows.tolist())}
 
     @cached_property
     def _chamber(self) -> Chamber | None:
@@ -267,13 +349,8 @@ class TheorySystem:
         roots in their span under M.  The reflections generate the group
         exactly when one point of the orbit of z lies in the open dominant
         chamber (every simple root positive on it), since the group they
-        generate acts simply transitively on the chambers.  A matrix list
-        that is not closed is no group, so the orbit of z must also map onto
-        itself, within ATOL, under each simple reflection.  None also when
-        the group fails ``_isometric``.
+        generate acts simply transitively on the chambers.
         """
-        if not self._isometric:
-            return None
         dim, group, gram = self.dim, self.group, self.group_gram
         eye = np.eye(dim)
         image, singular, _ = np.linalg.svd(eye - group)
@@ -282,7 +359,7 @@ class TheorySystem:
         reflections = np.flatnonzero(rank_one & involution)
         roots = image[reflections, :, 0]
         roots *= np.sqrt(2.0 / np.einsum("ij,jk,ik->i", roots, gram, roots))[:, None]
-        z, key = np.random.default_rng(_CHAMBER_SEED).standard_normal((2, dim))
+        z = np.random.default_rng(_CHAMBER_SEED).standard_normal(dim)
         z_form = gram @ z
         height = roots @ z_form
         movers = group[np.max(np.abs(group - eye), axis=(1, 2)) > ATOL]
@@ -296,14 +373,8 @@ class TheorySystem:
         if len(roots) and not (len(simple) == np.linalg.matrix_rank(simple)
                                == np.linalg.matrix_rank(roots)):
             return None
-        orbit_z = _images(group, z)
-        if np.count_nonzero((orbit_z @ gram @ simple.T > 0.0).all(axis=1)) != 1:
+        if np.count_nonzero((_images(group, z) @ gram @ simple.T > 0.0).all(axis=1)) != 1:
             return None
-        orbit_z = orbit_z[np.argsort(orbit_z @ key)]
-        for root in simple:
-            moved = orbit_z - np.outer(orbit_z @ gram @ root, root)
-            if np.max(np.abs(moved[np.argsort(moved @ key)] - orbit_z)) > ATOL:
-                return None
         weights = np.linalg.solve(simple @ gram @ simple.T, simple)
         facets, facet_weight = [], []
         for i, weight in enumerate(weights):
@@ -319,22 +390,6 @@ class TheorySystem:
         return chamber
 
     @cached_property
-    def _spans(self) -> bool:
-        """Whether the pure states span R^dim, decided as ``validate_system`` decides it."""
-        return len(_spanning_rows(self.pure_states)) == self.dim
-
-    @cached_property
-    def _off_span(self) -> np.ndarray | None:
-        """The orthogonal projector onto the complement of the pure states' span,
-        read-only; None when they span R^dim (``_spans``)."""
-        if self._spans:
-            return None
-        basis = np.linalg.svd(self.pure_states)[2][:len(_spanning_rows(self.pure_states))]
-        off = np.eye(self.dim) - basis.T @ basis
-        off.flags.writeable = False
-        return off
-
-    @cached_property
     def extremal_effects(self) -> np.ndarray:
         """The pure effects, one read-only (K, dim) array: the facet functionals of the
         pure states' hull, each scaled to read 1 at its top.
@@ -348,12 +403,11 @@ class TheorySystem:
         pure states it vanishes on (at most ATOL, scaled), if that set has
         rank ``dim - 1`` or more, in the order of those sets.
         Cofactors are exact on integer and dyadic data: classical-n gives
-        eye(n).  The shape is (0, dim) for dim 1, and for pure states that
-        do not span R^dim.
+        eye(n).  The shape is (0, dim) for dim 1.
         """
         dim, verts = self.dim, self.pure_states
         effects = np.empty((0, dim))
-        if dim > 1 and self._spans:
+        if dim > 1:
             rows = verts[list(itertools.combinations(range(len(verts)), dim - 1))]
             normals = np.stack([(-1) ** j * np.linalg.det(np.delete(rows, j, axis=2))
                                 for j in range(dim)], axis=1)
@@ -492,6 +546,8 @@ def _spanning_rows(verts: np.ndarray) -> list[int]:
     """Indices of a maximal linearly independent set of rows, chosen greedily in order."""
     base: list[int] = []
     for j in range(len(verts)):
+        if len(base) == verts.shape[1]:      # no row can add to a full rank
+            break
         if np.linalg.matrix_rank(verts[base + [j]]) > len(base):
             base.append(j)
     return base
@@ -537,62 +593,16 @@ def _closure_report(perm: np.ndarray, members: np.ndarray, base: list[int]) -> l
 
 
 def validate_system(sys: TheorySystem) -> list[str]:
-    """Check every TheorySystem invariant; return the list of violations.
-
-    An empty report means the system is valid within tolerance.  Structural
-    problems (mismatched dimensions) raise ``StructuralError`` instead of
-    being reported, since no further check is meaningful.
-
-    Every pure state must be normalized (``sums_to_one`` of its norm).
-    Every group element must permute the vertex list: perm[g, j] is the
-    first pure state within ``ATOL`` (max-norm) of group[g] @ pure_states[j].
-    When the pure states span R^dim (checked, and reported otherwise), a
-    matrix is fixed by its images of ``dim`` independent vertices, so repeats,
-    closure and inverses are checked exactly on the permutations of the elements
-    that permute the vertices: group[i] @ group[j] acts as perm[i][perm[j]]
-    and the inverse of group[i] as argsort(perm[i]).
-    """
-    report: list[str] = []
-    verts, group = sys.pure_states, sys.group
-
-    images = np.matmul(group, verts.T).transpose(0, 2, 1)     # images[g, j] = g @ v_j
-    close = np.stack([np.max(np.abs(images - w), axis=2) <= ATOL for w in verts], axis=2)
-    matched = close.any(axis=2).all(axis=1)
-    perm = close.argmax(axis=2)
-    bijective = np.all(np.sort(perm, axis=1) == np.arange(len(verts)), axis=1)
-    singular = np.abs(np.linalg.det(group)) < SINGULAR_DET_TOL
-    unit_residual = np.max(np.abs(sys.unit_effect @ group - sys.unit_effect), axis=1)
-    for i in range(len(group)):
-        if singular[i]:
-            report.append(f"group[{i}] is singular (det ~ 0)")
-            continue
-        if not matched[i]:
-            j = int(np.argmin(close[i].any(axis=1)))
-            residual = np.max(np.abs(images[i, j] - verts), axis=1).min()
-            report.append(f"group[{i}] maps pure_states[{j}] outside the vertex list "
-                          f"(residual {residual:.3e})")
-        elif not bijective[i]:
-            report.append(f"group[{i}] does not act injectively on the vertex list")
-        if unit_residual[i] > ATOL:
-            report.append(f"group[{i}] does not preserve the unit effect "
-                          f"(residual {unit_residual[i]:.3e})")
-
-    for j, norm in enumerate(verts @ sys.unit_effect):
-        if not sums_to_one(norm):
-            report.append(f"pure_states[{j}] is not normalized (norm {norm:.6f})")
-
-    base = _spanning_rows(verts)
-    if len(base) < sys.dim:
-        report.append("pure_states do not span the state space")
-    else:
-        report += _closure_report(perm, np.flatnonzero(~singular & matched & bijective), base)
-    return report
+    """The list of violations of the TheorySystem invariants, as construction computed it
+    (``TheorySystem._violations``): a system with any is refused with
+    ``InvalidSystemError``, which carries the list, so a built system's is empty."""
+    return list(sys._violations)
 
 
 def make_classical(n: int) -> TheorySystem:
     """Classical system on n outcomes: simplex vertices, permutation group."""
-    if n < 1:
-        raise StructuralError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise StructuralError(f"a classical system needs an integer n >= 1, got {n!r}")
     if n > 6:
         raise CapacityError(f"classical systems are limited to n <= 6 (n! group), got n={n}")
     eye = np.eye(n)
@@ -676,15 +686,16 @@ def system_to_dict(sys: TheorySystem) -> dict:
     }
 
 
-def system_from_dict(data: dict, validate: bool = True) -> TheorySystem:
-    """The system a theory definition describes; an old ``extremal_effects`` key is ignored."""
+def system_from_dict(data: dict) -> TheorySystem:
+    """The system a theory definition describes, checked as every system is when
+    built; an old ``extremal_effects`` key is ignored."""
     if not isinstance(data, dict):
         raise StructuralError(f"theory definition must be an object, got {type(data).__name__}")
     try:
         for key in ("pure_states", "group"):
             if not isinstance(data[key], list):
                 raise StructuralError(f"{key} must be a list, got {type(data[key]).__name__}")
-        sys = TheorySystem(
+        return TheorySystem(
             dim=data["dim"],
             unit_effect=data["unit_effect"],
             pure_states=data["pure_states"],
@@ -693,17 +704,12 @@ def system_from_dict(data: dict, validate: bool = True) -> TheorySystem:
         )
     except KeyError as exc:
         raise StructuralError(f"theory definition is missing field {exc}") from exc
-    if validate:
-        report = validate_system(sys)
-        if report:
-            raise StructuralError("invalid theory definition: " + "; ".join(report))
-    return sys
 
 
-def load_system(path: str, validate: bool = True) -> TheorySystem:
+def load_system(path: str) -> TheorySystem:
     with open(path) as fh:
         data = json.load(fh)
-    return system_from_dict(data, validate=validate)
+    return system_from_dict(data)
 
 
 def save_system(sys: TheorySystem, path: str) -> None:

@@ -22,8 +22,10 @@ current point (``_walk_witness``, n <= ``WALK_MAX_N``: classical
 (``TheorySystem._chamber``), the orbit point on every facet the current
 point lies on.  Every "no" of both carries a separating functional
 checked on the orbit.  Only a group that its
-reflections do not generate (a cyclic group, a matrix set that is not
-isometric) solves the phase-1 LP over the orbit, with the in-repo simplex.
+reflections do not generate (a cyclic group, the half turn alone) solves
+the phase-1 LP over the orbit, with the in-repo simplex.  Every system is
+checked to be valid when built (``core.TheorySystem``), so each of these
+answers is over a group.
 """
 
 from __future__ import annotations
@@ -186,27 +188,14 @@ def validate_state(rho: GptState, name: str = "state") -> None:
 
     It must be normalized, and no pure effect (``TheorySystem.extremal_effects``, the facet
     functionals of the pure states' hull) may read below -ATOL on it.  No LP is solved, and
-    the check is exact wherever the pure states span R^dim.  Where they do not (a system
-    that ``validate_system`` would refuse), no entry of its part off their span
-    (``TheorySystem._off_span``) may exceed ATOL either.
+    the check is exact: the pure states of every built system span R^dim, so the facet
+    functionals bound the hull on every side.
     """
     if not rho.is_normalized():
         raise StructuralError(f"{name} is not normalized (norm {rho.norm:.6f})")
-    off = rho.system._off_span
-    if off is not None and np.max(np.abs(off @ rho.vec)) > ATOL:
-        raise StructuralError(f"{name} lies outside the state space "
-                              f"(off the pure states' span by {np.max(np.abs(off @ rho.vec)):.3e})")
     values = rho.system.extremal_effects @ rho.vec
     if (values < -ATOL).any():
         raise StructuralError(f"{name} lies outside the state space (effect {values.min():.3e})")
-
-
-def _require_isometric(system: TheorySystem) -> None:
-    """Refuse a matrix set whose elements do not all preserve its averaged Gram
-    form (``TheorySystem._isometric``): its orbits need not lie on one sphere."""
-    if not system._isometric:
-        raise StructuralError("the group does not preserve its averaged Gram form "
-                              "(h^T M h != M); its orbits need not lie on one sphere")
 
 
 def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
@@ -230,8 +219,8 @@ def more_mixed(rho: GptState, sigma: GptState) -> FeasibilityCertificate:
       from the simple-root coefficients of rho's and sigma's dominant orbit
       points, with the same walk on rho's G-permutohedron for the weights and a
       fundamental-weight functional for a "no";
-    * any other group (a cyclic group, a matrix set that is not isometric):
-      the phase-1 LP over the orbit of rho.
+    * any other group (a group that its reflections do not generate, such as
+      a cyclic group): the phase-1 LP over the orbit of rho.
 
     The first two solve no LP, and every "no" they give carries a
     ``functional`` and ``gap`` checked by one orbit scan.
@@ -389,14 +378,12 @@ def equally_mixed(rho: GptState, sigma: GptState) -> tuple[bool, np.ndarray | No
     point of sigma's orbit, else ``(False, None)``.  No LP is solved: an
     orbit lies on one sphere of the invariant form (see ``orbit_hull``),
     and its hull meets that sphere only at the orbit, so each state is more
-    mixed than the other exactly when each lies in the other's orbit.  A
-    matrix set that fails ``TheorySystem._isometric`` is refused.
+    mixed than the other exactly when each lies in the other's orbit.
     """
     if rho.system is not sigma.system:
         raise StructuralError("states must belong to the same system")
     validate_state(rho, "rho")
     validate_state(sigma, "sigma")
-    _require_isometric(rho.system)
     hits = np.flatnonzero(np.max(np.abs(_orbit(rho) - sigma.vec), axis=1) <= ATOL)
     if not hits.size or not (np.max(np.abs(_orbit(sigma) - rho.vec), axis=1) <= ATOL).any():
         return False, None
@@ -408,8 +395,8 @@ def invariant_state(sys: TheorySystem) -> GptState:
 
     chi = (1/|G|) sum_g g v is the image of a pure state v under the uniform
     RaRe channel (equal weight on every group element).  The function
-    checks that every pure state has the same average (within ATOL) and
-    that every group element fixes it.  The uniform channel is then the
+    checks that every pure state has the same average (within ATOL); a
+    group fixes its average.  The uniform channel is then the
     witness that chi is more mixed than every vertex, hence than every
     state, so chi is the maximum of the mixedness order.  The average and
     its checks run once per system (``TheorySystem.invariant_vector``); the
@@ -427,11 +414,9 @@ def orbit_hull(rho: GptState) -> list[np.ndarray]:
     one M-sphere, and a sphere is strictly convex: no orbit point lies in
     the hull of the others.  The vertices are therefore the distinct orbit
     points, taken in group order by the first-hit rule within ``ATOL``
-    (``_first_hits``).  No LP is solved.  A matrix set that fails
-    ``TheorySystem._isometric`` is refused with ``StructuralError``.
+    (``_first_hits``).  No LP is solved.
     """
     validate_state(rho, "rho")
-    _require_isometric(rho.system)
     orbit = _orbit(rho)
     return list(orbit[_first_hits(orbit, ATOL)])
 

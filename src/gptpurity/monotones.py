@@ -148,15 +148,13 @@ def op_norm_report(rho: GptState) -> MonotoneReport:
     effects are every facet functional of the pure states' hull
     (``TheorySystem.extremal_effects``).  The map a -> u - a sends E onto
     itself when u(v) = 1 on every pure state, so inf (a|delta) = (u|delta) -
-    sup (a|delta), attained by ``inf_effect = u - sup_effect``.  Pure states
-    that do not span the space leave E unbounded, and a system with no pure
-    measurement has no witness; both raise ``UnsupportedSystemError``.
+    sup (a|delta), attained by ``inf_effect = u - sup_effect``.  E is bounded,
+    since the pure states of every built system span the space.  A system
+    with no pure measurement has no witness; it raises
+    ``UnsupportedSystemError``.
     """
     validate_state(rho, "rho")
     system = rho.system
-    if not system._spans:
-        raise UnsupportedSystemError(
-            "effect polytope is unbounded; pure states do not span the state space")
     stack = system._measurement_stack
     if not len(stack):
         raise UnsupportedSystemError("no pure measurements available for this system")

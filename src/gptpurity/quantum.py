@@ -841,6 +841,10 @@ def random_density_matrix(d: int, rng: np.random.Generator,
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random d x d unitary, from the QR decomposition of a complex Gaussian matrix;
+    a dimension below 1 is refused before any draw."""
+    if d < 1:
+        raise StructuralError(f"dimension must be positive, got {d}")
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

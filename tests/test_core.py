@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,12 +38,9 @@ def test_classical_trit_validates():
 def test_validation_catches_scaled_group_element(square_bit):
     group = list(square_bit.group)
     group[3] = 2.0 * np.eye(3)
-    broken = core.TheorySystem(
-        dim=3, unit_effect=square_bit.unit_effect,
-        pure_states=square_bit.pure_states,
-        group=tuple(group))
-    report = core.validate_system(broken)
+    report = _report(_fields(square_bit, group=tuple(group)))
     assert any("unit effect" in line for line in report)
+    assert any("group[3] does not preserve the averaged Gram form" in line for line in report)
 
 
 def test_validation_structural_error_names_field(square_bit):
@@ -59,6 +57,9 @@ def test_make_classical_sizes():
     assert len(trit.group) == 6
     with pytest.raises(core.CapacityError):
         core.make_classical(7)
+    for bad in (0, -1, 3.0, True, "3"):
+        with pytest.raises(core.StructuralError, match="needs an integer n >= 1"):
+            core.make_classical(bad)
 
 
 def test_group_acts_as_bijection_on_vertices(square_bit):
@@ -207,13 +208,24 @@ def _reference_validate_system(sys, atol=core.ATOL):
     return report
 
 
-def _with(sys, **fields):
-    data = {"dim": sys.dim, "unit_effect": sys.unit_effect, "pure_states": sys.pure_states,
+def _fields(sys, **fields):
+    """The fields of ``sys``, with ``fields`` in place of some."""
+    return {"dim": sys.dim, "unit_effect": sys.unit_effect, "pure_states": sys.pure_states,
             "group": sys.group, **fields}
-    return core.TheorySystem(**data)
 
 
-def _seeded_systems(seed):
+def _report(fields) -> list[str]:
+    """``validate_system`` of the system built from ``fields``, or the violations its
+    construction is refused with: a system is checked when built, so a non-empty
+    report is a refusal."""
+    try:
+        return core.validate_system(core.TheorySystem(**fields))
+    except core.InvalidSystemError as exc:
+        return exc.violations
+
+
+def _seeded_definitions(seed):
+    """Seeded system fields by name: three valid systems and four invalid group lists."""
     from test_user_system import _pentagon_dict
 
     rng = np.random.default_rng(seed)
@@ -228,15 +240,15 @@ def _seeded_systems(seed):
     scaled = list(square.group)
     scaled[int(rng.integers(0, len(scaled)))] = 2.0 * np.eye(3)
     return {
-        "classical-4": core.make_classical(4),
-        "square": square,
-        "pentagon": pentagon,
+        "classical-4": _fields(core.make_classical(4)),
+        "square": _fields(square),
+        "pentagon": _fields(pentagon),
         "s3-minus-transposition":
-            _with(trit, group=np.delete(trit.group, dropped, axis=0)),
+            _fields(trit, group=np.delete(trit.group, dropped, axis=0)),
         "pentagon-tenth-turn":
-            _with(pentagon, group=np.insert(pentagon.group, at, tenth, axis=0)),
-        "duplicated-element": _with(square, group=square.group[np.r_[:len(square.group), twice]]),
-        "scaled-element": _with(square, group=tuple(scaled)),
+            _fields(pentagon, group=np.insert(pentagon.group, at, tenth, axis=0)),
+        "duplicated-element": _fields(square, group=square.group[np.r_[:len(square.group), twice]]),
+        "scaled-element": _fields(square, group=tuple(scaled)),
     }
 
 
@@ -246,12 +258,15 @@ def _lines(report, *markers):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_validate_system_matches_reference(seed):
-    for name, sys in _seeded_systems(seed).items():
-        new, old = core.validate_system(sys), _reference_validate_system(sys)
+    for name, fields in _seeded_definitions(seed).items():
+        new = _report(fields)
+        old = _reference_validate_system(SimpleNamespace(**fields))
         # the reference accepted a repeated element; only the new validator reports it
         repeats = _lines(new, "repeats")
         assert (repeats != []) == (name == "duplicated-element"), name
         assert ([line for line in new if line not in repeats] == []) == (old == []), name
+        # only the scaled element breaks the averaged Gram form
+        assert (_lines(new, "Gram form") != []) == (name == "scaled-element"), name
         for marker in ("vertex list", "unit effect"):
             assert _lines(new, marker) == _lines(old, marker), (name, marker)
         if name == "s3-minus-transposition":     # every element permutes the vertices
@@ -260,36 +275,72 @@ def test_validate_system_matches_reference(seed):
 
 
 def test_validate_system_reports_repeated_element(square_bit):
-    repeated = _with(square_bit, group=square_bit.group[np.r_[:8, 1]])
-    assert core.validate_system(repeated) == ["group[8] repeats group[1]"]
+    repeated = _fields(square_bit, group=square_bit.group[np.r_[:8, 1]])
+    assert _report(repeated) == ["group[8] repeats group[1]"]
 
 
 def test_validate_system_refuses_non_spanning_vertices():
     # a segment inside a 3-dimensional space: permutations do not fix matrices
-    segment = core.TheorySystem(
-        dim=3, unit_effect=[0.0, 0.0, 1.0],
-        pure_states=([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
-        group=(np.eye(3), np.diag([-1.0, 1.0, 1.0])))
-    assert core.validate_system(segment) == ["pure_states do not span the state space"]
+    segment = dict(dim=3, unit_effect=[0.0, 0.0, 1.0],
+                   pure_states=([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]),
+                   group=(np.eye(3), np.diag([-1.0, 1.0, 1.0])))
+    assert _report(segment) == ["pure_states do not span the state space"]
 
 
 def test_validate_system_refuses_unkeyable_permutations():
-    eye = np.eye(16)       # 16 vertices keyed in base 16 need 64 bits
-    simplex16 = core.TheorySystem(dim=16, unit_effect=np.ones(16), pure_states=tuple(eye),
-                                  group=(eye,))
+    eye = np.eye(16)       # 16 vertices keyed in base 16 need 64 bits: refused when built
     with pytest.raises(core.CapacityError):
-        core.validate_system(simplex16)
+        core.TheorySystem(dim=16, unit_effect=np.ones(16), pure_states=tuple(eye), group=(eye,))
 
 
 def test_validate_system_refuses_unnormalized_pure_states():
     # the swap permutes the doubled vertices, so only the norm check reports
     # this system
-    doubled = core.TheorySystem(dim=2, unit_effect=[1.0, 1.0],
-                                pure_states=([2.0, 0.0], [0.0, 2.0]),
-                                group=(np.eye(2), np.eye(2)[[1, 0]]))
-    assert core.validate_system(doubled) == [
+    doubled = dict(dim=2, unit_effect=[1.0, 1.0], pure_states=([2.0, 0.0], [0.0, 2.0]),
+                   group=(np.eye(2), np.eye(2)[[1, 0]]))
+    assert _report(doubled) == [
         "pure_states[0] is not normalized (norm 2.000000)",
         "pure_states[1] is not normalized (norm 2.000000)"]
+
+
+def _dense_first_matches(queries, points, atol):
+    """The dense lookup that ``core._first_matches`` replaced: every query against every point."""
+    close = np.max(np.abs(queries[:, None, :] - points[None, :, :]), axis=2) <= atol
+    return close.argmax(axis=1), close.any(axis=1)
+
+
+def test_first_matches_agree_with_the_dense_lookup():
+    rng = np.random.default_rng(5)
+    cases = []
+    for system in (core.make_classical(6), core.make_square_bit(), core.make_polygon(5),
+                   core.make_polygon(64)):
+        images = np.matmul(system.group, system.pure_states.T).transpose(0, 2, 1)
+        images = images.reshape(-1, system.dim)
+        # the images as they are, and moved by up to twice ATOL: some match, some do not
+        cases += [(images, system.pure_states),
+                  (images + rng.uniform(-2.0, 2.0, images.shape) * core.ATOL, system.pure_states)]
+    # clusters of points within ATOL of each other, where the first near point wins
+    centres = rng.uniform(-1.0, 1.0, (30, 3))
+    points = np.repeat(centres, 3, axis=0) + rng.uniform(-1.0, 1.0, (90, 3)) * core.ATOL
+    cases.append((np.repeat(centres, 20, axis=0) + rng.uniform(-2.0, 2.0, (600, 3)) * core.ATOL,
+                  points[rng.permutation(90)]))
+    for queries, points in cases:
+        first, found = core._first_matches(queries, points, core.ATOL)
+        dense_first, dense_found = _dense_first_matches(queries, points, core.ATOL)
+        assert 0 < found.sum() and np.array_equal(found, dense_found)
+        assert np.array_equal(first, dense_first)
+
+
+def test_a_list_that_is_not_a_group_is_refused_when_built():
+    # (I, 3-cycle) on classical-3 is not closed; were it built, more_mixed, orbit_hull and
+    # equally_mixed would answer over the two matrices without a warning
+    trit = core.make_classical(3)
+    with pytest.raises(core.InvalidSystemError, match="^invalid theory definition: ") as info:
+        core.TheorySystem(3, trit.unit_effect, trit.pure_states, (np.eye(3), np.eye(3)[[1, 2, 0]]))
+    assert info.value.violations == [
+        "group is not closed: group[1] @ group[1] not in list",
+        "group[1] has no inverse in the list"]
+    assert isinstance(info.value, core.StructuralError)
 
 
 # -- the one sum-to-one check ---------------------------------------------------
@@ -343,8 +394,8 @@ def test_every_sum_to_one_site_shares_one_boundary(name):
 
 def test_validate_system_and_density_matrix_share_the_sum_boundary():
     def report(w):
-        return core.validate_system(core.TheorySystem(
-            2, np.ones(2), (np.asarray(w), np.asarray(w)[::-1]), (np.eye(2),)))
+        return _report(dict(dim=2, unit_effect=np.ones(2),
+                            pure_states=(np.asarray(w), np.asarray(w)[::-1]), group=(np.eye(2),)))
 
     assert report([0.7 + 0.5 * core.SUM_TOL, 0.3]) == []
     assert len(report([0.7 + 2 * core.SUM_TOL, 0.3])) == 2

@@ -307,17 +307,16 @@ def test_orbit_hull_matches_lp_definition_without_lp(name, rho, lp_calls):
 
 def test_orbit_questions_refuse_a_set_that_is_not_a_group(square_bit, lp_calls):
     # four rotations and a contraction do not form a group: the contraction
-    # does not preserve the averaged Gram form, so the orbit leaves the sphere
+    # does not preserve the averaged Gram form, so an orbit would leave the
+    # sphere; the list is refused when built, so no orbit question is asked of it
     shrink = np.diag([0.1, 0.1, 1.0])
-    fake = core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
-                             pure_states=square_bit.pure_states,
-                             group=np.insert(square_bit.group[:4], 4, shrink, axis=0))
-    assert not fake._isometric
-    rho = fake.state([0.5, 0.2, 1.0])
-    with pytest.raises(core.StructuralError, match="averaged Gram form"):
-        mixedness.orbit_hull(rho)
-    with pytest.raises(core.StructuralError, match="averaged Gram form"):
-        mixedness.equally_mixed(rho, fake.state(square_bit.group[1] @ rho.vec))
+    with pytest.raises(core.InvalidSystemError) as info:
+        core.TheorySystem(dim=3, unit_effect=square_bit.unit_effect,
+                          pure_states=square_bit.pure_states,
+                          group=np.insert(square_bit.group[:4], 4, shrink, axis=0))
+    assert info.value.violations == [
+        "group[4] maps pure_states[0] outside the vertex list (residual 9.000e-01)",
+        "group[4] does not preserve the averaged Gram form M (h^T M h != M, residual 7.940e-01)"]
     assert lp_calls == []
 
 
@@ -952,11 +951,10 @@ def test_permutation_index_only_on_the_full_classical_group(square_bit, trit):
     assert trit._permutation_index == {perm: k for k, perm in
                                        enumerate(itertools.permutations(range(3)))}
     assert core.make_classical(1)._permutation_index == {(0,): 0}
-    # a repeated element in place of one permutation is not the full group
-    doubled = core.TheorySystem(dim=3, unit_effect=trit.unit_effect,
-                                pure_states=trit.pure_states,
-                                group=trit.group[np.r_[:5, 0]])
-    assert doubled._permutation_index is None
+    # a repeated element in place of one permutation is no group: refused when built
+    with pytest.raises(core.InvalidSystemError, match=r"group\[5\] repeats group\[0\]"):
+        core.TheorySystem(dim=3, unit_effect=trit.unit_effect, pure_states=trit.pure_states,
+                          group=trit.group[np.r_[:5, 0]])
 
 
 def test_rare_channel_from_certificate(square_bit):

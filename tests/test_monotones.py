@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -200,35 +201,30 @@ def test_op_norm_matches_the_bruteforce_oracle(system):
         assert abs(0.5 * (top @ delta - bottom @ delta) - report.value) <= 1e-12
 
 
-def _non_spanning_system():
-    """Two pure states in R^3: the third coordinate is off their span."""
-    return core.TheorySystem(dim=3, unit_effect=[1.0, 1.0, 0.0],
-                             pure_states=([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
-                             group=(np.eye(3), np.eye(3)[[1, 0, 2]]))
+def _non_spanning_system() -> SimpleNamespace:
+    """The fields of a system with two pure states in R^3, where the third coordinate
+    is off their span, as a namespace ``system_to_dict`` writes out; construction
+    refuses them."""
+    return SimpleNamespace(dim=3, unit_effect=np.array([1.0, 1.0, 0.0]),
+                           pure_states=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+                           group=np.array([np.eye(3), np.eye(3)[[1, 0, 2]]]), name="flat")
 
 
 def test_op_norm_refuses_pure_states_that_do_not_span():
-    # a state on the pure states' span passes the state check; the op-norm then
-    # refuses the system
-    rho = _non_spanning_system().state([0.5, 0.5, 0.0])
-    for fn in (monotones.op_norm_report, monotones.op_norm_distance):
-        with pytest.raises(monotones.UnsupportedSystemError, match="do not span"):
-            fn(rho)
+    # such pure states leave the effect polytope unbounded: the system is refused
+    # when built, so no op-norm is asked of it
+    fields = vars(_non_spanning_system())
+    with pytest.raises(core.InvalidSystemError) as info:
+        core.TheorySystem(**fields)
+    assert info.value.violations == ["pure_states do not span the state space"]
 
 
 def test_a_state_off_the_pure_states_span_is_refused_not_scored():
-    # validate_system refuses this system, and its derived pure effects are
-    # (0, 3), so no effect reads the third coordinate: the state check refuses
-    # it by its part off the span, before any caller scores it
-    system = _non_spanning_system()
-    rho = system.state([0.5, 0.5, 0.3])
-    assert system._spans is False and system.extremal_effects.shape == (0, 3)
-    for fn in (mixedness.validate_state, monotones.purity_2norm, mixedness.orbit_hull,
-               lambda s: mixedness.more_mixed(s, s)):
-        with pytest.raises(core.StructuralError, match="off the pure states' span"):
-            fn(rho)
-    mixedness.validate_state(system.state([0.5, 0.5, 0.0]))
-    assert core.make_square_bit()._off_span is None
+    # no pure effect would read the third coordinate, so a state off the span
+    # would pass the facet check; a theory definition with such pure states is
+    # refused on load, before any state of it exists
+    with pytest.raises(core.StructuralError, match="do not span the state space"):
+        core.system_from_dict(core.system_to_dict(_non_spanning_system()))
 
 
 def test_op_norm_refuses_a_system_with_no_pure_effect():

@@ -713,6 +713,8 @@ def test_duality_boolean_agreement_small_sample():
     lambda rng: random_density_matrix(-1, rng),
     lambda rng: random_density_matrix(4, rng, rank=0),
     lambda rng: random_density_matrix(4, rng, rank=5),
+    lambda rng: random_unitary(0, rng),
+    lambda rng: random_unitary(-1, rng),
 ])
 def test_random_helpers_refuse_bad_shapes_before_drawing(make):
     rng = np.random.default_rng(3)

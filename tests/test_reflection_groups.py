@@ -93,14 +93,17 @@ def test_chamber_is_none_unless_the_reflections_generate_the_group():
     assert cyclic._chamber is None                                 # no reflection
     assert variant(square_bit.group[:4])._chamber is None          # Z_4, no reflection
     assert variant(square_bit.group[[0, 2]])._chamber is None      # the half turn
-    # a repeated element puts two points of the orbit of z in the dominant chamber
-    assert variant(square_bit.group[np.r_[:8, 0]])._chamber is None
-    # the group less its quarter turn is not closed: every reflection stays and
-    # one point of the orbit of z is dominant, but the orbit of z is not
-    # closed under the simple reflections, so the list keeps the LP
-    assert variant(np.delete(square_bit.group, 1, axis=0))._chamber is None
-    # a contraction fails _isometric
-    assert variant(np.insert(square_bit.group[:4], 4, np.diag([0.1, 0.1, 1.0]), axis=0))._chamber is None
+    # a list that is no group has no chamber to ask for: it is refused when built,
+    # a repeated element, the group less its quarter turn (not closed) and a
+    # contraction alike
+    for group, violation in ((square_bit.group[np.r_[:8, 0]], "group[8] repeats group[0]"),
+                             (np.delete(square_bit.group, 1, axis=0),
+                              "group is not closed: group[1] @ group[2] not in list"),
+                             (np.insert(square_bit.group[:4], 4, np.diag([0.1, 0.1, 1.0]), axis=0),
+                              "group[4] does not preserve the averaged Gram form M")):
+        with pytest.raises(core.InvalidSystemError) as info:
+            variant(group)
+        assert any(line.startswith(violation) for line in info.value.violations), violation
     # one reflection generates {I, flip}: a reflection subgroup keeps the path
     flip = variant(square_bit.group[[0, 4]])._chamber
     assert flip is not None and len(flip.simple) == 1 and len(flip.facets) == 2
