@@ -282,7 +282,8 @@ def _reflection_certificate(rho: GptState, sigma: GptState,
     part off the roots' span (the group-fixed part), within ATOL.  A "no"
     carries f(v) = <w_i, h v>_M for the most negative c_i, with h sigma =
     sigma_top, and gap -c_i; or, when only the fixed parts differ, the unit
-    form along their difference, and gap its M-length.  A "yes" carries the
+    form along their difference averaged over the group (so it reads the
+    same on every orbit point), and gap its M-length.  A "yes" carries the
     weights of ``_caratheodory_walk`` on rho's G-permutohedron,
     <g w_i, x>_M <= <w_i, rho_top>_M over the rows of ``chamber.facets``, in
     r + 1 steps (r the rank of the roots).  Its vertex at x maximizes over
@@ -306,7 +307,10 @@ def _reflection_certificate(rho: GptState, sigma: GptState,
         return _separating_certificate(functional, orbit, target)
     forgiven = float(np.max(np.abs(fixed)))
     if forgiven > ATOL:
-        form = system.group_gram @ fixed
+        # fixed is short, so its rounding along the roots is large next to it:
+        # averaging the form over the group removes that part, and the
+        # functional reads the same on every orbit point
+        form = np.mean((system.group_gram @ fixed) @ system.group, axis=0)
         return _separating_certificate(-form / np.sqrt(form @ fixed), orbit, target)
     facets, gram = chamber.facets, system.group_gram
 

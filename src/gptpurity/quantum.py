@@ -14,7 +14,7 @@ reshape.  Entropies are in bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -26,14 +26,12 @@ from .tolerances import (ENTROPY_FLOOR, EOF_ARMIJO, EOF_ARTANH_CLIP, EOF_CURVATU
                          RELATIVE_RANK_TOL, SPECTRUM_TOL, SUM_TOL, TRACE_PRESERVING_TOL,
                          UNITARY_TOL, WITNESS_TOL, ZERO_TOL)
 
-#: pure members of an EoF ensemble (at least the rank of the state)
-EOF_MEMBERS = 6
 #: BFGS starts of the EoF optimizer: the eigen-ensemble, then random rotations
 EOF_STARTS = 3
 #: seed of the random rotations that make the EoF starts after the first
 EOF_SEED = 11
 #: iterations after which a start of ``minimize`` stops: a work budget that ends every
-#: run, far above the iterations an EoF start takes (at most 75 on the Tier-1 sweep's
+#: run, far above the iterations an EoF start takes (at most 76 on the Tier-1 sweep's
 #: 300 random states)
 EOF_MAX_ITER = 300
 
@@ -674,6 +672,17 @@ def minimize(fun, x0) -> BatchMinimum:
         stop |= nit >= EOF_MAX_ITER
 
 
+#: signs that turn a member (a, b, c, d), reversed, into (d, -c, -b, a): the gradient of ad - bc
+_SWAP_SIGNS = _frozen([1.0, -1.0, -1.0, 1.0], float)
+
+
+@lru_cache(maxsize=None)
+def _half_upper(r: int) -> np.ndarray:
+    """The r x r mask U, 1 above the diagonal and 1/2 on it: B * U plus its adjoint is
+    the Hermitian matrix with B's upper triangle and the real part of B's diagonal."""
+    return _frozen(np.triu(np.ones((r, r))) - 0.5 * np.eye(r), float)
+
+
 def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble cost of each stack of subnormalized members (rows) and its gradient.
 
@@ -685,27 +694,31 @@ def _roof_cost(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entropy of its marginal.  The gradient is the Wirtinger derivative
     dC/d(conj phi) = C_q phi + C_D det (conj d, -conj c, -conj b, conj a), with
     C_q = h2 - 2 (D/q^2) g(s), C_D = g(s)/q and g(s) = 2 artanh(s)/(s ln 2).
+    A member of weight at most ``EOF_WEIGHT_FLOOR`` costs 0 and has gradient 0:
+    its 1/q is taken as 0, which makes D/q^2, h2, C_q and C_D all 0.
     """
-    q = (phi.real ** 2 + phi.imag ** 2).sum(axis=-1)
+    q = (phi * phi.conj()).real.sum(axis=-1)
     det = phi[..., 0] * phi[..., 3] - phi[..., 1] * phi[..., 2]
-    good = q > EOF_WEIGHT_FLOOR
-    q_safe = np.where(good, q, 1.0)
-    ratio = (det.real ** 2 + det.imag ** 2) / q_safe ** 2
+    inv_q = np.reciprocal(q, out=np.zeros(q.shape), where=q > EOF_WEIGHT_FLOOR)
+    ratio = (det * det.conj()).real * inv_q ** 2
     s = np.sqrt(np.maximum(1.0 - 4.0 * ratio, 0.0))     # ratio >= 0, so s <= 1
     # binary entropy of the marginal spectrum ((1 - s)/2, (1 + s)/2); 0 log 0 = 0
-    low, high = (1.0 - s) / 2.0, (1.0 + s) / 2.0
-    h = -(low * np.log(low, out=np.zeros(low.shape), where=low > 0)
-          + high * np.log(high)) / np.log(2.0)
+    low, high = 0.5 - 0.5 * s, 0.5 + 0.5 * s
+    h = (low * np.log(low, out=np.zeros(low.shape), where=low > 0)
+         + high * np.log(high)) * (-1.0 / np.log(2.0))
     # g(s) diverges at product members (s = 1) and tends to 2/ln 2 at s = 0;
     # s is either 0 or at least the square root of the machine epsilon, since
     # 1 - 4 ratio is, so the division is safe
     sc = np.minimum(s, EOF_ARTANH_CLIP)
     g = np.divide(np.arctanh(sc), sc, out=np.ones(sc.shape), where=sc > 0) * (2.0 / np.log(2.0))
-    c_q = np.where(good, h - 2.0 * ratio * g, 0.0)
-    c_d = np.where(good, g / q_safe, 0.0)
-    swapped = phi[..., ::-1].conj() * np.array([1.0, -1.0, -1.0, 1.0])
-    grad = c_q[..., None] * phi + (c_d * det)[..., None] * swapped
-    return np.sum(np.where(good, q * h, 0.0), axis=-1), grad
+    grad = (h - 2.0 * ratio * g)[..., None] * phi \
+        + (g * inv_q * det)[..., None] * (phi[..., ::-1].conj() * _SWAP_SIGNS)
+    return (q * h).sum(axis=-1), grad
+
+
+def _pack(z: np.ndarray) -> np.ndarray:
+    """One row per matrix of the complex stack z: its entries as interleaved (re, im) pairs."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(len(z), -1)
 
 
 def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -719,37 +732,33 @@ def _orthonormalize(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _roof_objective(params: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ensemble cost of Q(Z_k) @ roots for each start k, and each start's gradient.
 
-    Row k of ``params`` is start k: the real parts of its m x r matrix Z_k,
-    then the imaginary parts; Q(Z) is the isometry of the positive-diagonal
-    QR.  The costs come back one per row, the gradients in the shape of
-    ``params``, each pulled back through QR: with G_Q = G_phi roots^H and
-    B = Q^H G_Q,
-    G_Z = [(I - Q Q^H) G_Q + Q (tril(B - B^H, -1) + i diag(Im B))] R^{-H}.
+    Row k of ``params`` is start k, its m x r matrix Z_k packed by ``_pack``;
+    Q(Z) is the isometry of the positive-diagonal QR.  The costs come back
+    one per row, the gradients in the shape of ``params``, each pulled back
+    through QR: with G_Q = G_phi roots^H, B = Q^H G_Q and S the Hermitian
+    matrix with B's upper triangle and Re diag(B),
+    G_Z = (G_Q - Q S) R^{-H}.
     """
-    starts, r = params.shape[0], roots.shape[0]
-    half = params.shape[1] // 2
-    z = (params[:, :half] + 1j * params[:, half:]).reshape(starts, -1, r)
-    q_mat, r_mat = _orthonormalize(z)
+    r = roots.shape[0]
+    q_mat, r_mat = _orthonormalize(params.view(complex).reshape(len(params), -1, r))
     costs, g_phi = _roof_cost(q_mat @ roots)
     g_q = g_phi @ roots.conj().T
-    b = q_mat.conj().swapaxes(-1, -2) @ g_q
-    inner = np.tril(b - b.conj().swapaxes(-1, -2), -1)
-    diag = np.arange(r)
-    inner[:, diag, diag] = 1j * b[:, diag, diag].imag
-    y = g_q - q_mat @ (b - inner)
+    upper = (q_mat.conj().swapaxes(-1, -2) @ g_q) * _half_upper(r)
+    y = g_q - q_mat @ (upper + upper.conj().swapaxes(-1, -2))
     g_z = np.linalg.solve(r_mat, y.conj().swapaxes(-1, -2)).conj().swapaxes(-1, -2)
-    return costs, 2.0 * np.concatenate([g_z.real.reshape(starts, half),
-                                        g_z.imag.reshape(starts, half)], axis=1)
+    return costs, 2.0 * _pack(g_z)
 
 
 def entanglement_of_formation(rho: DensityMatrix) -> float:
     """Convex-roof entanglement of formation for a two-qubit state, in ebits.
 
     Minimizes the ensemble-average marginal entropy over decompositions of
-    rho into ``max(EOF_MEMBERS, rank)`` pure members, parameterized by
-    isometries applied to the eigen-ensemble: BFGS with the closed-form
-    convex-roof gradient over QR-parametrised isometries (the variational
-    method of Audenaert, Verstraete & De Moor, PRA 64, 052304 (2001)).
+    rho into four pure members, parameterized by 4 x r isometries applied to
+    its r eigen-members: every two-qubit state has an optimal decomposition
+    into at most four pure states (PRL 80, 2245 (1998)).  It runs BFGS with
+    the closed-form convex-roof gradient over QR-parametrised isometries
+    (the variational method of Audenaert, Verstraete & De Moor, PRA 64,
+    052304 (2001)).
     ``EOF_STARTS`` starts run side by side in one call of ``minimize``, each
     with its own inverse Hessian, step and stop; the first is the
     eigen-ensemble itself and the others rotate it by random unitaries drawn
@@ -772,13 +781,11 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
     # the top r eigenpairs, each vector's first significant component made real positive
     vals, vecs = rho._eigenvalues[:r], rho._eigenvectors[:, :r]
     roots = (vecs / _lead_phases(vecs) * np.sqrt(vals)).T     # (r, 4) subnormalized eigen-members
-    m = max(EOF_MEMBERS, r)
     rng = np.random.default_rng(EOF_SEED)
-    z0 = np.stack([np.eye(m, r)] + [
-        np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0][:, :r]
+    z0 = np.stack([np.eye(4, r)] + [
+        np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0][:, :r]
         for _ in range(EOF_STARTS - 1)])
-    p0 = np.concatenate([z0.real.reshape(EOF_STARTS, -1), z0.imag.reshape(EOF_STARTS, -1)], axis=1)
-    return float(minimize(lambda params: _roof_objective(params, roots), p0).fun.min())
+    return float(minimize(lambda params: _roof_objective(params, roots), _pack(z0)).fun.min())
 
 
 @dataclass(frozen=True)

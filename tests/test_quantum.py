@@ -530,7 +530,7 @@ def test_eof_objective_gradient_at_singular_members():
     # at the identity isometry the members are the roots themselves, and the
     # rows beyond the rank are empty (below the member-weight floor); all
     # three starts sit there
-    identity = np.tile(np.concatenate([np.eye(6, 2).ravel(), np.zeros(12)]), (3, 1))
+    identity = quantum._pack(np.tile(np.eye(6, 2), (3, 1, 1)))
     entangled = np.array([np.array([1, 0, 0, 1]) / 2, other])      # s = 0 member
     _, grad = quantum._roof_objective(identity, entangled)
     assert np.all(np.isfinite(grad))
@@ -645,10 +645,12 @@ def test_eof_keeps_its_accuracy_on_a_seeded_sweep():
     mats = [random_density_matrix(4, rng, rank=rank).matrix
             for rank in (2, 3, 4) for _ in range(100)]
     mats += [werner(p).matrix for p in np.linspace(0.0, 1.0, 11)]
-    for _ in range(20):
+    # separable mixtures of three product states, then of four (rank 4) and of
+    # two (rank 2): the roof must reach their value 0 with its four members
+    for count in [3] * 20 + [4] * 20 + [2] * 20:
         members = [np.kron(random_pure_state((2, 1), rng).vec, random_pure_state((2, 1), rng).vec)
-                   for _ in range(3)]
-        weights = rng.dirichlet(np.ones(3))
+                   for _ in range(count)]
+        weights = rng.dirichlet(np.ones(count))
         mats.append(sum(w * np.outer(v, v.conj()) for w, v in zip(weights, members)))
     gaps = np.array([entanglement_of_formation(DensityMatrix(m)) - wootters_eof(m) for m in mats])
     assert np.abs(gaps).max() <= 5e-8

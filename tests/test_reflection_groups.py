@@ -204,6 +204,33 @@ def test_a_reflection_subgroup_of_a_simplex(lp_calls):
     assert lp_calls == []
 
 
+def test_a_short_fixed_part_difference_is_separated_on_the_whole_orbit(lp_calls):
+    # sigma a RaRe image of rho under {I, swap} on classical-3, pushed
+    # 1e-9..1e-8 outward from the centroid: the group-fixed parts then differ
+    # by about ATOL, and the functional along that difference must read the
+    # same on both orbit points, so no verdict raises
+    trit = core.make_classical(3)
+    swap = core.TheorySystem(dim=3, unit_effect=trit.unit_effect, pure_states=trit.pure_states,
+                             group=trit.group[[0, 2]])
+    p = np.array([0.8960193407187604, 0.0100575897966995, 0.09392306948454006])
+    rng = np.random.default_rng(303)
+    verdicts = set()
+    for _ in range(200):
+        w = rng.uniform()
+        image = w * p + (1 - w) * (swap.group[1] @ p)
+        out = image - 1 / 3
+        q = image + 10.0 ** rng.uniform(-9, -8) * out / np.linalg.norm(out)
+        cert = mixedness.more_mixed(swap.state(p), swap.state(q))
+        if cert.feasible:
+            rebuilt = cert.weights @ (swap.group @ p)
+            assert np.max(np.abs(rebuilt - q)) == cert.residual <= 2 * mixedness.WITNESS_TOL
+        else:
+            _assert_separates(swap, p, q, cert)
+        verdicts.add(cert.feasible)
+    assert verdicts == {True, False}
+    assert lp_calls == []
+
+
 def _reflection_walk_reference(orbit, x, top, chamber, gram):
     """The G-permutohedron walk with its weights dense in group order, the reference
     for the reflection instance of ``mixedness._caratheodory_walk``."""
